@@ -23,7 +23,7 @@ import numpy as np
 
 from .dgf import EntropyDgf, HyperbolicDgf, PowerDgf, parse_dgf
 from .grid import Density, ball_mass, dist_to_point
-from .objective import eval_F, grad_potential, minimizer_density
+from .objective import density_values, eval_F, grad_potential, minimizer_density
 from .solver import SolverConfig, run_apgm
 
 
@@ -69,6 +69,14 @@ def theoretical_exponent(method, dgf, q, d):
 _TAG_TO_Q = {"I": 1, "I*": 2, "II": 2, "II*": 4}
 
 
+def setting_exponent(tag):
+    """Structure exponent q of a setting tag (I, I*, II or II*)."""
+    try:
+        return _TAG_TO_Q[tag]
+    except KeyError:
+        raise ValueError(f"unknown setting tag {tag!r}") from None
+
+
 def classify_setting(problem, tol=1e-10):
     """Structure exponent q of a problem.
 
@@ -78,10 +86,7 @@ def classify_setting(problem, tol=1e-10):
     route is available, reporting both candidate values.
     """
     if problem.setting_tag is not None:
-        try:
-            return _TAG_TO_Q[problem.setting_tag]
-        except KeyError:
-            raise ValueError(f"unknown setting tag {problem.setting_tag!r}") from None
+        return setting_exponent(problem.setting_tag)
     smooth_phi = problem.smooth.phi_lip_class == "gradient_lipschitz"
     candidates = (2, 4) if smooth_phi else (1, 2)
     if not problem.mu_star:
@@ -165,7 +170,7 @@ def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):
         )
     if eps_grid is None:
         eps_grid = default_eps_grid(problem.grid)
-    f0 = np.asarray(getattr(f0, "values", f0), dtype=float)
+    f0 = density_values(problem, f0)
     w = problem.grid.weights
     gaps = [eval_F(problem, f0) - problem.inf_value]
     divs = [0.0]

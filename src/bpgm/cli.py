@@ -23,19 +23,13 @@ from .analysis import (
     fit_loglog,
     fit_rate,
     psi_envelope,
+    setting_exponent,
     theoretical_exponent,
 )
 from .dgf import parse_dgf
 from .objective import PROBLEM_TOKENS, build_problem, parse_regularizer
 from .solver import SolverConfig, Trace, run as run_solver
 from .verify import run_all_checks
-
-_DEFAULT_REG = {
-    "deconv1d": "nonneg_tv:0",
-    "deconv2d": "nonneg_tv:0",
-    "relu": "tv:0.05",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
@@ -88,7 +82,7 @@ def _build_problem_from_args(args, dgf_token=None):
     problem_token = _effective(args, "problem")
     if problem_token is None:
         raise ValueError("no problem token given (flag --problem or config)")
-    reg_token = _effective(args, "reg", _DEFAULT_REG.get(problem_token))
+    reg_token = _effective(args, "reg")
     reg = parse_regularizer(reg_token) if reg_token else None
     lam = _effective(args, "lam", cast=float)
     problem = build_problem(
@@ -110,14 +104,6 @@ def _build_problem_from_args(args, dgf_token=None):
     return problem
 
 
-def _reg_token(reg):
-    if reg.kind in ("nonneg_tv", "tv"):
-        return f"{reg.kind}:{reg.lam:g}"
-    if reg.kind == "tv_ball":
-        return f"tv_ball:{reg.radius:g}"
-    return "simplex"
-
-
 def _run_one(args_dict):
     """One (problem, dgf) run; module-level for process-pool pickling."""
     args = argparse.Namespace(**args_dict)
@@ -130,7 +116,6 @@ def _run_one(args_dict):
         k_bound=_effective(args, "k_bound", cast=float),
     )
     trace = run_solver(problem, dgf, config)
-    trace.meta["reg"] = _reg_token(problem.reg)
     trace.meta["seed"] = str(_effective(args, "seed", 0, cast=int))
 
     out = args.out
@@ -219,10 +204,15 @@ def cmd_rates(args):
     rows = []
     for path in args.traces:
         trace = Trace.read_csv(path)
+        missing = [key for key in ("setting", "dim") if not trace.meta.get(key)]
+        if missing:
+            raise ValueError(
+                f"trace {path} has no {' or '.join(missing)} metadata; "
+                f"rates needs the problem's setting tag and dimension"
+            )
         dgf = parse_dgf(trace.meta["dgf"])
-        q = _q_from_meta(trace.meta)
-        d = 2 if trace.meta.get("problem") == "deconv2d" else 1
-        model = theoretical_exponent(trace.meta["method"], dgf, q, d)
+        q = setting_exponent(trace.meta["setting"])
+        model = theoretical_exponent(trace.meta["method"], dgf, q, int(trace.meta["dim"]))
         slope, r2 = fit_loglog(trace.k, trace.gap, window=window)
         rows.append((path, trace.meta, slope, r2, model))
     header = f"{'trace':<40} {'fitted':>8} {'theory':>8} {'diff':>7} {'r2':>7}"
@@ -243,18 +233,6 @@ def cmd_rates(args):
         _atomic_write_text(args.out, "".join(csv_lines))
         print(f"wrote {args.out}")
     return 0
-
-
-def _q_from_meta(meta):
-    problem = meta.get("problem", "")
-    if problem.startswith("lb:"):
-        return {"I": 1, "I*": 2, "II": 2, "II*": 4}[problem[3:]]
-    if problem == "relu":
-        return 1
-    if problem.startswith("deconv"):
-        reg = meta.get("reg", "")
-        return 4 if reg in ("nonneg_tv:0", "nonneg_tv:0.0") else 2
-    raise ValueError(f"cannot classify problem {problem!r} from trace metadata")
 
 
 def cmd_psi(args):

@@ -28,7 +28,6 @@ from .grid import (
     circle_grid,
     dirac_density,
     dist_to_point,
-    nearest_index,
     torus_grid,
 )
 
@@ -106,11 +105,6 @@ class SmoothObjective:
     def lip_grad(self):
         return self.outer.lip_grad
 
-    @property
-    def lip_smooth(self):
-        """L1 smoothness constant ||Phi||_inf^2 * Lip(grad R) of G."""
-        return self.phi_sup**2 * self.outer.lip_grad
-
     def moments(self, weights, f):
         return self.features @ (weights * f)
 
@@ -128,6 +122,15 @@ class SmoothObjective:
 
 _REG_KINDS = ("nonneg_tv", "simplex", "tv", "tv_ball")
 
+# Constraint violation up to which a density still counts as feasible.
+FEAS_TOL = 1e-9
+
+
+def _number_token(x):
+    """Shortest of ':g' and repr that parses back to exactly x."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
 
 @dataclass(frozen=True)
 class Regularizer:
@@ -142,7 +145,6 @@ class Regularizer:
     kind: str
     lam: float = 0.0
     radius: float = 1.0
-    feas_tol: float = 1e-9
 
     def __post_init__(self):
         if self.kind not in _REG_KINDS:
@@ -151,6 +153,15 @@ class Regularizer:
             raise ValueError(f"TV weight must be nonnegative, got {self.lam}")
         if self.kind == "tv_ball" and self.radius <= 0:
             raise ValueError(f"TV ball radius must be positive, got {self.radius}")
+
+    @property
+    def token(self):
+        """The parse_regularizer token of this regularizer, exact in lam / radius."""
+        if self.kind == "simplex":
+            return "simplex"
+        if self.kind == "tv_ball":
+            return f"tv_ball:{_number_token(self.radius)}"
+        return f"{self.kind}:{_number_token(self.lam)}"
 
     def violation(self, weights, f):
         """Distance to the feasible set (0 when feasible)."""
@@ -165,7 +176,7 @@ class Regularizer:
         return 0.0  # tv: no constraint
 
     def value(self, weights, f):
-        if self.violation(weights, f) > self.feas_tol:
+        if self.violation(weights, f) > FEAS_TOL:
             return math.inf
         if self.kind in ("nonneg_tv", "tv") and self.lam > 0:
             return self.lam * float(np.sum(weights * np.abs(f)))
@@ -236,7 +247,12 @@ class Problem:
         return replace(self, inf_value=float(value))
 
 
-def _check_grid(problem, f):
+def density_values(problem, f):
+    """Value array of a density (Density or raw array) on the problem grid.
+
+    Raises ValueError when a Density lives on another grid or an array
+    has the wrong shape.
+    """
     if isinstance(f, Density):
         g = f.grid
         if (g.kind, g.dim, g.size) != (
@@ -256,16 +272,12 @@ def _check_grid(problem, f):
 
 def eval_G(problem, f):
     """Smooth part G(f)."""
-    return problem.smooth.value(problem.grid.weights, _check_grid(problem, f))
+    return problem.smooth.value(problem.grid.weights, density_values(problem, f))
 
 
 def eval_F(problem, f):
-    """Full objective F(f) = G(f) + H(f); inf when f is infeasible.
-
-    Use feasibility_violation for a quantitative report on infeasible
-    inputs.
-    """
-    values = _check_grid(problem, f)
+    """Full objective F(f) = G(f) + H(f); inf when f is infeasible."""
+    values = density_values(problem, f)
     h = problem.reg.value(problem.grid.weights, values)
     if math.isinf(h):
         return math.inf
@@ -274,12 +286,7 @@ def eval_F(problem, f):
 
 def grad_potential(problem, f):
     """The potential G'[f] on the grid, shape (m,)."""
-    return problem.smooth.gradient(problem.grid.weights, _check_grid(problem, f))
-
-
-def feasibility_violation(problem, f):
-    """Distance of f to the regularizer's feasible set (0 if feasible)."""
-    return problem.reg.violation(problem.grid.weights, _check_grid(problem, f))
+    return problem.smooth.gradient(problem.grid.weights, density_values(problem, f))
 
 
 def minimizer_density(problem):

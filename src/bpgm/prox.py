@@ -107,42 +107,19 @@ def solve_kappa(dgf, weights, v, target_kind, K=1.0):
     if not np.all(np.isfinite(v)):
         raise ValueError("mirror point must be finite for the dual search")
     if target_kind == "mass_eq_1":
-        lo, hi = float(np.min(v)) - 1.0, float(np.max(v)) + 1.0
-        # Expand downward until the bracket straddles mass 1. Mass is
-        # decreasing in kappa and reaches 0 at kappa = max(v) for signed
-        # dgfs; for entropy it decays but never vanishes, so expand both.
-        grow = 1.0
-        for _ in range(_MAX_BISECT):
-            if _mass(dgf, weights, v, lo) >= 1.0:
-                break
-            grow *= 2.0
-            lo -= grow
-        else:
-            raise RuntimeError(
-                f"failed to bracket the mass constraint from below "
-                f"(v range [{v.min():g}, {v.max():g}])"
-            )
-        for _ in range(_MAX_BISECT):
-            if _mass(dgf, weights, v, hi) <= 1.0:
-                break
-            grow *= 2.0
-            hi += grow
-        else:
-            raise RuntimeError("failed to bracket the mass constraint from above")
+        # The weights sum to 1 and the clamped mirror map is increasing,
+        # so the mass is >= 1 once every v - kappa >= eta'(1) and <= 1
+        # once every v - kappa <= eta'(1).
+        one = float(dgf.eta_prime(1.0))
+        lo, hi = float(np.min(v)) - one, float(np.max(v)) - one
         return _bisect(lambda k: _mass(dgf, weights, v, k), lo, hi, 1.0)
     if target_kind == "l1_le_K":
         if K <= 0:
             raise ValueError(f"norm bound must be positive, got {K}")
         if _l1_after_threshold(dgf, weights, v, 0.0) <= K:
             return 0.0
-        hi, grow = float(np.max(np.abs(v))), 1.0
-        for _ in range(_MAX_BISECT):
-            if _l1_after_threshold(dgf, weights, v, hi) <= K:
-                break
-            grow *= 2.0
-            hi += grow
-        else:
-            raise RuntimeError("failed to bracket the norm constraint")
+        # At this kappa every |primal| is at most K, hence so is the L1 norm.
+        hi = float(np.max(np.abs(v))) - float(dgf.eta_prime(K))
         return _bisect(lambda k: _l1_after_threshold(dgf, weights, v, k), 0.0, hi, K)
     raise ValueError(f"unknown target_kind {target_kind!r}")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dgf as dgf_mod
-from .objective import eval_F
+from .objective import FEAS_TOL, density_values, eval_F
 from .prox import MirrorState, bregman_step
 
 TRACE_COLUMNS = ("k", "F", "gap", "l1", "linf_mirror", "time_s")
@@ -169,6 +169,9 @@ def resolve_step(problem, dgf, config, f0):
 def _base_meta(problem, dgf, config, step, k_bound):
     return {
         "problem": problem.name,
+        "reg": problem.reg.token,
+        "setting": problem.setting_tag or "",
+        "dim": str(problem.grid.dim),
         "dgf": dgf.name,
         "method": config.method,
         "step": repr(step),
@@ -182,11 +185,8 @@ def _base_meta(problem, dgf, config, step, k_bound):
 
 def _run(problem, dgf, config, f0, accelerated):
     grid = problem.grid
-    if f0 is None:
-        f0 = np.ones(grid.size)
-    else:
-        f0 = np.asarray(getattr(f0, "values", f0), dtype=float)
-    if problem.reg.violation(grid.weights, f0) > problem.reg.feas_tol:
+    f0 = np.ones(grid.size) if f0 is None else density_values(problem, f0)
+    if problem.reg.violation(grid.weights, f0) > FEAS_TOL:
         raise ValueError("initial density is infeasible for the regularizer")
     step, k_bound = resolve_step(problem, dgf, config, f0)
     schedule = config.record if config.record is not None else record_schedule(config.iters)

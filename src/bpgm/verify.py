@@ -252,85 +252,108 @@ def gamma_bound_check(k_max=1_000_000):
 
 @dataclass
 class CheckResult:
+    """Outcome of one acceptance check; detail states the measured value
+    next to the bound it was held to."""
+
     name: str
     passed: bool
     detail: str
 
 
+# Grid sizes (points per axis) of the finite-difference gradient check.
+FD_GRID_SIZES = {
+    "deconv1d": 50, "deconv2d": 8, "relu": 200,
+    "lb:I": 100, "lb:I*": 100, "lb:II": 100, "lb:II*": 100,
+}
+
+
+def check_fd_gradient(grid_sizes=FD_GRID_SIZES, seed=0):
+    """Potential against finite differences on every registered problem."""
+    bound = 1e-5
+    worst = max(
+        fd_gradient_check(build_problem(token, grid_size=n), seed=seed)
+        for token, n in grid_sizes.items()
+    )
+    return CheckResult(
+        "fd_gradient",
+        worst <= bound,
+        f"{len(grid_sizes)} problems, max rel err {worst:.3e} (<= {bound:g})",
+    )
+
+
+def check_entropy_closed_form(m=300, k_max=10_000):
+    """Entropy iterates against their closed form; gap slope against -1."""
+    dev_bound, slope_tol = 1e-10, 0.05
+    check = entropy_closed_form_check(torus_grid(1, m), k_max=k_max)
+    ok = check.max_rel_dev <= dev_bound and abs(check.gap_slope + 1.0) <= slope_tol
+    return CheckResult(
+        "entropy_closed_form",
+        ok,
+        f"max rel dev {check.max_rel_dev:.3e} (<= {dev_bound:g}), "
+        f"gap slope {check.gap_slope:+.3f} (-1 +/- {slope_tol:g})",
+    )
+
+
+def check_kkt_sweep(steps=1000, m=50):
+    """Prox KKT residuals over all twelve dgf x regularizer combinations."""
+    bound = 1e-8
+    sweep = kkt_sweep(steps=steps, m=m)
+    worst = max(sweep.values())
+    return CheckResult(
+        "kkt_sweep",
+        len(sweep) == 12 and worst <= bound,
+        f"{len(sweep)} dgf x regularizer combinations (want 12), "
+        f"max residual {worst:.3e} (<= {bound:g})",
+    )
+
+
+def check_pinsker(dgfs=None, m=100, n_samples=1000, seed=0):
+    """Strong-convexity margins of each dgf (default: four of them)."""
+    bound = -1e-12
+    if dgfs is None:
+        dgfs = (PowerDgf(2.0), PowerDgf(1.5), EntropyDgf(), HyperbolicDgf())
+    grid = torus_grid(1, m)
+    worst = min(pinsker_sample(dgf, grid, n_samples=n_samples, seed=seed) for dgf in dgfs)
+    return CheckResult(
+        "pinsker_margins",
+        worst >= bound,
+        f"{len(dgfs)} dgfs x {n_samples} pairs, worst margin {worst:.3e} (>= {bound:g})",
+    )
+
+
+def check_mirror_flow(variant):
+    """Euler gap ratio between a step and its half, which should be near 2."""
+    lo, hi = 1.5, 2.5
+    ratio = mirror_flow_equivalence(variant=variant).ratio
+    return CheckResult(
+        f"mirror_flow_{variant}",
+        lo <= ratio <= hi,
+        f"gap ratio {ratio:.3f} (in [{lo:g}, {hi:g}])",
+    )
+
+
+def check_gamma_bound(k_max=1_000_000):
+    """0 < gamma_k <= min(1, 2/(k+2)), exactly, for every k <= k_max."""
+    worst = gamma_bound_check(k_max)
+    return CheckResult(
+        "gamma_bound",
+        worst <= 0.0,
+        f"max (gamma_k - 2/(k+2)) = {worst:.3e} over k <= {k_max:g} (<= 0)",
+    )
+
+
 def run_all_checks(seed=0, fast=False):
-    """Every oracle with default parameters; the `verify` command body.
+    """Every oracle check; the `verify` command body.
 
     fast=True shrinks the expensive sweeps (for smoke testing); the
     acceptance thresholds are only meaningful at full size.
     """
-    results = []
-
-    small = {
-        "deconv1d": dict(grid_size=50),
-        "deconv2d": dict(grid_size=8),
-        "lb:I": dict(grid_size=100),
-        "lb:I*": dict(grid_size=100),
-        "lb:II": dict(grid_size=100),
-        "lb:II*": dict(grid_size=100),
-        "relu": dict(grid_size=200),
-    }
-    worst_fd = 0.0
-    for token, kwargs in small.items():
-        worst_fd = max(worst_fd, fd_gradient_check(build_problem(token, **kwargs), seed=seed))
-    results.append(
-        CheckResult("fd_gradient", worst_fd <= 1e-5, f"max rel err {worst_fd:.3e} (<= 1e-5)")
-    )
-
-    check = entropy_closed_form_check(
-        torus_grid(1, 300), k_max=1000 if fast else 10_000
-    )
-    ok = check.max_rel_dev <= 1e-10 and abs(check.gap_slope + 1.0) <= 0.05
-    results.append(
-        CheckResult(
-            "entropy_closed_form",
-            ok,
-            f"max rel dev {check.max_rel_dev:.3e} (<= 1e-10), "
-            f"gap slope {check.gap_slope:+.3f} (-1 +/- 0.05)",
-        )
-    )
-
-    sweep = kkt_sweep(steps=100 if fast else 1000)
-    worst_kkt = max(sweep.values())
-    results.append(
-        CheckResult("kkt_sweep", worst_kkt <= 1e-8, f"max residual {worst_kkt:.3e} (<= 1e-8)")
-    )
-
-    grid = torus_grid(1, 100)
-    worst_pinsker = math.inf
-    for dgf in (PowerDgf(2.0), EntropyDgf(), HyperbolicDgf()):
-        n = 100 if fast else 1000
-        worst_pinsker = min(worst_pinsker, pinsker_sample(dgf, grid, n_samples=n, seed=seed))
-    results.append(
-        CheckResult(
-            "pinsker_margins",
-            worst_pinsker >= -1e-12,
-            f"worst margin {worst_pinsker:.3e} (>= -1e-12)",
-        )
-    )
-
-    for variant in ("square", "diff"):
-        flow = mirror_flow_equivalence(variant=variant)
-        ok = 1.5 <= flow.ratio <= 2.5
-        results.append(
-            CheckResult(
-                f"mirror_flow_{variant}",
-                ok,
-                f"gap ratio {flow.ratio:.3f} (in [1.5, 2.5])",
-            )
-        )
-
-    worst_gamma = gamma_bound_check(10_000 if fast else 1_000_000)
-    results.append(
-        CheckResult(
-            "gamma_bound",
-            worst_gamma <= 0.0,
-            f"max (gamma_k - 2/(k+2)) = {worst_gamma:.3e} (<= 0)",
-        )
-    )
-
-    return results
+    return [
+        check_fd_gradient(seed=seed),
+        check_entropy_closed_form(k_max=1000 if fast else 10_000),
+        check_kkt_sweep(steps=100 if fast else 1000),
+        check_pinsker(n_samples=100 if fast else 1000, seed=seed),
+        check_mirror_flow("square"),
+        check_mirror_flow("diff"),
+        check_gamma_bound(10_000 if fast else 1_000_000),
+    ]

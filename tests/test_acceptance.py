@@ -15,21 +15,12 @@ import numpy as np
 import pytest
 
 from bpgm import (
-    HyperbolicDgf,
-    PowerDgf,
-    EntropyDgf,
     SolverConfig,
     build_problem,
-    entropy_closed_form_check,
     eval_F,
-    fd_gradient_check,
     fit_rate,
-    gamma_bound_check,
-    kkt_sweep,
-    mirror_flow_equivalence,
     mollify,
     parse_dgf,
-    pinsker_sample,
     psi_envelope,
     reference_inf,
     run_apgm,
@@ -41,6 +32,14 @@ from bpgm import (
 from bpgm.analysis import fit_loglog
 from bpgm.objective import deconv_problem, lb_problem, nonneg_tv
 from bpgm.solver import Trace
+from bpgm.verify import (
+    check_entropy_closed_form,
+    check_fd_gradient,
+    check_gamma_bound,
+    check_kkt_sweep,
+    check_mirror_flow,
+    check_pinsker,
+)
 
 FIT_WINDOW = (1e3, 1e5)
 TRACE_BUDGET_S = 300.0
@@ -129,54 +128,28 @@ def test_rates_structured_family():
 
 
 def test_entropy_closed_form():
-    check = entropy_closed_form_check(torus_grid(1, 300), k_max=10_000)
-    ok = check.max_rel_dev <= 1e-10 and abs(check.gap_slope + 1.0) <= 0.05
-    _report(
-        4,
-        ok,
-        f"max rel dev {check.max_rel_dev:.2e} (<= 1e-10), "
-        f"gap slope {check.gap_slope:+.3f} (want -1.00+-0.05)",
-    )
+    r = check_entropy_closed_form()
+    _report(4, r.passed, r.detail)
 
 
 def test_kkt_sweep():
-    results = kkt_sweep(steps=1000)
-    worst = max(results.values())
-    ok = len(results) == 12 and worst <= 1e-8
-    _report(5, ok, f"12 dgf x regularizer combos, max residual {worst:.2e} (<= 1e-8)")
+    r = check_kkt_sweep()
+    _report(5, r.passed, r.detail)
 
 
 def test_gradient_oracle():
-    sizes = {
-        "deconv1d": {"grid_size": 50},
-        "deconv2d": {"grid_size": 8},
-        "lb:I": {"grid_size": 100},
-        "lb:I*": {"grid_size": 100},
-        "lb:II": {"grid_size": 100},
-        "lb:II*": {"grid_size": 100},
-        "relu": {"grid_size": 200},
-    }
-    worst = 0.0
-    for token, kwargs in sizes.items():
-        worst = max(worst, fd_gradient_check(build_problem(token, **kwargs), seed=0))
-    ok = worst <= 1e-5
-    _report(6, ok, f"finite differences on all 7 problems, max rel err {worst:.2e} (<= 1e-5)")
+    r = check_fd_gradient()
+    _report(6, r.passed, r.detail)
 
 
 def test_pinsker_property():
-    grid = torus_grid(1, 100)
-    worst = min(
-        pinsker_sample(dgf, grid, K=1.0, n_samples=1000, seed=0)
-        for dgf in (PowerDgf(2.0), PowerDgf(1.5), EntropyDgf(), HyperbolicDgf())
-    )
-    ok = worst >= -1e-12
-    _report(7, ok, f"4 dgfs x 1000 pairs, worst margin {worst:.2e} (>= -1e-12)")
+    r = check_pinsker()
+    _report(7, r.passed, r.detail)
 
 
 def test_gamma_sequence_bounds():
-    worst = gamma_bound_check(k_max=1_000_000)
-    ok = worst <= 0.0
-    _report(8, ok, f"max(gamma_k - 2/(k+2)) = {worst:.2e} over k <= 1e6 (exact)")
+    r = check_gamma_bound()
+    _report(8, r.passed, r.detail)
 
 
 def test_envelope_exponents():
@@ -206,13 +179,12 @@ def test_envelope_exponents():
 
 
 def test_mirror_flow_equivalence():
-    rows, ok = [], True
-    for variant in ("square", "diff"):
-        check = mirror_flow_equivalence(variant=variant)
-        good = 1.5 <= check.ratio <= 2.5
-        ok &= good
-        rows.append(f"{variant}: gap ratio {check.ratio:.3f} (want [1.5, 2.5])")
-    _report(10, ok, "; ".join(rows))
+    results = [check_mirror_flow(variant) for variant in ("square", "diff")]
+    _report(
+        10,
+        all(r.passed for r in results),
+        "; ".join(f"{r.name}: {r.detail}" for r in results),
+    )
 
 
 def test_relu_rates():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from bpgm import SolverConfig, build_problem, parse_dgf, run_pgm
 from bpgm.cli import main
 from bpgm.solver import Trace
 
@@ -125,6 +126,47 @@ def test_rates_table_and_report(tmp_path, capsys):
     lines = report.read_text().splitlines()
     assert lines[0] == "trace,problem,dgf,method,fitted,theory,diff,r2"
     assert len(lines) == 3
+
+
+def _theory_column(report):
+    lines = report.read_text().splitlines()
+    header = lines[0].split(",")
+    return [float(line.split(",")[header.index("theory")]) for line in lines[1:]]
+
+
+def test_rates_same_theory_for_library_and_cli_traces(tmp_path):
+    cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert run_cli(
+        "run", "--problem", "deconv1d", "--dgf", "p:2", "--grid-size", "60",
+        "--iters", "3000", "--out", str(cli_out),
+    ) == 0
+    problem = build_problem("deconv1d", grid_size=60)
+    run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=3000)).write_csv(lib_out)
+    report = tmp_path / "rates.csv"
+    assert run_cli(
+        "rates", str(lib_out), str(cli_out), "--fit-lo", "100", "--out", str(report)
+    ) == 0
+    assert _theory_column(report) == pytest.approx([-0.8, -0.8])
+
+
+def test_rates_reads_dimension_from_trace(tmp_path):
+    out = tmp_path / "d2.csv"
+    problem = build_problem("deconv2d", grid_size=10)
+    run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=300)).write_csv(out)
+    report = tmp_path / "rates.csv"
+    assert run_cli("rates", str(out), "--fit-lo", "10", "--out", str(report)) == 0
+    # q = 4 (nonnegative, no TV weight) and d = 2: -q / ((p-1) d + q)
+    assert _theory_column(report) == pytest.approx([-4.0 / 6.0])
+
+
+def test_rates_rejects_trace_without_setting(tmp_path, capsys):
+    out = tmp_path / "old.csv"
+    trace = run_pgm(build_problem("deconv1d", grid_size=60), parse_dgf("p:2"),
+                    SolverConfig(iters=3000))
+    trace.meta.pop("setting", None)  # as in files written before the key existed
+    trace.write_csv(out)
+    assert run_cli("rates", str(out), "--fit-lo", "100") == 1
+    assert "setting" in capsys.readouterr().err
 
 
 def test_rates_missing_file_is_runtime_error(tmp_path):

@@ -113,7 +113,7 @@ def test_smoothness_upper_bound():
     # G(g) <= G(f) + <G'[f], g - f> + (L/2) ||g - f||_1^2
     g = torus_grid(1, 30)
     problem = deconv_problem(g, nonneg_tv(0.0))
-    lip = problem.smooth.lip_smooth
+    lip = problem.smooth.phi_sup**2 * problem.smooth.lip_grad
     rng = np.random.default_rng(9)
     for _ in range(30):
         f, h = rng.standard_normal(30), rng.standard_normal(30)
@@ -203,6 +203,21 @@ def test_parse_regularizer_tokens():
     for bad in ("l2:1", "tv", "tv_ball:-1", "simplex:3"):
         with pytest.raises(ValueError):
             parse_regularizer(bad)
+
+
+@pytest.mark.parametrize(
+    "reg",
+    [nonneg_tv(0.123456789), simplex(), tv(0.123456789), tv_ball(1.23456789), tv(1e-20)],
+)
+def test_regularizer_token_round_trips(reg):
+    assert parse_regularizer(reg.token) == reg
+
+
+def test_regularizer_token_short_form():
+    assert nonneg_tv(0.0).token == "nonneg_tv:0"
+    assert tv(0.05).token == "tv:0.05"
+    assert tv_ball(2.0).token == "tv_ball:2"
+    assert simplex().token == "simplex"
 
 
 def test_build_problem_tokens_and_defaults():

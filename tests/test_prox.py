@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bpgm import (
     MirrorState,
@@ -14,6 +17,7 @@ from bpgm import (
     tv,
     tv_ball,
 )
+from bpgm import prox
 
 DGF_TOKENS = ("p:2", "ent", "hyp")
 REGS = {
@@ -218,3 +222,45 @@ def test_kkt_report_worst():
 
     assert KktReport(1e-3, 1e-6).worst() == 1e-3
     assert KktReport(0.0, 2e-4).worst() == 2e-4
+
+
+def _meets_target(fun, kappa, target, floor=-np.inf):
+    """fun (decreasing) crosses target within the bisection tolerance of kappa."""
+    eps = 2.0 * prox._KAPPA_TOL * max(1.0, abs(kappa))
+    slack = prox._KAPPA_TOL * max(1.0, target)
+    return (
+        fun(max(kappa - eps, floor)) >= target - slack
+        and fun(kappa + eps) <= target + slack
+    )
+
+
+_SIGNED_DGFS = [parse_dgf(t) for t in ("p:2", "p:1.5", "hyp:0.001", "hyp:0.5")]
+_mirror_points = hnp.arrays(
+    float,
+    st.integers(1, 40),
+    elements=st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=_mirror_points, dgf=st.sampled_from(_SIGNED_DGFS))
+def test_solve_kappa_mass_meets_target(v, dgf):
+    w = torus_grid(1, len(v)).weights
+    kappa = solve_kappa(dgf, w, v, "mass_eq_1")
+    assert _meets_target(lambda k: prox._mass(dgf, w, v, k), kappa, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    v=_mirror_points,
+    dgf=st.sampled_from(_SIGNED_DGFS + [parse_dgf("ent")]),
+    K=st.floats(0.1, 10.0),
+)
+def test_solve_kappa_norm_meets_target(v, dgf, K):
+    w = torus_grid(1, len(v)).weights
+    l1 = lambda k: prox._l1_after_threshold(dgf, w, v, k)  # noqa: E731
+    kappa = solve_kappa(dgf, w, v, "l1_le_K", K=K)
+    if kappa == 0.0:
+        assert l1(0.0) <= K
+    else:
+        assert _meets_target(l1, kappa, K, floor=0.0)

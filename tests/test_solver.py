@@ -200,6 +200,20 @@ def test_run_aborts_on_nonfinite_objective():
     assert np.all(np.isfinite(trace.F[:-1]))
 
 
+def test_start_density_from_another_grid_is_rejected():
+    problem = build_problem("relu", grid_size=50)
+    f0 = uniform_density(torus_grid(1, 50))
+    with pytest.raises(ValueError, match="grid"):
+        run_pgm(problem, parse_dgf("hyp"), SolverConfig(iters=5), f0=f0)
+
+
+def test_trace_meta_records_setting():
+    trace = run_pgm(build_problem("deconv2d", grid_size=6), parse_dgf("p:2"), SolverConfig(iters=2))
+    assert (trace.meta["reg"], trace.meta["setting"], trace.meta["dim"]) == (
+        "nonneg_tv:0", "II*", "2",
+    )
+
+
 def test_tiny_step_barely_moves():
     problem = build_problem("deconv1d", grid_size=50)
     trace = run_pgm(

@@ -10,7 +10,6 @@ from bpgm import (
     build_problem,
     entropy_closed_form_check,
     fd_gradient_check,
-    gamma_bound_check,
     kkt_sweep,
     mirror_flow_equivalence,
     pinsker_sample,
@@ -18,7 +17,13 @@ from bpgm import (
     torus_grid,
 )
 from bpgm.objective import SmoothObjective
-from bpgm.verify import flow_test_problem
+from bpgm.verify import (
+    check_entropy_closed_form,
+    check_gamma_bound,
+    check_kkt_sweep,
+    check_pinsker,
+    flow_test_problem,
+)
 
 
 def test_fd_gradient_check_clean():
@@ -40,16 +45,16 @@ def test_fd_gradient_check_catches_wrong_gradient():
 
 def test_entropy_closed_form_check_contract():
     check = entropy_closed_form_check(torus_grid(1, 300), k_max=1000)
-    assert check.max_rel_dev <= 1e-10
-    assert check.gap_slope == pytest.approx(-1.0, abs=0.05)
     assert check.checkpoints[0] == 1
     assert check.checkpoints[-1] == 1000
+    result = check_entropy_closed_form(m=300, k_max=1000)
+    assert result.passed, result.detail
 
 
 @pytest.mark.parametrize("dgf", [PowerDgf(2.0), PowerDgf(1.5), EntropyDgf(), HyperbolicDgf()])
 def test_pinsker_margins_nonnegative(dgf):
-    worst = pinsker_sample(dgf, torus_grid(1, 80), K=1.0, n_samples=300, seed=1)
-    assert worst >= -1e-12
+    result = check_pinsker(dgfs=(dgf,), m=80, n_samples=300, seed=1)
+    assert result.passed, result.detail
 
 
 def test_pinsker_catches_deflated_divergence():
@@ -63,10 +68,10 @@ def test_pinsker_catches_deflated_divergence():
 
 def test_kkt_sweep_all_combinations():
     results = kkt_sweep(steps=50, m=30)
-    assert len(results) == 12
     assert {name for name, _ in results} == {"p:2", "ent", "hyp:0.001"}
     assert {kind for _, kind in results} == {"nonneg_tv", "simplex", "tv", "tv_ball"}
-    assert max(results.values()) <= 1e-8
+    result = check_kkt_sweep(steps=50, m=30)
+    assert result.passed, result.detail
 
 
 @pytest.mark.parametrize("variant", ["square", "diff"])
@@ -89,7 +94,8 @@ def test_flow_test_problem_shape():
 
 
 def test_gamma_bound_check_short():
-    assert gamma_bound_check(k_max=5000) <= 0.0
+    result = check_gamma_bound(k_max=5000)
+    assert result.passed, result.detail
 
 
 def test_run_all_checks_fast():
@@ -99,3 +105,17 @@ def test_run_all_checks_fast():
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
         assert r.detail
+
+
+def test_pinsker_check_covers_four_dgfs():
+    result = check_pinsker(m=50, n_samples=20)
+    assert result.passed, result.detail
+    assert result.detail.startswith("4 dgfs")
+
+
+def test_kkt_check_requires_twelve_combinations(monkeypatch):
+    eleven = {(f"dgf{i}", "tv"): 0.0 for i in range(11)}
+    monkeypatch.setattr("bpgm.verify.kkt_sweep", lambda steps, m: eleven)
+    result = check_kkt_sweep(steps=5, m=30)
+    assert not result.passed
+    assert "11 dgf x regularizer combinations" in result.detail
