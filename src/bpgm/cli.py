@@ -120,15 +120,19 @@ def _run_one(args_dict):
 
     out = args.out
     trace.write_csv(out)
-    if args.plot_data:
+    plot_data = _effective(args, "plot_data")
+    if plot_data:
         lines = [
             f"{int(k)} {float(g)!r}\n" for k, g in zip(trace.k, trace.gap) if k > 0
         ]
-        _atomic_write_text(args.plot_data, "".join(lines))
+        _atomic_write_text(plot_data, "".join(lines))
 
     lines = [f"wrote {out}"]
     if trace.aborted:
-        lines.append(f"aborted at iteration {trace.meta['aborted_at']} (non-finite objective)")
+        lines.append(
+            f"aborted at iteration {trace.meta['aborted_at']} "
+            f"(non-finite {trace.meta['abort_reason']})"
+        )
         return 2, "\n".join(lines)
     final_F, final_gap = float(trace.F[-1]), float(trace.gap[-1])
     lines.append(f"final F = {final_F:.6e}" + (
@@ -200,7 +204,11 @@ def cmd_rates(args):
     _load_config(args)
     if not args.traces:
         raise ValueError("no trace files given")
-    window = (args.fit_lo, args.fit_hi)
+    window = (
+        _effective(args, "fit_lo", 1e3, cast=float),
+        _effective(args, "fit_hi", math.inf, cast=float),
+    )
+    out = _effective(args, "out")
     rows = []
     for path in args.traces:
         trace = Trace.read_csv(path)
@@ -229,27 +237,37 @@ def cmd_rates(args):
             f"{path},{meta.get('problem', '')},{meta.get('dgf', '')},"
             f"{meta.get('method', '')},{slope!r},{model.exponent!r},{diff!r},{r2!r}\n"
         )
-    if args.out:
-        _atomic_write_text(args.out, "".join(csv_lines))
-        print(f"wrote {args.out}")
+    if out:
+        _atomic_write_text(out, "".join(csv_lines))
+        print(f"wrote {out}")
     return 0
 
 
 def cmd_psi(args):
     _load_config(args)
     problem = _build_problem_from_args(args)
+    out = _effective(args, "out")
+    if out is None:
+        raise ValueError("no output path given (flag --out or config)")
     dgf = parse_dgf(_effective(args, "dgf", "p:2"))
-    alphas = np.geomspace(args.alpha_lo, args.alpha_hi, args.alpha_count)
+    alphas = np.geomspace(
+        _effective(args, "alpha_lo", 1e-6, cast=float),
+        _effective(args, "alpha_hi", 1e-2, cast=float),
+        _effective(args, "alpha_count", 25, cast=int),
+    )
+    eps_lo = _effective(args, "eps_lo", cast=float)
+    eps_hi = _effective(args, "eps_hi", cast=float)
     eps_grid = None
-    if args.eps_lo is not None and args.eps_hi is not None:
-        eps_grid = np.geomspace(args.eps_lo, args.eps_hi, args.eps_count)
+    if eps_lo is not None and eps_hi is not None:
+        eps_grid = np.geomspace(eps_lo, eps_hi, _effective(args, "eps_count", 30, cast=int))
     f0 = np.ones(problem.grid.size)
     curve = psi_envelope(problem, dgf, f0, alphas, eps_grid=eps_grid)
-    curve.write_csv(args.out)
-    print(f"wrote {args.out}")
-    if args.plot_data:
+    curve.write_csv(out)
+    print(f"wrote {out}")
+    plot_data = _effective(args, "plot_data")
+    if plot_data:
         _atomic_write_text(
-            args.plot_data,
+            plot_data,
             "".join(
                 f"{float(a)!r} {float(p)!r}\n" for a, p in zip(curve.alpha, curve.psi_hat)
             ),
@@ -309,8 +327,8 @@ def build_parser():
 
     rates_p = sub.add_parser("rates", help="fit rate slopes of saved traces")
     rates_p.add_argument("traces", nargs="*")
-    rates_p.add_argument("--fit-lo", dest="fit_lo", type=float, default=1e3)
-    rates_p.add_argument("--fit-hi", dest="fit_hi", type=float, default=math.inf)
+    rates_p.add_argument("--fit-lo", dest="fit_lo", type=float)
+    rates_p.add_argument("--fit-hi", dest="fit_hi", type=float)
     rates_p.add_argument("--out", help="machine-readable CSV report")
     rates_p.add_argument("--config")
     rates_p.set_defaults(func=cmd_rates)
@@ -324,13 +342,13 @@ def build_parser():
     psi_p.add_argument("--seed", type=int)
     psi_p.add_argument("--inf-value", dest="inf_value", type=float)
     psi_p.add_argument("--inf-value-from", dest="inf_value_from")
-    psi_p.add_argument("--alpha-lo", dest="alpha_lo", type=float, default=1e-6)
-    psi_p.add_argument("--alpha-hi", dest="alpha_hi", type=float, default=1e-2)
-    psi_p.add_argument("--alpha-count", dest="alpha_count", type=int, default=25)
+    psi_p.add_argument("--alpha-lo", dest="alpha_lo", type=float)
+    psi_p.add_argument("--alpha-hi", dest="alpha_hi", type=float)
+    psi_p.add_argument("--alpha-count", dest="alpha_count", type=int)
     psi_p.add_argument("--eps-lo", dest="eps_lo", type=float)
     psi_p.add_argument("--eps-hi", dest="eps_hi", type=float)
-    psi_p.add_argument("--eps-count", dest="eps_count", type=int, default=30)
-    psi_p.add_argument("--out", required=True)
+    psi_p.add_argument("--eps-count", dest="eps_count", type=int)
+    psi_p.add_argument("--out")
     psi_p.add_argument("--plot-data", dest="plot_data")
     psi_p.add_argument("--config")
     psi_p.set_defaults(func=cmd_psi)

@@ -339,8 +339,9 @@ def deconv_problem(grid, reg):
     variants the optimal value is lam - lam^2 / (4 * 5^d), attained at
     (1 - lam / (2 * 5^d)) * delta_0; the certificate is the potential
     -(lam / 5^d) * phi, which meets the TV subdifferential bound with
-    equality only at the origin. With lam = 0 and a sign constraint the
-    grid Dirac at 0 attains value 0 exactly.
+    equality only at the origin. The grid Dirac at 0 attains value 0
+    exactly wherever it is feasible with H = 0: nonneg_tv and tv with
+    lam = 0, simplex, and tv_ball with radius >= 1.
     """
     if grid.kind != "torus":
         raise ValueError("deconvolution is defined on a torus grid")
@@ -355,7 +356,10 @@ def deconv_problem(grid, reg):
         features, SquaredResidual(target), phi_lip_class="gradient_lipschitz"
     )
     origin = np.zeros(grid.dim)
-    clean = reg.kind == "nonneg_tv" and reg.lam == 0.0
+    # The grid Dirac at the origin reproduces y (G = 0), so the potential
+    # vanishes at the minimizer (II*) exactly when that Dirac is
+    # feasible with H = 0.
+    exact = reg.value(grid.weights, dirac_density(grid, origin).values) == 0.0
     lam = reg.lam if reg.kind in ("nonneg_tv", "tv") else 0.0
     if reg.kind in ("nonneg_tv", "tv"):
         inf_value = lam - lam**2 / (4.0 * peak)
@@ -371,7 +375,7 @@ def deconv_problem(grid, reg):
         reg=reg,
         inf_value=inf_value,
         mu_star=mu_star,
-        setting_tag="II*" if clean else "II",
+        setting_tag="II*" if exact else "II",
         # Descent from f0 = 1 keeps the L1 norm below 1 + sqrt(F(1)):
         # total Fourier mass of the residual bounds the signal part.
         k_bound_hint=1.0 + math.sqrt(peak - 1.0),

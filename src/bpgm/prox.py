@@ -5,10 +5,13 @@ One proximal step solves
     min_h  <grad, h - h_prev> + H(h) + (1/s) D(h, h_prev)
 
 over densities on the grid. In mirror coordinates u = eta'(h) the
-unconstrained part is the additive update v = u - s * grad; the
-regularizer then acts by shrinkage (TV weight), clamping (sign
-constraint, finite for signed dgfs since eta'(0) = 0) or a scalar dual
-shift kappa (mass / norm constraints), found by bisection.
+unconstrained part is the additive update v = u - s * grad. The
+regularizer then subtracts one scalar kappa from v and maps the result
+back: a plain shift (entropy, whose domain is already nonnegative), a
+shift clamped at eta'(0) = 0 (sign constraint) or a soft threshold
+(TV). For the TV weight kappa = s * lam; for the mass and norm
+constraints kappa is the dual shift of solve_kappa, closed form for
+entropy and found by bisection for the signed dgfs.
 
 All updates satisfy the first-order optimality condition
 
@@ -18,6 +21,7 @@ exactly up to the root-finder tolerance; kkt_residual reconstructs phi
 and measures the violation, which doubles as a solver self-check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,23 +64,9 @@ def soft_threshold(a, kappa):
     return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
 
 
-def _clamped_inv(dgf, u):
-    """Primal of mirror values u with negative part clamped to zero."""
-    if dgf.domain == "signed":
-        return dgf.eta_prime_inv(np.maximum(u, 0.0))
-    return dgf.eta_prime_inv(u)
-
-
-def _mass(dgf, weights, v, kappa):
-    """Total mass of the (clamped) primal at shifted mirror point."""
-    return float(np.sum(weights * _clamped_inv(dgf, v - kappa)))
-
-
-def _l1_after_threshold(dgf, weights, v, kappa):
-    if dgf.domain == "signed":
-        primal = dgf.eta_prime_inv(soft_threshold(v, kappa))
-        return float(np.sum(weights * np.abs(primal)))
-    return _mass(dgf, weights, v, kappa)
+def _mass(dgf, weights, a, kappa):
+    """sum_j w_j eta'^{-1}((a_j - kappa)_+) for a signed dgf."""
+    return float(np.sum(weights * dgf.eta_prime_inv(np.maximum(a - kappa, 0.0))))
 
 
 def _bisect(fun, lo, hi, target):
@@ -95,39 +85,35 @@ def _bisect(fun, lo, hi, target):
     return 0.5 * (lo + hi)
 
 
-def solve_kappa(dgf, weights, v, target_kind, K=1.0):
-    """Dual shift for the mass / norm constrained prox rows.
+def solve_kappa(dgf, weights, a, target):
+    """The dual shift kappa with sum_j w_j eta'^{-1}((a_j - kappa)_+) = target.
 
-    target_kind "mass_eq_1": kappa with mass of the clamped primal at
-    v - kappa equal to 1. target_kind "l1_le_K": the smallest
-    kappa >= 0 making the thresholded primal's L1 norm at most K
-    (0 when already feasible).
+    Both constrained prox rows reduce to this scalar equation: the
+    simplex with a = v and target 1, the TV ball with a = |v| (signed
+    dgfs, whose odd eta'^{-1} turns the L1 norm of the thresholded
+    primal into this sum) or a = v (entropy) and target K, kappa then
+    clipped at 0. For entropy the clamp is void and
+    kappa = log(sum_j w_j e^{a_j} / target) in closed form.
     """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("mirror point must be finite for the dual search")
-    if target_kind == "mass_eq_1":
+    if target <= 0:
+        raise ValueError(f"dual target must be positive, got {target}")
+    a = np.asarray(a, dtype=float)
+    if dgf.domain == "nonnegative":
+        # Zero densities sit at a = -inf and drop out of the sum.
+        c = float(np.max(a))
+        kappa = c + np.log(float(np.sum(weights * np.exp(a - c))) / target)
+    else:
         # The weights sum to 1 and the clamped mirror map is increasing,
-        # so the mass is >= 1 once every v - kappa >= eta'(1) and <= 1
-        # once every v - kappa <= eta'(1).
-        one = float(dgf.eta_prime(1.0))
-        lo, hi = float(np.min(v)) - one, float(np.max(v)) - one
-        return _bisect(lambda k: _mass(dgf, weights, v, k), lo, hi, 1.0)
-    if target_kind == "l1_le_K":
-        if K <= 0:
-            raise ValueError(f"norm bound must be positive, got {K}")
-        if _l1_after_threshold(dgf, weights, v, 0.0) <= K:
-            return 0.0
-        # At this kappa every |primal| is at most K, hence so is the L1 norm.
-        hi = float(np.max(np.abs(v))) - float(dgf.eta_prime(K))
-        return _bisect(lambda k: _l1_after_threshold(dgf, weights, v, k), 0.0, hi, K)
-    raise ValueError(f"unknown target_kind {target_kind!r}")
-
-
-def _entropy_normalizer(weights, v):
-    """log sum_j w_j e^{v_j}, the closed-form simplex shift for entropy."""
-    c = float(np.max(v))
-    return c + np.log(float(np.sum(weights * np.exp(v - c))))
+        # so the sum is >= target once every a - kappa >= eta'(target)
+        # and <= target once every a - kappa <= eta'(target).
+        t = float(dgf.eta_prime(target))
+        lo, hi = float(np.min(a)) - t, float(np.max(a)) - t
+        kappa = math.nan
+        if math.isfinite(lo) and math.isfinite(hi):
+            kappa = _bisect(lambda k: _mass(dgf, weights, a, k), lo, hi, target)
+    if not math.isfinite(kappa):
+        raise ValueError("mirror point must be finite for the dual search")
+    return kappa
 
 
 def bregman_step(dgf, reg, state, grad, s_eff):
@@ -145,23 +131,21 @@ def bregman_step(dgf, reg, state, grad, s_eff):
     v = state.u - s_eff * grad
     signed = dgf.domain == "signed"
 
-    if reg.kind == "nonneg_tv":
-        shifted = v - s_eff * reg.lam
-        u_next = np.maximum(shifted, 0.0) if signed else shifted
+    if reg.kind in ("nonneg_tv", "tv"):
+        kappa = s_eff * reg.lam
     elif reg.kind == "simplex":
-        if signed:
-            kappa = solve_kappa(dgf, w, v, "mass_eq_1")
-            u_next = np.maximum(v - kappa, 0.0)
-        else:
-            u_next = v - _entropy_normalizer(w, v)
-    elif reg.kind == "tv":
-        u_next = soft_threshold(v, s_eff * reg.lam) if signed else v - s_eff * reg.lam
+        kappa = solve_kappa(dgf, w, v, 1.0)
     elif reg.kind == "tv_ball":
-        kappa = solve_kappa(dgf, w, v, "l1_le_K", K=reg.radius)
-        u_next = soft_threshold(v, kappa) if signed else v - kappa
+        kappa = max(0.0, solve_kappa(dgf, w, np.abs(v) if signed else v, reg.radius))
     else:
         raise ValueError(f"unknown regularizer kind {reg.kind!r}")
 
+    if not signed:
+        u_next = v - kappa
+    elif reg.kind in ("tv", "tv_ball"):
+        u_next = soft_threshold(v, kappa)
+    else:
+        u_next = np.maximum(v - kappa, 0.0)
     return MirrorState(dgf, state.grid, u_next, np.asarray(dgf.eta_prime_inv(u_next)))
 
 

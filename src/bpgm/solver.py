@@ -214,35 +214,42 @@ def _run(problem, dgf, config, f0, accelerated):
         rows["time_s"].append(time.perf_counter() - t0)
         return math.isfinite(value)
 
-    if 0 in record_set:
-        record(0)
-    for k in range(config.iters):
-        if accelerated:
-            g = (1.0 - gamma) * f + gamma * state.primal
+    # A diverging run overflows; it is stopped and labelled below instead
+    # of warning on the way.
+    with np.errstate(all="ignore"):
+        if 0 in record_set:
+            record(0)
+        for k in range(config.iters):
+            g = (1.0 - gamma) * f + gamma * state.primal if accelerated else f
             grad = smooth.gradient(w, g)
-            state = bregman_step(dgf, reg, state, grad, step / gamma)
-            f = (1.0 - gamma) * f + gamma * state.primal
-            gamma = gamma_next(gamma)
-        else:
-            grad = smooth.gradient(w, f)
-            state = bregman_step(dgf, reg, state, grad, step)
-            f = state.primal
-        if k + 1 in record_set:
-            ok = record(k + 1)
-            if accelerated and not warned:
-                h_l1 = state.l1()
-                if h_l1 > k_bound * (1.0 + 1e-9):
-                    warnings.warn(
-                        f"APGM prox sequence exceeded the norm bound "
-                        f"({h_l1:.3g} > {k_bound:.3g}) at iteration {k + 1}; "
-                        f"the step-size guarantee is conditional on this bound",
-                        RuntimeWarning,
-                    )
-                    meta["k_bound_exceeded_at"] = str(k + 1)
-                    warned = True
-            if not ok:
-                meta["aborted_at"] = str(k + 1)
+            try:
+                state = bregman_step(dgf, reg, state, grad, step / gamma)
+            except ValueError:
+                if np.all(np.isfinite(grad)):
+                    raise
+                meta["aborted_at"], meta["abort_reason"] = str(k + 1), "gradient"
                 break
+            if accelerated:
+                f = (1.0 - gamma) * f + gamma * state.primal
+                gamma = gamma_next(gamma)
+            else:
+                f = state.primal
+            if k + 1 in record_set:
+                ok = record(k + 1)
+                if accelerated and not warned:
+                    h_l1 = state.l1()
+                    if h_l1 > k_bound * (1.0 + 1e-9):
+                        warnings.warn(
+                            f"APGM prox sequence exceeded the norm bound "
+                            f"({h_l1:.3g} > {k_bound:.3g}) at iteration {k + 1}; "
+                            f"the step-size guarantee is conditional on this bound",
+                            RuntimeWarning,
+                        )
+                        meta["k_bound_exceeded_at"] = str(k + 1)
+                        warned = True
+                if not ok:
+                    meta["aborted_at"], meta["abort_reason"] = str(k + 1), "objective"
+                    break
 
     return Trace(
         meta,

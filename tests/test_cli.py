@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bpgm import SolverConfig, build_problem, parse_dgf, run_pgm
+from bpgm import SolverConfig, build_problem, parse_dgf, run_pgm, solver
 from bpgm.cli import main
 from bpgm.solver import Trace
 
@@ -62,6 +62,16 @@ def test_config_file_with_flag_precedence(tmp_path):
     out2 = tmp_path / "b.csv"
     assert run_cli("run", "--config", str(cfg), "--iters", "20", "--out", str(out2)) == 0
     assert Trace.read_csv(out2).meta["iters"] == "20"
+
+
+def test_run_reads_plot_data_from_config(tmp_path):
+    plot = tmp_path / "t.dat"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"problem = deconv1d\ndgf = p:2\ngrid-size = 50\niters = 40\nplot-data = {plot}\n"
+    )
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 0
+    assert plot.exists()
 
 
 def test_config_file_rejects_bad_line(tmp_path):
@@ -169,6 +179,22 @@ def test_rates_rejects_trace_without_setting(tmp_path, capsys):
     assert "setting" in capsys.readouterr().err
 
 
+def test_rates_reads_config(tmp_path):
+    trace = tmp_path / "t.csv"
+    run_pgm(build_problem("deconv1d", grid_size=60), parse_dgf("p:2"),
+            SolverConfig(iters=3000)).write_csv(trace)
+    by_flag, by_config, default = (tmp_path / n for n in ("flag.csv", "cfg.csv", "default.csv"))
+    assert run_cli(
+        "rates", str(trace), "--fit-lo", "2000", "--fit-hi", "2900", "--out", str(by_flag)
+    ) == 0
+    cfg = tmp_path / "rates.cfg"
+    cfg.write_text(f"fit-lo = 2000\nfit-hi = 2900\nout = {by_config}\n")
+    assert run_cli("rates", str(trace), "--config", str(cfg)) == 0
+    assert by_config.read_text() == by_flag.read_text()
+    assert run_cli("rates", str(trace), "--out", str(default)) == 0
+    assert default.read_text() != by_flag.read_text()
+
+
 def test_rates_missing_file_is_runtime_error(tmp_path):
     assert run_cli("rates", str(tmp_path / "nope.csv")) == 2
 
@@ -193,6 +219,45 @@ def test_psi_subcommand(tmp_path, capsys):
     assert out.exists() and plot.exists()
     header = out.read_text().splitlines()
     assert any(line == "alpha,psi_hat,eps_star" for line in header)
+
+
+def test_psi_reads_config(tmp_path):
+    by_flag, by_config = tmp_path / "flag.csv", tmp_path / "cfg.csv"
+    common = ("psi", "--problem", "lb:I", "--dgf", "p:2", "--grid-size", "200")
+    assert run_cli(
+        *common, "--alpha-lo", "1e-3", "--alpha-hi", "1e-2", "--alpha-count", "10",
+        "--eps-lo", "0.02", "--eps-hi", "0.1", "--eps-count", "5", "--out", str(by_flag),
+    ) == 0
+    cfg = tmp_path / "psi.cfg"
+    cfg.write_text(
+        "alpha-lo = 1e-3\nalpha-hi = 1e-2\nalpha-count = 10\n"
+        f"eps-lo = 0.02\neps-hi = 0.1\neps-count = 5\nout = {by_config}\n"
+        f"plot-data = {tmp_path / 'cfg.dat'}\n"
+    )
+    assert run_cli(*common, "--config", str(cfg)) == 0
+    assert by_config.read_text() == by_flag.read_text()
+    assert (tmp_path / "cfg.dat").exists()
+    alphas = [float(line.split(",")[0]) for line in by_flag.read_text().splitlines()
+              if line[0].isdigit()]
+    assert alphas == pytest.approx(np.geomspace(1e-3, 1e-2, 10))
+
+
+def test_psi_requires_out():
+    assert run_cli("psi", "--problem", "lb:I", "--grid-size", "200") == 1
+
+
+def test_run_nonfinite_gradient_exits_2(tmp_path, monkeypatch, capsys):
+    # Record only the start and the end, so the divergence reaches the
+    # prox step before any objective check.
+    monkeypatch.setattr(solver, "record_schedule", lambda iters: (0, iters))
+    out = tmp_path / "t.csv"
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--reg", "tv:0.05", "--dgf", "p:2",
+        "--grid-size", "300", "--iters", "2000", "--step", "50", "--out", str(out),
+    )
+    assert code == 2
+    assert "(non-finite gradient)" in capsys.readouterr().out
+    assert Trace.read_csv(out).meta["abort_reason"] == "gradient"
 
 
 def test_verify_fast(capsys):

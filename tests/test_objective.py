@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bpgm import (
     tv,
     tv_ball,
 )
+from bpgm.analysis import classify_setting, setting_exponent
 from bpgm.grid import geodesic_dist
 from bpgm.objective import (
     dirichlet_kernel,
@@ -85,6 +87,23 @@ def test_setting_tags_from_regularization():
     assert deconv_problem(g, nonneg_tv(0.0)).setting_tag == "II*"
     assert deconv_problem(g, nonneg_tv(0.2)).setting_tag == "II"
     assert deconv_problem(g, tv(0.05)).setting_tag == "II"
+    # (regularizer, weight of the Dirac minimizer at the origin, tag):
+    # II* exactly when the unit Dirac is feasible with value 0.
+    cases = (
+        (nonneg_tv(0.0), 1.0, "II*"),
+        (simplex(), 1.0, "II*"),
+        (tv(0.0), 1.0, "II*"),
+        (tv_ball(1.0), 1.0, "II*"),
+        (tv_ball(2.0), 1.0, "II*"),
+        (tv_ball(0.5), 0.5, "II"),
+        (nonneg_tv(0.2), 1.0 - 0.2 / 10.0, "II"),
+        (tv(0.05), 1.0 - 0.05 / 10.0, "II"),
+    )
+    for reg, weight, tag in cases:
+        problem = deconv_problem(g, reg)
+        assert problem.setting_tag == tag, reg.token
+        untagged = replace(problem, setting_tag=None, mu_star=((np.zeros(1), weight),))
+        assert classify_setting(untagged) == setting_exponent(tag), reg.token
 
 
 def test_potential_vanishes_at_exact_recovery():

@@ -2,7 +2,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from bpgm import (
     MirrorState,
@@ -40,7 +40,7 @@ def test_solve_kappa_mass_hand_case():
     # already has mass 1 at kappa = 0
     g = torus_grid(1, 2)
     d = parse_dgf("p:2")
-    kappa = solve_kappa(d, g.weights, np.array([2.0, 0.0]), "mass_eq_1")
+    kappa = solve_kappa(d, g.weights, np.array([2.0, 0.0]), 1.0)
     assert kappa == pytest.approx(0.0, abs=1e-10)
 
 
@@ -48,7 +48,7 @@ def test_solve_kappa_mass_shifts():
     g = torus_grid(1, 2)
     d = parse_dgf("p:2")
     # v = (4, 2): mass at kappa is ((4-k) + (2-k))/2 = 3 - k
-    kappa = solve_kappa(d, g.weights, np.array([4.0, 2.0]), "mass_eq_1")
+    kappa = solve_kappa(d, g.weights, np.array([4.0, 2.0]), 1.0)
     assert kappa == pytest.approx(2.0, abs=1e-9)
 
 
@@ -59,13 +59,8 @@ def test_solve_kappa_mass_property(token):
     rng = np.random.default_rng(4)
     for _ in range(20):
         v = rng.standard_normal(50) * 3.0
-        kappa = solve_kappa(d, g.weights, v, "mass_eq_1")
-        shifted = v - kappa
-        if d.domain == "signed":
-            f = d.eta_prime_inv(np.maximum(shifted, 0.0))
-        else:
-            f = d.eta_prime_inv(shifted)
-        assert float(np.sum(g.weights * f)) == pytest.approx(1.0, abs=1e-9)
+        kappa = solve_kappa(d, g.weights, v, 1.0)
+        assert _row_mass(d, g.weights, v, kappa) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("token", DGF_TOKENS)
@@ -77,29 +72,49 @@ def test_solve_kappa_norm_bound(token):
         v = rng.standard_normal(50) * 5.0
         if d.domain == "nonnegative":
             v = np.abs(v)
-        kappa = solve_kappa(d, g.weights, v, "l1_le_K", K=0.5)
-        assert kappa >= 0.0
-        thr = soft_threshold(v, kappa) if d.domain == "signed" else v - kappa
-        f = d.eta_prime_inv(thr)
-        assert float(np.sum(g.weights * np.abs(f))) <= 0.5 + 1e-8
+        a = np.abs(v) if d.domain == "signed" else v
+        kappa = max(0.0, solve_kappa(d, g.weights, a, 0.5))
+        assert _ball_l1(d, g.weights, v, kappa) <= 0.5 + 1e-8
 
 
-def test_solve_kappa_norm_already_feasible():
-    d = parse_dgf("p:2")
+def test_bregman_step_ball_already_feasible():
+    # v = u when the gradient vanishes; an L1 norm of 0.01 lies inside
+    # the unit ball, so the step leaves the mirror point untouched.
     g = torus_grid(1, 10)
-    v = np.full(10, 0.01)
-    assert solve_kappa(d, g.weights, v, "l1_le_K", K=1.0) == 0.0
+    for token in DGF_TOKENS:
+        d = parse_dgf(token)
+        state = MirrorState.from_primal(d, g, np.full(10, 0.01))
+        nxt = bregman_step(d, tv_ball(1.0), state, np.zeros(10), 0.1)
+        assert np.array_equal(nxt.u, state.u)
+
+
+def test_solve_kappa_entropy_closed_form():
+    # Both rows: mass 1 (simplex) and an active norm bound K (TV ball).
+    d = parse_dgf("ent")
+    g = torus_grid(1, 50)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        v = rng.standard_normal(50) * 10.0
+        for target in (1.0, 0.5, 3.0):
+            kappa = solve_kappa(d, g.weights, v, target)
+            assert _row_mass(d, g.weights, v, kappa) == pytest.approx(target, abs=1e-12)
+    # A zero density (mirror value -inf) drops out of the sum.
+    v = np.array([-np.inf, 0.0, 1.0, 2.0])
+    kappa = solve_kappa(d, torus_grid(1, 4).weights, v, 1.0)
+    assert kappa == pytest.approx(np.log((1.0 + np.e + np.e**2) / 4.0), abs=1e-15)
 
 
 def test_solve_kappa_input_validation():
     d = parse_dgf("p:2")
     g = torus_grid(1, 4)
+    for token, bad in (("p:2", np.inf), ("p:2", -np.inf), ("hyp", np.nan),
+                       ("ent", np.inf), ("ent", np.nan)):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            solve_kappa(parse_dgf(token), g.weights, np.array([bad, 0, 0, 0]), 1.0)
     with pytest.raises(ValueError):
-        solve_kappa(d, g.weights, np.array([np.inf, 0, 0, 0]), "mass_eq_1")
+        solve_kappa(d, g.weights, np.zeros(4), -1.0)
     with pytest.raises(ValueError):
-        solve_kappa(d, g.weights, np.zeros(4), "l1_le_K", K=-1.0)
-    with pytest.raises(ValueError):
-        solve_kappa(d, g.weights, np.zeros(4), "mass_le_2")
+        solve_kappa(d, g.weights, np.zeros(4), 0.0)
 
 
 def _random_state(dgf, grid, rng):
@@ -224,6 +239,20 @@ def test_kkt_report_worst():
     assert KktReport(0.0, 2e-4).worst() == 2e-4
 
 
+def _row_mass(dgf, weights, a, kappa):
+    """sum_j w_j eta'^{-1}(a_j - kappa), clamped at eta'(0) = 0 for signed dgfs."""
+    shifted = a - kappa
+    if dgf.domain == "signed":
+        shifted = np.maximum(shifted, 0.0)
+    return float(np.sum(weights * dgf.eta_prime_inv(shifted)))
+
+
+def _ball_l1(dgf, weights, v, kappa):
+    """L1 norm of the TV-ball row's primal at dual shift kappa."""
+    thr = soft_threshold(v, kappa) if dgf.domain == "signed" else v - kappa
+    return float(np.sum(weights * np.abs(dgf.eta_prime_inv(thr))))
+
+
 def _meets_target(fun, kappa, target, floor=-np.inf):
     """fun (decreasing) crosses target within the bisection tolerance of kappa."""
     eps = 2.0 * prox._KAPPA_TOL * max(1.0, abs(kappa))
@@ -246,8 +275,8 @@ _mirror_points = hnp.arrays(
 @given(v=_mirror_points, dgf=st.sampled_from(_SIGNED_DGFS))
 def test_solve_kappa_mass_meets_target(v, dgf):
     w = torus_grid(1, len(v)).weights
-    kappa = solve_kappa(dgf, w, v, "mass_eq_1")
-    assert _meets_target(lambda k: prox._mass(dgf, w, v, k), kappa, 1.0)
+    kappa = solve_kappa(dgf, w, v, 1.0)
+    assert _meets_target(lambda k: _row_mass(dgf, w, v, k), kappa, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,11 +285,13 @@ def test_solve_kappa_mass_meets_target(v, dgf):
     dgf=st.sampled_from(_SIGNED_DGFS + [parse_dgf("ent")]),
     K=st.floats(0.1, 10.0),
 )
+# The L1 norm at kappa = 0 rounds 1.4e-17 above K = mass(0).
+@example(v=np.full(5, 0.109375), dgf=_SIGNED_DGFS[0], K=0.109375)
 def test_solve_kappa_norm_meets_target(v, dgf, K):
     w = torus_grid(1, len(v)).weights
-    l1 = lambda k: prox._l1_after_threshold(dgf, w, v, k)  # noqa: E731
-    kappa = solve_kappa(dgf, w, v, "l1_le_K", K=K)
+    l1 = lambda k: _ball_l1(dgf, w, v, k)  # noqa: E731
+    kappa = max(0.0, solve_kappa(dgf, w, np.abs(v) if dgf.domain == "signed" else v, K))
     if kappa == 0.0:
-        assert l1(0.0) <= K
+        assert l1(0.0) <= K + prox._KAPPA_TOL * max(1.0, K)
     else:
         assert _meets_target(l1, kappa, K, floor=0.0)

@@ -192,12 +192,26 @@ def test_run_aborts_on_nonfinite_objective():
         # the run is supposed to overflow; that is the point
         warnings.simplefilter("ignore", RuntimeWarning)
         trace = run_pgm(problem, parse_dgf("ent"), config)
-    assert trace.aborted
+    assert trace.aborted and trace.meta["abort_reason"] == "objective"
     k_abort = int(trace.meta["aborted_at"])
     assert 0 < k_abort <= 4000
     assert trace.k[-1] == k_abort
     assert not math.isfinite(trace.F[-1])
     assert np.all(np.isfinite(trace.F[:-1]))
+
+
+@pytest.mark.parametrize("method", ("pgm", "apgm"))
+def test_run_aborts_on_nonfinite_gradient(method):
+    # Step 50 diverges; with no record point before the end the objective
+    # check never sees it, and the prox step meets a non-finite gradient.
+    problem = deconv_problem(torus_grid(1, 300), tv(0.05))
+    config = SolverConfig(iters=2000, method=method, step=50, record=(0, 2000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = run(problem, parse_dgf("p:2"), config)
+    assert trace.aborted and trace.meta["abort_reason"] == "gradient"
+    assert 0 < int(trace.meta["aborted_at"]) < 2000
+    assert list(trace.k) == [0]
 
 
 def test_start_density_from_another_grid_is_rejected():
