@@ -15,7 +15,6 @@ power geometries, and -1 / -2 with a log factor for the entropies.
 """
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 from .dgf import EntropyDgf, HyperbolicDgf, PowerDgf, parse_dgf
 from .grid import Density, ball_mass, dist_to_point
 from .objective import density_values, eval_F, grad_potential, minimizer_density
-from .solver import SolverConfig, run_apgm
+from .solver import SolverConfig, run_apgm, write_atomic
 
 
 @dataclass(frozen=True)
@@ -147,14 +146,15 @@ class EnvelopeCurve:
     meta: dict
 
     def write_csv(self, path):
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            for key in sorted(self.meta):
-                fh.write(f"# {key}={self.meta[key]}\n")
-            fh.write("alpha,psi_hat,eps_star\n")
-            for a, p, e in zip(self.alpha, self.psi_hat, self.eps_star):
-                fh.write(f"{float(a)!r},{float(p)!r},{float(e)!r}\n")
-        os.replace(tmp, path)
+        write_atomic(
+            path,
+            (
+                f"{float(a)!r},{float(p)!r},{float(e)!r}\n"
+                for a, p, e in zip(self.alpha, self.psi_hat, self.eps_star)
+            ),
+            meta=self.meta,
+            header=("alpha", "psi_hat", "eps_star"),
+        )
 
 
 def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):

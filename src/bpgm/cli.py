@@ -1,9 +1,15 @@
 """Command-line experiment runner.
 
 Subcommands: run (solve + trace), rates (fit slopes of saved traces),
-psi (envelope curves), verify (oracle suite). Flags override an
-optional flat key=value config file; every effective value is echoed
-into the output metadata so a trace is a complete record of its run.
+psi (envelope curves), verify (oracle suite).
+
+run, rates and psi take an optional flat `key = value` file through
+--config. Its keys are the subcommand's long option names, with `-` or
+`_`; its values become that subcommand's argparse defaults, so they are
+cast like flag values and explicit flags win. An unknown key, a value
+that does not cast, or a missing required setting is a usage error.
+Every effective value is echoed into the output metadata so a trace is
+a complete record of its run.
 
 Exit codes: 0 success, 1 usage, 2 runtime failure, 3 verification
 failure. BPGM_WORKERS controls fan-out when `run` is given several
@@ -28,7 +34,7 @@ from .analysis import (
 )
 from .dgf import parse_dgf
 from .objective import PROBLEM_TOKENS, build_problem, parse_regularizer
-from .solver import SolverConfig, Trace, run as run_solver
+from .solver import SolverConfig, Trace, run as run_solver, write_atomic
 from .verify import run_all_checks
 
 class _Parser(argparse.ArgumentParser):
@@ -54,80 +60,65 @@ def _read_config_file(path):
     return values
 
 
-def _effective(args, key, default=None, cast=None):
-    """Flag value, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = args._config_values.get(key, default)
-    if value is not None and cast is not None:
-        value = cast(value)
-    return value
+def _config_defaults(command, path):
+    """The config file at `path` as defaults for the `command` parser."""
+    values = _read_config_file(path)
+    keys = {
+        action.dest for action in command._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    unknown = sorted(set(values) - keys)
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(unknown)} in {path} for "
+            f"'{command.prog}'; known: {', '.join(sorted(keys))}"
+        )
+    return values
 
 
-def _load_config(args):
-    args._config_values = {}
-    path = getattr(args, "config", None)
-    if path:
-        args._config_values = _read_config_file(path)
+def _require(args, *keys):
+    missing = [f"--{key.replace('_', '-')}" for key in keys if getattr(args, key) is None]
+    if missing:
+        raise ValueError(f"no {', '.join(missing)} given (flag or config)")
 
 
-def _atomic_write_text(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _build_problem_from_args(args, dgf_token=None):
-    problem_token = _effective(args, "problem")
-    if problem_token is None:
-        raise ValueError("no problem token given (flag --problem or config)")
-    reg_token = _effective(args, "reg")
-    reg = parse_regularizer(reg_token) if reg_token else None
-    lam = _effective(args, "lam", cast=float)
+def _build_problem_from_args(args):
     problem = build_problem(
-        problem_token,
-        grid_size=_effective(args, "grid_size", cast=int),
-        reg=reg,
-        lam=lam,
-        seed=_effective(args, "seed", 0, cast=int),
+        args.problem,
+        grid_size=args.grid_size,
+        reg=parse_regularizer(args.reg) if args.reg else None,
+        lam=args.lam,
+        seed=args.seed,
     )
-    inf_value = _effective(args, "inf_value", cast=float)
-    inf_from = _effective(args, "inf_value_from")
-    if inf_value is not None and inf_from:
+    inf_value = args.inf_value
+    if inf_value is not None and args.inf_value_from:
         raise ValueError("give either --inf-value or --inf-value-from, not both")
-    if inf_from:
-        ref = Trace.read_csv(inf_from)
+    if args.inf_value_from:
+        ref = Trace.read_csv(args.inf_value_from)
         inf_value = float(np.nanmin(ref.F))
     if inf_value is not None:
         problem = problem.with_inf_value(inf_value)
     return problem
 
 
-def _run_one(args_dict):
+def _run_one(args):
     """One (problem, dgf) run; module-level for process-pool pickling."""
-    args = argparse.Namespace(**args_dict)
     problem = _build_problem_from_args(args)
     dgf = parse_dgf(args.dgf)
     config = SolverConfig(
-        iters=_effective(args, "iters", cast=int),
-        method=_effective(args, "method", "pgm"),
-        step=_effective(args, "step", cast=float),
-        k_bound=_effective(args, "k_bound", cast=float),
+        iters=args.iters, method=args.method, step=args.step, k_bound=args.k_bound
     )
     trace = run_solver(problem, dgf, config)
-    trace.meta["seed"] = str(_effective(args, "seed", 0, cast=int))
+    trace.meta["seed"] = str(args.seed)
 
-    out = args.out
-    trace.write_csv(out)
-    plot_data = _effective(args, "plot_data")
-    if plot_data:
-        lines = [
-            f"{int(k)} {float(g)!r}\n" for k, g in zip(trace.k, trace.gap) if k > 0
-        ]
-        _atomic_write_text(plot_data, "".join(lines))
+    trace.write_csv(args.out)
+    if args.plot_data:
+        write_atomic(
+            args.plot_data,
+            (f"{int(k)} {float(g)!r}\n" for k, g in zip(trace.k, trace.gap) if k > 0),
+        )
 
-    lines = [f"wrote {out}"]
+    lines = [f"wrote {args.out}"]
     if trace.aborted:
         lines.append(
             f"aborted at iteration {trace.meta['aborted_at']} "
@@ -141,10 +132,7 @@ def _run_one(args_dict):
     if np.any(np.nan_to_num(trace.gap) > 0):
         q = classify_setting(problem)
         model = theoretical_exponent(config.method, dgf, q, problem.grid.dim)
-        window = (
-            _effective(args, "fit_lo", 1e3, cast=float),
-            _effective(args, "fit_hi", float(config.iters), cast=float),
-        )
+        window = (args.fit_lo, float(config.iters) if args.fit_hi is None else args.fit_hi)
         try:
             # Raw fit: a log(k) factor in the theory does not move the
             # asymptotic log-log slope, so the comparison stays direct.
@@ -164,13 +152,11 @@ def _run_one(args_dict):
 
 
 def cmd_run(args):
-    _load_config(args)
-    tokens = [t.strip() for t in _effective(args, "dgf", "").split(",") if t.strip()]
+    _require(args, "problem", "dgf", "iters", "out")
+    tokens = [t.strip() for t in args.dgf.split(",") if t.strip()]
     if not tokens:
         raise ValueError("no dgf token given (flag --dgf or config)")
-    out = _effective(args, "out")
-    if out is None:
-        raise ValueError("no output path given (flag --out or config)")
+    out = args.out
     jobs = []
     for token in tokens:
         if len(tokens) == 1:
@@ -180,12 +166,7 @@ def cmd_run(args):
         else:
             root, ext = os.path.splitext(out)
             path = f"{root}_{token.replace(':', '-')}{ext or '.csv'}"
-        job = dict(vars(args))
-        job.pop("func", None)
-        job["dgf"] = token
-        job["out"] = path
-        job["_config_values"] = args._config_values
-        jobs.append(job)
+        jobs.append(argparse.Namespace(**{**vars(args), "dgf": token, "out": path}))
 
     workers = int(os.environ.get("BPGM_WORKERS", "1"))
     if workers > 1 and len(jobs) > 1:
@@ -201,14 +182,7 @@ def cmd_run(args):
 
 
 def cmd_rates(args):
-    _load_config(args)
-    if not args.traces:
-        raise ValueError("no trace files given")
-    window = (
-        _effective(args, "fit_lo", 1e3, cast=float),
-        _effective(args, "fit_hi", math.inf, cast=float),
-    )
-    out = _effective(args, "out")
+    window = (args.fit_lo, args.fit_hi)
     rows = []
     for path in args.traces:
         trace = Trace.read_csv(path)
@@ -237,40 +211,28 @@ def cmd_rates(args):
             f"{path},{meta.get('problem', '')},{meta.get('dgf', '')},"
             f"{meta.get('method', '')},{slope!r},{model.exponent!r},{diff!r},{r2!r}\n"
         )
-    if out:
-        _atomic_write_text(out, "".join(csv_lines))
-        print(f"wrote {out}")
+    if args.out:
+        write_atomic(args.out, csv_lines)
+        print(f"wrote {args.out}")
     return 0
 
 
 def cmd_psi(args):
-    _load_config(args)
+    _require(args, "problem", "out")
     problem = _build_problem_from_args(args)
-    out = _effective(args, "out")
-    if out is None:
-        raise ValueError("no output path given (flag --out or config)")
-    dgf = parse_dgf(_effective(args, "dgf", "p:2"))
-    alphas = np.geomspace(
-        _effective(args, "alpha_lo", 1e-6, cast=float),
-        _effective(args, "alpha_hi", 1e-2, cast=float),
-        _effective(args, "alpha_count", 25, cast=int),
-    )
-    eps_lo = _effective(args, "eps_lo", cast=float)
-    eps_hi = _effective(args, "eps_hi", cast=float)
+    dgf = parse_dgf(args.dgf)
+    alphas = np.geomspace(args.alpha_lo, args.alpha_hi, args.alpha_count)
     eps_grid = None
-    if eps_lo is not None and eps_hi is not None:
-        eps_grid = np.geomspace(eps_lo, eps_hi, _effective(args, "eps_count", 30, cast=int))
+    if args.eps_lo is not None and args.eps_hi is not None:
+        eps_grid = np.geomspace(args.eps_lo, args.eps_hi, args.eps_count)
     f0 = np.ones(problem.grid.size)
     curve = psi_envelope(problem, dgf, f0, alphas, eps_grid=eps_grid)
-    curve.write_csv(out)
-    print(f"wrote {out}")
-    plot_data = _effective(args, "plot_data")
-    if plot_data:
-        _atomic_write_text(
-            plot_data,
-            "".join(
-                f"{float(a)!r} {float(p)!r}\n" for a, p in zip(curve.alpha, curve.psi_hat)
-            ),
+    curve.write_csv(args.out)
+    print(f"wrote {args.out}")
+    if args.plot_data:
+        write_atomic(
+            args.plot_data,
+            (f"{float(a)!r} {float(p)!r}\n" for a, p in zip(curve.alpha, curve.psi_hat)),
         )
     slope, r2 = fit_loglog(curve.alpha, curve.psi_hat, window=(0.0, math.inf))
     q = classify_setting(problem)
@@ -298,71 +260,76 @@ def cmd_verify(args):
 
 
 def build_parser():
+    """The `bpgm` parser and its subcommand parsers by name."""
     parser = _Parser(prog="bpgm", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    config_help = "flat key=value file of option defaults; flags take precedence"
 
     run_p = sub.add_parser("run", help="solve a problem and write a trace CSV")
     run_p.add_argument("--problem", choices=PROBLEM_TOKENS)
     run_p.add_argument("--dgf", help="dgf token(s), comma separated: p:<v> | ent | hyp:<beta>")
-    run_p.add_argument("--method", choices=("pgm", "apgm"))
+    run_p.add_argument("--method", choices=("pgm", "apgm"), default="pgm")
     run_p.add_argument("--iters", type=int)
     run_p.add_argument("--step", type=float)
-    run_p.add_argument("--k-bound", dest="k_bound", type=float)
-    run_p.add_argument("--grid-size", dest="grid_size", type=int)
+    run_p.add_argument("--k-bound", type=float)
+    run_p.add_argument("--grid-size", type=int)
     run_p.add_argument("--reg", help="nonneg_tv:<lam> | simplex | tv:<lam> | tv_ball:<K>")
     run_p.add_argument("--lam", type=float)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--inf-value", dest="inf_value", type=float)
+    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--inf-value", type=float)
     run_p.add_argument(
-        "--inf-value-from",
-        dest="inf_value_from",
-        help="trace CSV whose minimum F serves as the reference optimum",
+        "--inf-value-from", help="trace CSV whose minimum F serves as the reference optimum"
     )
-    run_p.add_argument("--fit-lo", dest="fit_lo", type=float)
-    run_p.add_argument("--fit-hi", dest="fit_hi", type=float)
+    run_p.add_argument("--fit-lo", type=float, default=1e3)
+    run_p.add_argument("--fit-hi", type=float, help="default: --iters")
     run_p.add_argument("--out")
-    run_p.add_argument("--plot-data", dest="plot_data", help="also write plain 'k gap' columns")
-    run_p.add_argument("--config", help="flat key=value file; flags take precedence")
+    run_p.add_argument("--plot-data", help="also write plain 'k gap' columns")
+    run_p.add_argument("--config", help=config_help)
     run_p.set_defaults(func=cmd_run)
 
     rates_p = sub.add_parser("rates", help="fit rate slopes of saved traces")
-    rates_p.add_argument("traces", nargs="*")
-    rates_p.add_argument("--fit-lo", dest="fit_lo", type=float)
-    rates_p.add_argument("--fit-hi", dest="fit_hi", type=float)
+    rates_p.add_argument("traces", nargs="+")
+    rates_p.add_argument("--fit-lo", type=float, default=1e3)
+    rates_p.add_argument("--fit-hi", type=float, default=math.inf)
     rates_p.add_argument("--out", help="machine-readable CSV report")
-    rates_p.add_argument("--config")
+    rates_p.add_argument("--config", help=config_help)
     rates_p.set_defaults(func=cmd_rates)
 
     psi_p = sub.add_parser("psi", help="compute a suboptimality envelope curve")
     psi_p.add_argument("--problem", choices=PROBLEM_TOKENS)
-    psi_p.add_argument("--dgf")
-    psi_p.add_argument("--grid-size", dest="grid_size", type=int)
+    psi_p.add_argument("--dgf", default="p:2")
+    psi_p.add_argument("--grid-size", type=int)
     psi_p.add_argument("--reg")
     psi_p.add_argument("--lam", type=float)
-    psi_p.add_argument("--seed", type=int)
-    psi_p.add_argument("--inf-value", dest="inf_value", type=float)
-    psi_p.add_argument("--inf-value-from", dest="inf_value_from")
-    psi_p.add_argument("--alpha-lo", dest="alpha_lo", type=float)
-    psi_p.add_argument("--alpha-hi", dest="alpha_hi", type=float)
-    psi_p.add_argument("--alpha-count", dest="alpha_count", type=int)
-    psi_p.add_argument("--eps-lo", dest="eps_lo", type=float)
-    psi_p.add_argument("--eps-hi", dest="eps_hi", type=float)
-    psi_p.add_argument("--eps-count", dest="eps_count", type=int)
+    psi_p.add_argument("--seed", type=int, default=0)
+    psi_p.add_argument("--inf-value", type=float)
+    psi_p.add_argument("--inf-value-from")
+    psi_p.add_argument("--alpha-lo", type=float, default=1e-6)
+    psi_p.add_argument("--alpha-hi", type=float, default=1e-2)
+    psi_p.add_argument("--alpha-count", type=int, default=25)
+    psi_p.add_argument("--eps-lo", type=float)
+    psi_p.add_argument("--eps-hi", type=float)
+    psi_p.add_argument("--eps-count", type=int, default=30)
     psi_p.add_argument("--out")
-    psi_p.add_argument("--plot-data", dest="plot_data")
-    psi_p.add_argument("--config")
+    psi_p.add_argument("--plot-data")
+    psi_p.add_argument("--config", help=config_help)
     psi_p.set_defaults(func=cmd_psi)
 
     verify_p = sub.add_parser("verify", help="run the oracle suite")
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--fast", action="store_true", help="smaller sweeps (smoke test)")
     verify_p.set_defaults(func=cmd_verify)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"bpgm: {exc}", file=sys.stderr)

@@ -335,13 +335,22 @@ def deconv_problem(grid, reg):
     """Sparse deconvolution: recover delta_0 from y = phi(. - 0).
 
     G(f) = || phi * f - y ||^2 in L2 of the empirical measure, with
-    Lip(grad R) = 2 and ||Phi||_inf = 5^(d/2). For the TV-regularized
-    variants the optimal value is lam - lam^2 / (4 * 5^d), attained at
-    (1 - lam / (2 * 5^d)) * delta_0; the certificate is the potential
-    -(lam / 5^d) * phi, which meets the TV subdifferential bound with
-    equality only at the origin. The grid Dirac at 0 attains value 0
-    exactly wherever it is feasible with H = 0: nonneg_tv and tv with
-    lam = 0, simplex, and tv_ball with radius >= 1.
+    Lip(grad R) = 2 and ||Phi||_inf = 5^(d/2). Every row has a closed-form
+    optimum, attained at a multiple of delta_0:
+
+    - nonneg_tv:lam and tv:lam: inf = lam - lam^2 / (4 * 5^d) at
+      (1 - lam / (2 * 5^d)) * delta_0; the certificate is the potential
+      -(lam / 5^d) * phi, which meets the TV subdifferential bound with
+      equality only at the origin;
+    - simplex (radius 1) and tv_ball:K: with a = min(K, 1),
+      inf = 5^d (1 - a)^2 at a * delta_0; the potential there is
+      2(a - 1) phi, which vanishes for a = 1, and for a = K < 1 puts its
+      largest modulus at the origin (|phi| <= 5^d = phi(0)), where the
+      whole L1 budget sits.
+
+    The grid Dirac at 0 attains value 0 exactly wherever it is feasible
+    with H = 0: nonneg_tv and tv with lam = 0, simplex, and tv_ball with
+    radius >= 1.
     """
     if grid.kind != "torus":
         raise ValueError("deconvolution is defined on a torus grid")
@@ -366,7 +375,9 @@ def deconv_problem(grid, reg):
         amplitude = 1.0 - lam / (2.0 * peak)
         mu_star = ((origin, amplitude),)
     else:
-        inf_value, mu_star = None, None
+        amplitude = min(reg.radius, 1.0)
+        inf_value = peak * (1.0 - amplitude) ** 2
+        mu_star = ((origin, amplitude),)
     name = f"deconv{grid.dim}d"
     return Problem(
         name=name,

@@ -29,6 +29,22 @@ from .prox import MirrorState, bregman_step
 TRACE_COLUMNS = ("k", "F", "gap", "l1", "linf_mirror", "time_s")
 
 
+def write_atomic(path, lines, meta=None, header=None):
+    """Write text lines to path through a temp file and a rename.
+
+    Readers never see a partial file. meta, if given, goes first as
+    sorted `# key=value` lines, then the comma-joined header columns.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as fh:
+        if meta:
+            fh.writelines(f"# {key}={meta[key]}\n" for key in sorted(meta))
+        if header:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
+    os.replace(tmp, path)
+
+
 @dataclass
 class SolverConfig:
     """Run parameters; step and k_bound are derived when omitted.
@@ -80,37 +96,52 @@ class Trace:
         return "aborted_at" in self.meta
 
     def write_csv(self, path):
-        """Atomically write the trace (temp file + rename)."""
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            for key in sorted(self.meta):
-                fh.write(f"# {key}={self.meta[key]}\n")
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for i in range(len(self.k)):
-                fh.write(
-                    f"{int(self.k[i])},{float(self.F[i])!r},{float(self.gap[i])!r},"
-                    f"{float(self.l1[i])!r},{float(self.linf_mirror[i])!r},"
-                    f"{float(self.time_s[i])!r}\n"
-                )
-        os.replace(tmp, path)
+        """Atomically write the trace: metadata preamble, header, rows."""
+        rows = (
+            f"{int(k)},{float(F)!r},{float(gap)!r},{float(l1)!r},{float(lm)!r},{float(t)!r}\n"
+            for k, F, gap, l1, lm, t in zip(
+                self.k, self.F, self.gap, self.l1, self.linf_mirror, self.time_s
+            )
+        )
+        write_atomic(path, rows, meta=self.meta, header=TRACE_COLUMNS)
 
     @classmethod
     def read_csv(cls, path):
-        meta, rows = {}, []
+        """Read a file written by write_csv; anything else is a ValueError."""
+        meta, header, rows = {}, None, []
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 if line.startswith("#"):
                     key, _, value = line.lstrip("# ").partition("=")
                     meta[key] = value
-                elif not line.startswith("k,"):
-                    rows.append([float(x) for x in line.split(",")])
+                    continue
+                fields = line.split(",")
+                if header is None:
+                    header = tuple(fields)
+                    if header != TRACE_COLUMNS:
+                        raise ValueError(
+                            f"{path} is not a trace file: header {line!r}, "
+                            f"expected {','.join(TRACE_COLUMNS)!r}"
+                        )
+                elif len(fields) != len(TRACE_COLUMNS):
+                    raise ValueError(
+                        f"trace file {path}, line {number}: {len(fields)} columns, "
+                        f"expected {len(TRACE_COLUMNS)}"
+                    )
+                else:
+                    try:
+                        rows.append([float(x) for x in fields])
+                    except ValueError:
+                        raise ValueError(
+                            f"trace file {path}, line {number}: non-numeric field in {line!r}"
+                        ) from None
         if not rows:
             raise ValueError(f"trace file {path} contains no data rows")
         cols = np.array(rows).T
-        return cls(meta, cols[0].astype(int), *cols[1:6])
+        return cls(meta, cols[0].astype(int), *cols[1:])
 
 
 def gamma_next(gamma):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bpgm import SolverConfig, build_problem, parse_dgf, run_pgm, solver
+from bpgm.analysis import EnvelopeCurve
 from bpgm.cli import main
 from bpgm.solver import Trace
 
@@ -78,6 +79,51 @@ def test_config_file_rejects_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("problem deconv1d\n")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1
+
+
+def run_cli_code(*argv):
+    """Exit code of the CLI, whether main returns it or argparse exits."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_run_without_iters_is_usage_error(tmp_path, capsys):
+    code = run_cli("run", "--problem", "deconv1d", "--dgf", "p:2", "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert "--iters" in capsys.readouterr().err
+
+
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = deconv1d\ndgf = p:2\niter = 40\n")
+    assert run_cli_code("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1
+    assert "iter" in capsys.readouterr().err.split("known:")[0]
+
+
+# Positionals and parser internals are not settings; `iters` is a run
+# option, so a run config is not a rates config.
+@pytest.mark.parametrize("key", ("traces", "command", "func", "config", "iters"))
+def test_rates_config_rejects_other_keys(tmp_path, key):
+    cfg = tmp_path / "rates.cfg"
+    cfg.write_text(f"fit-lo = 100\n{key} = 1\n")
+    assert run_cli_code("rates", str(tmp_path / "t.csv"), "--config", str(cfg)) == 1
+
+
+def test_config_value_is_cast_like_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = deconv1d\ndgf = p:2\niters = forty\n")
+    assert run_cli_code("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1
+    assert "--iters" in capsys.readouterr().err
+
+
+def test_run_rejects_empty_dgf_tokens(tmp_path):
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--dgf", ",", "--iters", "10",
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 1
 
 
 def test_multi_dgf_fanout_placeholder(tmp_path):
@@ -195,6 +241,17 @@ def test_rates_reads_config(tmp_path):
     assert default.read_text() != by_flag.read_text()
 
 
+def test_run_simplex_fits_and_rates(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--reg", "simplex", "--dgf", "p:2",
+        "--grid-size", "60", "--iters", "3000", "--out", str(out),
+    )
+    assert code == 0
+    assert "fitted slope" in capsys.readouterr().out
+    assert run_cli("rates", str(out)) == 0
+
+
 def test_rates_missing_file_is_runtime_error(tmp_path):
     assert run_cli("rates", str(tmp_path / "nope.csv")) == 2
 
@@ -203,6 +260,23 @@ def test_rates_empty_trace_is_usage_error(tmp_path):
     bad = tmp_path / "empty.csv"
     bad.write_text("k,F,gap,l1,linf_mirror,time_s\n")
     assert run_cli("rates", str(bad)) == 1
+
+
+def _envelope_csv(path):
+    EnvelopeCurve(np.array([1e-3]), np.array([0.1]), np.array([np.inf]), {"dgf": "p:2"}).write_csv(path)
+
+
+@pytest.mark.parametrize("write", (
+    lambda p: p.write_text("k,F,gap\n1,2,3\n"),
+    lambda p: p.write_text("k,F,gap,l1,linf_mirror,time_s\n1,2,3,4,5,6\n2,2,3,4\n"),
+    lambda p: p.write_text("k,F,gap,l1,linf_mirror,time_s\n1,2,x,4,5,6\n"),
+    _envelope_csv,
+), ids=("short", "ragged", "non-numeric", "envelope"))
+def test_rates_rejects_malformed_trace(tmp_path, capsys, write):
+    bad = tmp_path / "bad.csv"
+    write(bad)
+    assert run_cli("rates", str(bad)) == 1
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_psi_subcommand(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from bpgm import (
     Problem,
+    SolverConfig,
     build_problem,
     circle_grid,
     deconv_problem,
@@ -15,8 +16,10 @@ from bpgm import (
     grad_potential,
     lb_problem,
     nonneg_tv,
+    parse_dgf,
     parse_regularizer,
     relu_problem,
+    run_apgm,
     simplex,
     torus_grid,
     tv,
@@ -71,6 +74,27 @@ def test_deconv_closed_form_optimum():
     mu = minimizer_density(problem)
     assert mu.mass() == pytest.approx(1.0 - lam / 10.0)
     assert eval_F(problem, mu.values) == pytest.approx(problem.inf_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, n", ((1, 60), (2, 12)))
+@pytest.mark.parametrize(
+    "reg", (simplex(), tv_ball(0.25), tv_ball(0.5), tv_ball(1.0), tv_ball(2.0)),
+    ids=lambda reg: reg.token,
+)
+def test_deconv_constrained_rows_know_their_optimum(dim, n, reg):
+    # a * delta_0 with a = min(K, 1) (simplex: K = 1) is optimal, with
+    # value 5^d (1 - a)^2; a run from a feasible start stays above it.
+    problem = deconv_problem(torus_grid(dim, n), reg)
+    a = min(reg.radius, 1.0)
+    assert problem.inf_value == 5.0**dim * (1.0 - a) ** 2
+    mu = minimizer_density(problem)
+    assert mu.mass() == pytest.approx(a)
+    assert eval_F(problem, mu.values) == pytest.approx(problem.inf_value, rel=1e-12, abs=1e-14)
+    f0 = np.full(problem.grid.size, a)
+    trace = run_apgm(problem, parse_dgf("p:2"), SolverConfig(iters=300, method="apgm"), f0=f0)
+    assert not trace.aborted
+    assert np.min(trace.F) >= problem.inf_value - 1e-12
+    assert trace.gap[-1] < trace.gap[0]
 
 
 def test_deconv_closed_form_is_a_lower_bound():

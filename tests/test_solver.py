@@ -214,6 +214,23 @@ def test_run_aborts_on_nonfinite_gradient(method):
     assert list(trace.k) == [0]
 
 
+@pytest.mark.parametrize("method", ("pgm", "apgm"))
+@pytest.mark.parametrize("reg", (nonneg_tv(0.0), tv(0.05), simplex(), tv_ball(1.0)),
+                         ids=lambda reg: reg.token)
+@pytest.mark.parametrize("token", ("p:2", "p:1.5", "hyp", "ent"))
+def test_diverging_runs_end_labelled(token, reg, method):
+    # Step 1e4 is far past the admissible step; whichever way a row
+    # fails, the run must end as a labelled trace, not an exception or
+    # a stray numpy warning.
+    problem = deconv_problem(torus_grid(1, 60), reg)
+    config = SolverConfig(iters=200, method=method, step=1e4, record=(0, 200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "APGM prox sequence exceeded", RuntimeWarning)
+        trace = run(problem, parse_dgf(token), config)
+    assert not trace.aborted or trace.meta["abort_reason"] in ("gradient", "objective")
+
+
 def test_start_density_from_another_grid_is_rejected():
     problem = build_problem("relu", grid_size=50)
     f0 = uniform_density(torus_grid(1, 50))
