@@ -20,20 +20,17 @@ from .dgf import (
     EntropyDgf,
     HyperbolicDgf,
     PowerDgf,
-    bregman_div,
     parse_dgf,
     sc_constant,
     step_size,
 )
 from .grid import (
-    Density,
     Grid,
     ball_mass,
     circle_grid,
     dirac_density,
     geodesic_dist,
     torus_grid,
-    uniform_density,
 )
 from .objective import (
     Problem,
@@ -70,10 +67,10 @@ __version__ = "0.1.0"
 __all__ = [
     "RateModel", "classify_setting", "fit_rate", "mollify", "psi_envelope",
     "reference_inf", "theoretical_exponent",
-    "EntropyDgf", "HyperbolicDgf", "PowerDgf", "bregman_div", "parse_dgf",
-    "sc_constant", "step_size",
-    "Density", "Grid", "ball_mass", "circle_grid", "dirac_density",
-    "geodesic_dist", "torus_grid", "uniform_density",
+    "EntropyDgf", "HyperbolicDgf", "PowerDgf", "parse_dgf", "sc_constant",
+    "step_size",
+    "Grid", "ball_mass", "circle_grid", "dirac_density", "geodesic_dist",
+    "torus_grid",
     "Problem", "Regularizer", "SmoothObjective", "build_problem",
     "deconv_problem", "eval_F", "eval_G", "grad_potential", "lb_problem",
     "nonneg_tv", "parse_regularizer", "relu_problem", "simplex", "tv", "tv_ball",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgf import EntropyDgf, HyperbolicDgf, PowerDgf, parse_dgf
-from .grid import Density, ball_mass, dist_to_point
+from .grid import ball_mass, dist_to_point
 from .objective import density_values, eval_F, grad_potential, minimizer_density
 from .solver import SolverConfig, run_apgm, write_atomic
 
@@ -100,7 +100,8 @@ def classify_setting(problem, tol=1e-10):
 
 
 def mollify(problem, eps):
-    """Box-kernel mollification of the problem's sparse minimizer.
+    """Box-kernel mollification of the problem's sparse minimizer, as a
+    value array on the problem grid.
 
     Each atom (point, weight) spreads uniformly over the closed
     geodesic ball of radius eps, normalized by the ball's reference
@@ -118,16 +119,20 @@ def mollify(problem, eps):
     for point, weight in problem.mu_star:
         inside = dist_to_point(grid, point) <= eps
         values[inside] += weight / ball_mass(grid, point, eps)
-    return Density(grid, values)
+    return values
 
 
-def default_eps_grid(grid, count=30):
-    """Log-spaced mollification radii from 3 spacings to diameter/4."""
-    lo = 3.0 * grid.spacing
-    hi = grid.diameter / 4.0
+def default_eps_grid(grid, count=30, lo=None, hi=None):
+    """`count` log-spaced mollification radii from `lo` to `hi`.
+
+    A missing end defaults to 3 spacings (lo) or diameter/4 (hi).
+    """
+    lo = 3.0 * grid.spacing if lo is None else lo
+    hi = grid.diameter / 4.0 if hi is None else hi
     if lo >= hi:
         raise ValueError(
-            f"grid too coarse for a mollification sweep (spacing {grid.spacing})"
+            f"empty mollification sweep: radius {lo} >= {hi} "
+            f"(grid spacing {grid.spacing})"
         )
     return np.geomspace(lo, hi, count)
 
@@ -176,7 +181,7 @@ def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):
     divs = [0.0]
     radii = [math.inf]
     for eps in eps_grid:
-        f_eps = mollify(problem, eps).values
+        f_eps = mollify(problem, eps)
         gaps.append(eval_F(problem, f_eps) - problem.inf_value)
         divs.append(dgf.divergence_values(w, f_eps, f0))
         radii.append(float(eps))

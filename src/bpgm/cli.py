@@ -26,6 +26,7 @@ import numpy as np
 
 from .analysis import (
     classify_setting,
+    default_eps_grid,
     fit_loglog,
     fit_rate,
     psi_envelope,
@@ -222,9 +223,7 @@ def cmd_psi(args):
     problem = _build_problem_from_args(args)
     dgf = parse_dgf(args.dgf)
     alphas = np.geomspace(args.alpha_lo, args.alpha_hi, args.alpha_count)
-    eps_grid = None
-    if args.eps_lo is not None and args.eps_hi is not None:
-        eps_grid = np.geomspace(args.eps_lo, args.eps_hi, args.eps_count)
+    eps_grid = default_eps_grid(problem.grid, args.eps_count, args.eps_lo, args.eps_hi)
     f0 = np.ones(problem.grid.size)
     curve = psi_envelope(problem, dgf, f0, alphas, eps_grid=eps_grid)
     curve.write_csv(args.out)

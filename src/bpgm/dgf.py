@@ -179,14 +179,6 @@ class HyperbolicDgf(Dgf):
         return 1.0 / np.sqrt(s**2 + self.beta**2)
 
 
-def bregman_div(dgf, f, g):
-    """Bregman divergence D(f, g) between two densities on one grid."""
-    gf, gg = f.grid, g.grid
-    if (gf.kind, gf.dim, gf.size) != (gg.kind, gg.dim, gg.size):
-        raise ValueError("densities live on different grids")
-    return dgf.divergence_values(gf.weights, f.values, g.values)
-
-
 def sc_constant(dgf, k_bound):
     """Relative strong convexity constant c(K) = (K + beta)^(p-2) / 2.
 
@@ -201,20 +193,20 @@ def sc_constant(dgf, k_bound):
 def step_size(dgf, k_bound, phi_sup, lip_grad):
     """Largest admissible step for the proximal gradient methods.
 
-    s = (K + beta)^(p-2) / (phi_sup^2 * lip_grad), where phi_sup bounds
-    the feature norm sup_theta ||Phi(theta)|| and lip_grad is the
-    Lipschitz constant of grad R. Returns inf for linear objectives
-    (lip_grad = 0): any step is admissible there.
+    s = 2 c(K) / (phi_sup^2 * lip_grad) = (K + beta)^(p-2) / (phi_sup^2
+    * lip_grad), where c(K) is `sc_constant`, phi_sup bounds the feature
+    norm sup_theta ||Phi(theta)|| and lip_grad is the Lipschitz constant
+    of grad R. Returns inf for linear objectives (lip_grad = 0): any
+    step is admissible there.
     """
-    if k_bound <= 0:
-        raise ValueError(f"norm bound must be positive, got {k_bound}")
+    c = sc_constant(dgf, k_bound)
     if phi_sup <= 0:
         raise ValueError(f"feature sup-norm must be positive, got {phi_sup}")
     if lip_grad < 0:
         raise ValueError(f"Lipschitz constant must be nonnegative, got {lip_grad}")
     if lip_grad == 0:
         return math.inf
-    return (k_bound + dgf.beta) ** (dgf.p - 2.0) / (phi_sup**2 * lip_grad)
+    return 2.0 * c / (phi_sup**2 * lip_grad)
 
 
 def parse_dgf(token):
@@ -225,14 +217,10 @@ def parse_dgf(token):
     if token == "hyp":
         return HyperbolicDgf()
     head, sep, tail = token.partition(":")
-    if head == "p" and sep:
+    family = {"p": PowerDgf, "hyp": HyperbolicDgf}.get(head)
+    if family is not None and sep:
         try:
-            return PowerDgf(float(tail))
-        except ValueError as exc:
-            raise ValueError(f"bad dgf token {token!r}: {exc}") from None
-    if head == "hyp" and sep:
-        try:
-            return HyperbolicDgf(float(tail))
+            return family(float(tail))
         except ValueError as exc:
             raise ValueError(f"bad dgf token {token!r}: {exc}") from None
     raise ValueError(

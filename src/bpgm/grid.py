@@ -3,10 +3,12 @@
 A Grid carries the sample points of a uniform lattice together with the
 quadrature weights of the normalized reference measure, so that
 sum(w * f) approximates (and for trigonometric polynomials equals)
-the integral of f.
+the integral of f. A density on a grid is its value array f, one float
+per lattice point: its mass is sum(w * f) and its total variation norm
+sum(w * |f|).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,43 +146,10 @@ def ball_mass(grid, center, eps):
     return mass
 
 
-@dataclass(frozen=True)
-class Density:
-    """A density on a Grid: values f at the lattice points.
-
-    Integrals against the reference measure are sum(grid.weights * f).
-    The mass of the represented measure is integral(f), its total
-    variation norm is integral(|f|).
-    """
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.size,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid size "
-                f"{self.grid.size}"
-            )
-
-    def mass(self):
-        return float(np.sum(self.grid.weights * self.values))
-
-    def l1(self):
-        return float(np.sum(self.grid.weights * np.abs(self.values)))
-
-    def linf(self):
-        return float(np.max(np.abs(self.values)))
-
-
-def uniform_density(grid):
-    """The reference density f == 1 (unit mass)."""
-    return Density(grid, np.ones(grid.size))
-
-
 def dirac_density(grid, point, weight=1.0):
-    """Grid Dirac: all mass at the lattice point nearest to `point`."""
+    """Grid Dirac: the value array with all mass `weight` at the lattice
+    point nearest to `point`."""
     values = np.zeros(grid.size)
     j = nearest_index(grid, point)
     values[j] = weight / grid.weights[j]
-    return Density(grid, values)
+    return values

@@ -23,13 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (
-    Density,
-    circle_grid,
-    dirac_density,
-    dist_to_point,
-    torus_grid,
-)
+from .grid import circle_grid, dirac_density, dist_to_point, torus_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -248,20 +242,10 @@ class Problem:
 
 
 def density_values(problem, f):
-    """Value array of a density (Density or raw array) on the problem grid.
+    """Density f as a float value array on the problem grid.
 
-    Raises ValueError when a Density lives on another grid or an array
-    has the wrong shape.
+    Raises ValueError when f does not have one value per grid point.
     """
-    if isinstance(f, Density):
-        g = f.grid
-        if (g.kind, g.dim, g.size) != (
-            problem.grid.kind,
-            problem.grid.dim,
-            problem.grid.size,
-        ):
-            raise ValueError("density grid does not match problem grid")
-        return f.values
     f = np.asarray(f, dtype=float)
     if f.shape != (problem.grid.size,):
         raise ValueError(
@@ -290,14 +274,12 @@ def grad_potential(problem, f):
 
 
 def minimizer_density(problem):
-    """Grid density of the known sparse minimizer mu_star, if any."""
+    """Value array of the known sparse minimizer mu_star on the grid, if any."""
     if not problem.mu_star:
         raise ValueError(f"problem {problem.name} has no recorded minimizer")
-    values = np.zeros(problem.grid.size)
-    for point, weight in problem.mu_star:
-        d = dirac_density(problem.grid, point, weight)
-        values = values + d.values
-    return Density(problem.grid, values)
+    return sum(
+        dirac_density(problem.grid, point, weight) for point, weight in problem.mu_star
+    )
 
 
 # -- deconvolution ----------------------------------------------------------
@@ -338,15 +320,18 @@ def deconv_problem(grid, reg):
     Lip(grad R) = 2 and ||Phi||_inf = 5^(d/2). Every row has a closed-form
     optimum, attained at a multiple of delta_0:
 
-    - nonneg_tv:lam and tv:lam: inf = lam - lam^2 / (4 * 5^d) at
-      (1 - lam / (2 * 5^d)) * delta_0; the certificate is the potential
-      -(lam / 5^d) * phi, which meets the TV subdifferential bound with
-      equality only at the origin;
-    - simplex (radius 1) and tv_ball:K: with a = min(K, 1),
-      inf = 5^d (1 - a)^2 at a * delta_0; the potential there is
-      2(a - 1) phi, which vanishes for a = 1, and for a = K < 1 puts its
+    - nonneg_tv:lam and tv:lam: a = max(0, 1 - lam / (2 * 5^d)); the
+      potential at a * delta_0 is 2(a - 1) phi. For a > 0 it equals
+      -lam * phi / 5^d, which meets the TV subdifferential bound with
+      equality only at the origin; for lam >= 2 * 5^d the zero density
+      is optimal, since |G'[0]| = 2 |phi| <= 2 * 5^d <= lam;
+    - simplex (radius 1) and tv_ball:K: a = min(K, 1); the potential
+      2(a - 1) phi vanishes for a = 1, and for a = K < 1 puts its
       largest modulus at the origin (|phi| <= 5^d = phi(0)), where the
       whole L1 budget sits.
+
+    In both cases inf = 5^d (1 - a)^2 + lam * a at a * delta_0, with
+    lam = 0 for the constrained rows.
 
     The grid Dirac at 0 attains value 0 exactly wherever it is feasible
     with H = 0: nonneg_tv and tv with lam = 0, simplex, and tv_ball with
@@ -368,24 +353,19 @@ def deconv_problem(grid, reg):
     # The grid Dirac at the origin reproduces y (G = 0), so the potential
     # vanishes at the minimizer (II*) exactly when that Dirac is
     # feasible with H = 0.
-    exact = reg.value(grid.weights, dirac_density(grid, origin).values) == 0.0
-    lam = reg.lam if reg.kind in ("nonneg_tv", "tv") else 0.0
+    exact = reg.value(grid.weights, dirac_density(grid, origin)) == 0.0
     if reg.kind in ("nonneg_tv", "tv"):
-        inf_value = lam - lam**2 / (4.0 * peak)
-        amplitude = 1.0 - lam / (2.0 * peak)
-        mu_star = ((origin, amplitude),)
+        lam, amplitude = reg.lam, max(0.0, 1.0 - reg.lam / (2.0 * peak))
     else:
-        amplitude = min(reg.radius, 1.0)
-        inf_value = peak * (1.0 - amplitude) ** 2
-        mu_star = ((origin, amplitude),)
+        lam, amplitude = 0.0, min(reg.radius, 1.0)
     name = f"deconv{grid.dim}d"
     return Problem(
         name=name,
         grid=grid,
         smooth=smooth,
         reg=reg,
-        inf_value=inf_value,
-        mu_star=mu_star,
+        inf_value=peak * (1.0 - amplitude) ** 2 + lam * amplitude,
+        mu_star=((origin, amplitude),),
         setting_tag="II*" if exact else "II",
         # Descent from f0 = 1 keeps the L1 norm below 1 + sqrt(F(1)):
         # total Fourier mass of the residual bounds the signal part.
@@ -445,7 +425,6 @@ def lb_problem(grid, setting):
         inf_value=0.0,
         mu_star=((origin, 1.0),),
         setting_tag=setting,
-        k_bound_hint=1.0,
     )
 
 

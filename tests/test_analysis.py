@@ -20,7 +20,6 @@ from bpgm import (
     theoretical_exponent,
     torus_grid,
     tv,
-    uniform_density,
 )
 from bpgm.analysis import EnvelopeCurve, default_eps_grid, fit_loglog
 
@@ -91,8 +90,8 @@ def test_mollify_conserves_mass():
     w = problem.grid.weights
     for eps in (0.01, 0.05, 0.2):
         f = mollify(problem, eps)
-        assert float(np.sum(w * f.values)) == pytest.approx(0.97, abs=1e-12)
-        assert np.all(f.values >= 0.0)
+        assert float(np.sum(w * f)) == pytest.approx(0.97, abs=1e-12)
+        assert np.all(f >= 0.0)
 
 
 def test_mollify_rejects_subgrid_radius():
@@ -105,7 +104,7 @@ def test_mollify_support_width():
     problem = build_problem("deconv1d", grid_size=300)
     f = mollify(problem, 0.1)
     # closed ball of radius 0.1 on a 1/300 grid: 61 cells
-    assert np.count_nonzero(f.values) == 61
+    assert np.count_nonzero(f) == 61
 
 
 @pytest.mark.parametrize("tag,expect,tol", [("II*", 4.0, 0.5), ("I", 1.0, 0.2)])
@@ -113,7 +112,7 @@ def test_mollified_gap_scales_with_structure_exponent(tag, expect, tol):
     # F(f_eps) - inf ~ eps^q is the mechanism behind every rate here
     problem = lb_problem(torus_grid(1, 2000), tag)
     eps = np.geomspace(0.02, 0.2, 12)
-    gaps = [eval_F(problem, mollify(problem, e).values) for e in eps]
+    gaps = [eval_F(problem, mollify(problem, e)) for e in eps]
     slope = np.polyfit(np.log(eps), np.log(gaps), 1)[0]
     assert slope == pytest.approx(expect, abs=tol)
 
@@ -131,17 +130,17 @@ def test_default_eps_grid_range():
 def test_psi_envelope_matches_brute_force():
     problem = lb_problem(torus_grid(1, 300), "I")
     dgf = parse_dgf("p:2")
-    f0 = uniform_density(problem.grid)
+    f0 = np.ones(problem.grid.size)
     alphas = np.geomspace(1e-4, 1e-1, 7)
     eps_grid = np.geomspace(0.02, 0.12, 9)
     env = psi_envelope(problem, dgf, f0, alphas, eps_grid=eps_grid)
 
     w = problem.grid.weights
-    cands = [(eval_F(problem, f0.values) - problem.inf_value, 0.0)]
+    cands = [(eval_F(problem, f0) - problem.inf_value, 0.0)]
     for e in eps_grid:
         fe = mollify(problem, e)
-        gap = eval_F(problem, fe.values) - problem.inf_value
-        div = dgf.divergence_values(w, fe.values, f0.values)
+        gap = eval_F(problem, fe) - problem.inf_value
+        div = dgf.divergence_values(w, fe, f0)
         cands.append((gap, div))
     for i, a in enumerate(alphas):
         brute = min(gap + a * div for gap, div in cands)
@@ -151,7 +150,7 @@ def test_psi_envelope_matches_brute_force():
 def test_psi_envelope_concave_and_bounded():
     problem = lb_problem(torus_grid(1, 300), "II*")
     dgf = parse_dgf("p:2")
-    f0 = uniform_density(problem.grid)
+    f0 = np.ones(problem.grid.size)
     alphas = np.geomspace(1e-8, 1e-2, 40)
     env = psi_envelope(problem, dgf, f0, alphas)
     a, ps = env.alpha, env.psi_hat
@@ -159,7 +158,7 @@ def test_psi_envelope_concave_and_bounded():
     for i in range(1, len(a) - 1):
         t = (a[i] - a[i - 1]) / (a[i + 1] - a[i - 1])
         assert ps[i] >= (1 - t) * ps[i - 1] + t * ps[i + 1] - 1e-12
-    cap = eval_F(problem, f0.values) - problem.inf_value
+    cap = eval_F(problem, f0) - problem.inf_value
     assert np.all(ps <= cap + 1e-15)
     finite = np.isfinite(env.eps_star)
     assert np.all(np.diff(env.eps_star[finite]) >= -1e-12)
@@ -171,7 +170,7 @@ def test_psi_envelope_requires_inf_value():
         psi_envelope(
             problem,
             parse_dgf("p:2"),
-            uniform_density(problem.grid),
+            np.ones(problem.grid.size),
             np.array([1e-3, 1e-2]),
         )
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from bpgm import SolverConfig, build_problem, parse_dgf, run_pgm, solver
+from bpgm import SolverConfig, build_problem, parse_dgf, run_pgm, solver, torus_grid
 from bpgm.analysis import EnvelopeCurve
 from bpgm.cli import main
 from bpgm.solver import Trace
@@ -314,6 +315,35 @@ def test_psi_reads_config(tmp_path):
     alphas = [float(line.split(",")[0]) for line in by_flag.read_text().splitlines()
               if line[0].isdigit()]
     assert alphas == pytest.approx(np.geomspace(1e-3, 1e-2, 10))
+
+
+def _eps_star(path):
+    rows = [line.split(",") for line in path.read_text().splitlines() if line[0].isdigit()]
+    return {float(row[2]) for row in rows} - {math.inf}
+
+
+def test_psi_eps_lo_alone_keeps_default_hi(tmp_path):
+    out = tmp_path / "env.csv"
+    assert run_cli(
+        "psi", "--problem", "lb:II*", "--grid-size", "300", "--eps-lo", "0.05",
+        "--out", str(out),
+    ) == 0
+    grid = torus_grid(1, 300)
+    radii = set(np.geomspace(0.05, grid.diameter / 4.0, 30))
+    eps_star = _eps_star(out)
+    assert eps_star and eps_star <= radii
+
+
+def test_psi_eps_count_alone_keeps_default_ends(tmp_path):
+    out = tmp_path / "env.csv"
+    assert run_cli(
+        "psi", "--problem", "lb:II*", "--grid-size", "300", "--eps-count", "5",
+        "--out", str(out),
+    ) == 0
+    grid = torus_grid(1, 300)
+    radii = set(np.geomspace(3.0 * grid.spacing, grid.diameter / 4.0, 5))
+    eps_star = _eps_star(out)
+    assert eps_star and eps_star <= radii
 
 
 def test_psi_requires_out():

@@ -27,6 +27,7 @@ from bpgm import (
 )
 from bpgm.analysis import classify_setting, setting_exponent
 from bpgm.grid import geodesic_dist
+from bpgm.solver import resolve_step
 from bpgm.objective import (
     dirichlet_kernel,
     minimizer_density,
@@ -50,7 +51,7 @@ def test_deconv_objective_equals_direct_convolution():
     problem = deconv_problem(g, nonneg_tv(0.0))
     rng = np.random.default_rng(5)
     f = np.abs(rng.standard_normal(8))
-    delta = dirac_density(g, np.zeros(1)).values
+    delta = dirac_density(g, np.zeros(1))
     offsets = g.points[:, None, :] - g.points[None, :, :]
     kernel = dirichlet_kernel(g, offsets)  # kernel[i, j] = phi(x_i - x_j)
     conv = kernel @ (g.weights * (f - delta))
@@ -72,8 +73,23 @@ def test_deconv_closed_form_optimum():
     problem = deconv_problem(g, nonneg_tv(lam))
     assert problem.inf_value == pytest.approx(lam - lam**2 / 20.0)
     mu = minimizer_density(problem)
-    assert mu.mass() == pytest.approx(1.0 - lam / 10.0)
-    assert eval_F(problem, mu.values) == pytest.approx(problem.inf_value, abs=1e-12)
+    assert np.sum(g.weights * mu) == pytest.approx(1.0 - lam / 10.0)
+    assert eval_F(problem, mu) == pytest.approx(problem.inf_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ("nonneg_tv", "tv"))
+@pytest.mark.parametrize("lam", (12.0, 20.0))
+def test_deconv_heavy_tv_weight_optimum_is_zero(kind, lam):
+    # lam >= 2 * 5^d: |G'[0]| = 2 |phi| <= lam, so the zero density is
+    # optimal with value G(0) = 5^d, and the amplitude clips at 0.
+    problem = deconv_problem(torus_grid(1, 60), parse_regularizer(f"{kind}:{lam:g}"))
+    ((_, amplitude),) = problem.mu_star
+    assert amplitude == 0.0
+    assert problem.inf_value == 5.0
+    assert eval_F(problem, minimizer_density(problem)) == problem.inf_value
+    trace = run_apgm(problem, parse_dgf("p:2"), SolverConfig(iters=500, method="apgm"))
+    assert not trace.aborted
+    assert np.min(trace.F) >= problem.inf_value - 1e-12
 
 
 @pytest.mark.parametrize("dim, n", ((1, 60), (2, 12)))
@@ -88,8 +104,8 @@ def test_deconv_constrained_rows_know_their_optimum(dim, n, reg):
     a = min(reg.radius, 1.0)
     assert problem.inf_value == 5.0**dim * (1.0 - a) ** 2
     mu = minimizer_density(problem)
-    assert mu.mass() == pytest.approx(a)
-    assert eval_F(problem, mu.values) == pytest.approx(problem.inf_value, rel=1e-12, abs=1e-14)
+    assert np.sum(problem.grid.weights * mu) == pytest.approx(a)
+    assert eval_F(problem, mu) == pytest.approx(problem.inf_value, rel=1e-12, abs=1e-14)
     f0 = np.full(problem.grid.size, a)
     trace = run_apgm(problem, parse_dgf("p:2"), SolverConfig(iters=300, method="apgm"), f0=f0)
     assert not trace.aborted
@@ -135,7 +151,7 @@ def test_potential_vanishes_at_exact_recovery():
     # potential, not just its integral against mu*, is identically zero
     g = torus_grid(1, 50)
     problem = deconv_problem(g, nonneg_tv(0.0))
-    pot = grad_potential(problem, minimizer_density(problem).values)
+    pot = grad_potential(problem, minimizer_density(problem))
     assert np.max(np.abs(pot)) <= 1e-10
 
 
@@ -193,7 +209,7 @@ def test_lb_problems_know_their_optimum():
         problem = lb_problem(g, tag)
         assert problem.inf_value == 0.0
         mu = minimizer_density(problem)
-        assert eval_F(problem, mu.values) == pytest.approx(0.0, abs=1e-14)
+        assert eval_F(problem, mu) == pytest.approx(0.0, abs=1e-14)
         assert eval_F(problem, np.ones(200)) > 0.0
     with pytest.raises(ValueError):
         lb_problem(g, "III")
@@ -214,7 +230,9 @@ def test_relu_problem_seeded():
 def test_relu_norm_bound_hint():
     problem = relu_problem(circle_grid(100), lam=0.05, seed=0)
     f0 = np.ones(100)
-    assert problem.k_bound_hint == pytest.approx(eval_F(problem, f0) / 0.05)
+    _, k_bound = resolve_step(problem, parse_dgf("hyp"), SolverConfig(iters=1), f0)
+    assert k_bound == eval_F(problem, f0) / 0.05
+    assert problem.k_bound_hint == k_bound
 
 
 def test_regularizer_violation_and_value():

@@ -10,6 +10,7 @@ from bpgm import (
     kkt_residual,
     nonneg_tv,
     parse_dgf,
+    parse_regularizer,
     simplex,
     soft_threshold,
     solve_kappa,
@@ -295,3 +296,33 @@ def test_solve_kappa_norm_meets_target(v, dgf, K):
         assert l1(0.0) <= K + prox._KAPPA_TOL * max(1.0, K)
     else:
         assert _meets_target(l1, kappa, K, floor=0.0)
+
+
+_KKT_DGFS = [parse_dgf(t) for t in ("p:2", "p:1.5", "ent", "hyp")]
+_KKT_REGS = [
+    parse_regularizer(t)
+    for t in ("nonneg_tv:0", "nonneg_tv:0.05", "simplex", "tv:0.05", "tv_ball:0.3", "tv_ball:1")
+]
+
+
+@st.composite
+def _prox_inputs(draw):
+    m = draw(st.integers(2, 60))
+    bounded = hnp.arrays(
+        float, m, elements=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    )
+    return draw(bounded), draw(bounded), draw(st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dgf=st.sampled_from(_KKT_DGFS),
+    reg=st.sampled_from(_KKT_REGS),
+    inputs=_prox_inputs(),
+)
+def test_prox_step_meets_kkt_for_every_row(dgf, reg, inputs):
+    u, grad, s = inputs
+    grid = torus_grid(1, len(u))
+    state = MirrorState(dgf, grid, u, dgf.eta_prime_inv(u))
+    nxt = bregman_step(dgf, reg, state, grad, s)
+    assert kkt_residual(dgf, reg, state, nxt, grad, s).worst() <= 1e-8

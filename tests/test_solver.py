@@ -7,7 +7,6 @@ import pytest
 from bpgm import (
     SolverConfig,
     Trace,
-    bregman_div,
     build_problem,
     deconv_problem,
     eval_F,
@@ -22,9 +21,8 @@ from bpgm import (
     torus_grid,
     tv,
     tv_ball,
-    uniform_density,
 )
-from bpgm.grid import Density, dist_to_point
+from bpgm.grid import dist_to_point
 from bpgm.objective import LinearForm, Problem, SmoothObjective
 from bpgm.solver import default_k_bound, record_schedule, resolve_step
 
@@ -139,11 +137,11 @@ def test_pgm_guarantee_against_mollified_reference():
     config = SolverConfig(iters=2000)
     trace = run_pgm(problem, dgf, config)
     s = float(trace.meta["step"])
-    f0 = uniform_density(problem.grid)
+    f0 = np.ones(problem.grid.size)
     for eps in (0.02, 0.1):
         ref = mollify(problem, eps)
-        div = bregman_div(dgf, ref, f0)
-        ref_gap = eval_F(problem, ref.values) - problem.inf_value
+        div = dgf.divergence_values(problem.grid.weights, ref, f0)
+        ref_gap = eval_F(problem, ref) - problem.inf_value
         for i, k in enumerate(trace.k):
             if k == 0:
                 continue
@@ -231,10 +229,10 @@ def test_diverging_runs_end_labelled(token, reg, method):
     assert not trace.aborted or trace.meta["abort_reason"] in ("gradient", "objective")
 
 
-def test_start_density_from_another_grid_is_rejected():
+def test_start_density_of_wrong_shape_is_rejected():
     problem = build_problem("relu", grid_size=50)
-    f0 = uniform_density(torus_grid(1, 50))
-    with pytest.raises(ValueError, match="grid"):
+    f0 = np.ones(49)
+    with pytest.raises(ValueError, match="does not match grid size 50"):
         run_pgm(problem, parse_dgf("hyp"), SolverConfig(iters=5), f0=f0)
 
 
@@ -316,7 +314,7 @@ def test_repeated_runs_identical_up_to_wall_clock(tmp_path):
 
 def test_density_initial_point():
     problem = build_problem("deconv1d", grid_size=50)
-    f0 = Density(problem.grid, np.full(50, 0.5))
+    f0 = np.full(50, 0.5)
     trace = run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=5, record=(0,)))
     trace2 = run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=5, record=(0,)), f0=f0)
     assert trace.F[0] != trace2.F[0]
