@@ -51,16 +51,7 @@ from .objective import (
 )
 from .prox import MirrorState, bregman_step, kkt_residual, soft_threshold, solve_kappa
 from .solver import SolverConfig, Trace, gamma_next, run, run_apgm, run_pgm
-from .verify import (
-    CheckResult,
-    entropy_closed_form_check,
-    fd_gradient_check,
-    gamma_bound_check,
-    kkt_sweep,
-    mirror_flow_equivalence,
-    pinsker_sample,
-    run_all_checks,
-)
+from .verify import CheckResult, run_all_checks
 
 __version__ = "0.1.0"
 
@@ -76,7 +67,5 @@ __all__ = [
     "nonneg_tv", "parse_regularizer", "relu_problem", "simplex", "tv", "tv_ball",
     "MirrorState", "bregman_step", "kkt_residual", "soft_threshold", "solve_kappa",
     "SolverConfig", "Trace", "gamma_next", "run", "run_apgm", "run_pgm",
-    "CheckResult", "entropy_closed_form_check", "fd_gradient_check",
-    "gamma_bound_check", "kkt_sweep", "mirror_flow_equivalence",
-    "pinsker_sample", "run_all_checks",
+    "CheckResult", "run_all_checks",
 ]

@@ -155,8 +155,9 @@ class KktReport:
 
     stationarity: sup-norm distance of the implied multiplier from the
     admissible subdifferential of H at the new point; comp_slack: the
-    complementary-slackness residual |sum_j w_j phi^c_j h_j| of the
-    constraint part of the multiplier.
+    complementary-slackness residual of the constraint part of the
+    multiplier, |sum_j w_j phi^c_j h_j| relative to max(1, ||h||_L1)
+    for the clamp rows and |rho (K - ||h||_L1)| for the TV ball.
     """
 
     stationarity: float
@@ -167,60 +168,39 @@ class KktReport:
 
 
 def kkt_residual(dgf, reg, state_prev, state_next, grad, s):
-    """Check grad + (u_next - u_prev)/s + phi = 0 for admissible phi."""
+    """Check grad + (u_next - u_prev)/s + phi = 0 for admissible phi.
+
+    Mirrors bregman_step: one scalar per row and one of two multiplier
+    shapes. Clamp rows (nonneg_tv with c = lam, simplex with c = max r
+    on the support): phi = c on the support, phi <= c off it. Threshold
+    rows (tv with rho = lam, tv_ball with rho the median of r sign(h)
+    on the support when the ball is active, else 0): phi = rho sign(h)
+    on the support, |phi| <= rho off it.
+    """
     if state_prev.grid is not state_next.grid:
         raise ValueError("states must share a grid")
     w = state_next.grid.weights
     h = state_next.primal
     # The multiplier that would make the step exactly optimal:
     r = -np.asarray(grad, dtype=float) - (state_next.u - state_prev.u) / s
+    clamp = reg.kind in ("nonneg_tv", "simplex")
+    on = h > 0 if clamp else h != 0
+    l1 = float(np.sum(w * np.abs(h)))
 
-    if reg.kind == "nonneg_tv":
-        # phi = lam + nu with nu in d(indicator of h >= 0)
-        support = h > 0
-        stat = 0.0
-        if np.any(support):
-            stat = float(np.max(np.abs(r[support] - reg.lam)))
-        off = ~support
-        if np.any(off):
-            stat = max(stat, float(np.max(np.maximum(r[off] - reg.lam, 0.0))))
-        slack = abs(float(np.sum(w * np.minimum(r - reg.lam, 0.0) * h)))
-        return KktReport(stat, slack)
+    if reg.kind in ("nonneg_tv", "tv"):
+        c = reg.lam
+    elif reg.kind == "simplex":
+        c = float(np.max(r[on]))
+    elif reg.kind == "tv_ball":
+        active = l1 >= reg.radius - 1e-9 and np.any(on)
+        c = max(0.0, float(np.median(r[on] * np.sign(h[on])))) if active else 0.0
+    else:
+        raise ValueError(f"unknown regularizer kind {reg.kind!r}")
 
-    if reg.kind == "simplex":
-        # phi = c + nu: constant on the support, <= c elsewhere.
-        support = h > 0
-        c = float(np.max(r[support]))
-        stat = float(np.max(np.abs(r[support] - c)))
-        off = ~support
-        if np.any(off):
-            stat = max(stat, float(np.max(np.maximum(r[off] - c, 0.0))))
-        slack = abs(float(np.sum(w * np.minimum(r - c, 0.0) * h)))
-        return KktReport(stat, slack)
-
-    if reg.kind == "tv":
-        sgn = np.sign(h)
-        on = sgn != 0
-        stat = 0.0
-        if np.any(on):
-            stat = float(np.max(np.abs(r[on] - reg.lam * sgn[on])))
-        if np.any(~on):
-            stat = max(stat, float(np.max(np.abs(r[~on])) - reg.lam), 0.0)
-        return KktReport(stat, 0.0)
-
-    if reg.kind == "tv_ball":
-        l1 = float(np.sum(w * np.abs(h)))
-        on = h != 0
-        if l1 < reg.radius - 1e-9 or not np.any(on):
-            rho = 0.0
-        else:
-            rho = max(0.0, float(np.median(r[on] * np.sign(h[on]))))
-        stat = 0.0
-        if np.any(on):
-            stat = float(np.max(np.abs(r[on] - rho * np.sign(h[on]))))
-        if np.any(~on):
-            stat = max(stat, float(np.max(np.abs(r[~on])) - rho), 0.0)
-        slack = abs(rho * (reg.radius - l1))
-        return KktReport(stat, slack)
-
-    raise ValueError(f"unknown regularizer kind {reg.kind!r}")
+    if clamp:
+        dev = (np.abs(r[on] - c), np.maximum(r[~on] - c, 0.0))
+        slack = abs(float(np.sum(w * np.minimum(r - c, 0.0) * h))) / max(1.0, l1)
+    else:
+        dev = (np.abs(r[on] - c * np.sign(h[on])), np.abs(r[~on]) - c)
+        slack = abs(c * (reg.radius - l1)) if reg.kind == "tv_ball" else 0.0
+    return KktReport(float(np.max(np.concatenate(dev), initial=0.0)), slack)

@@ -1,5 +1,11 @@
 """Independent oracles for the solver stack.
 
+Each check_* function runs one oracle at the sizes it is given, holds
+the measurement to its bound (written once, inside it) and returns a
+CheckResult: `detail` states the measured value next to the bound and
+`values` holds the measured numbers. A non-finite measurement fails
+its check.
+
 Nothing here reuses the formulas it checks: gradients are probed by
 central differences, prox steps by explicit KKT multipliers, entropy
 iterates by their closed form, divergence strong convexity by random
@@ -33,36 +39,65 @@ from .prox import MirrorState, bregman_step, kkt_residual
 from .solver import SolverConfig, gamma_next, resolve_step, run_pgm
 
 
-def fd_gradient_check(problem, f=None, n_dirs=5, t=1e-5, seed=0):
-    """Max relative error of the potential against central differences.
+@dataclass
+class CheckResult:
+    """Outcome of one acceptance check; detail states the measured value
+    next to the bound it was held to, values holds the measured numbers."""
+
+    name: str
+    passed: bool
+    detail: str
+    values: dict
+
+
+def _fold(reduce, measured):
+    """reduce (np.max or np.min) over the measurements, or NaN when any
+    of them is not finite, so that no bound passes it."""
+    a = np.asarray(measured, dtype=float)
+    return float(reduce(a)) if np.all(np.isfinite(a)) else math.nan
+
+
+# Grid sizes (points per axis) of the finite-difference gradient check.
+FD_GRID_SIZES = {
+    "deconv1d": 50, "deconv2d": 8, "relu": 200,
+    "lb:I": 100, "lb:I*": 100, "lb:II": 100, "lb:II*": 100,
+}
+
+
+def check_fd_gradient(problems=None, seed=0):
+    """Potential against central differences on every registered problem.
 
     Probes (G(f + t d) - G(f - t d)) / (2 t) versus the pairing
-    sum_j w_j d_j G'[f]_j along n_dirs random directions.
+    sum_j w_j d_j G'[f]_j along five random directions d at a random f
+    near 1. `problems` maps names to problems (default: every registered
+    token at its FD_GRID_SIZES size); values holds the max relative
+    error of each.
     """
-    if not 1e-7 <= t <= 1e-3:
-        raise ValueError(f"probe size {t} outside [1e-7, 1e-3]")
-    rng = np.random.default_rng(seed)
-    w = problem.grid.weights
-    if f is None:
+    bound, t, n_dirs = 1e-5, 1e-5, 5
+    if problems is None:
+        problems = {
+            token: build_problem(token, grid_size=n) for token, n in FD_GRID_SIZES.items()
+        }
+    errors = {}
+    for name, problem in problems.items():
+        rng = np.random.default_rng(seed)
+        w = problem.grid.weights
         f = 1.0 + 0.3 * rng.standard_normal(problem.grid.size)
-    grad = problem.smooth.gradient(w, f)
-    worst = 0.0
-    for _ in range(n_dirs):
-        d = rng.standard_normal(problem.grid.size)
-        fd = (eval_G(problem, f + t * d) - eval_G(problem, f - t * d)) / (2.0 * t)
-        predicted = float(np.sum(w * d * grad))
-        err = abs(fd - predicted) / max(abs(predicted), abs(fd), 1e-10)
-        worst = max(worst, err)
-    return worst
-
-
-@dataclass
-class EntropyCheck:
-    """Deviation of entropy PGM iterates from their closed form."""
-
-    max_rel_dev: float
-    gap_slope: float
-    checkpoints: tuple
+        grad = problem.smooth.gradient(w, f)
+        errs = []
+        for _ in range(n_dirs):
+            d = rng.standard_normal(problem.grid.size)
+            fd = (eval_G(problem, f + t * d) - eval_G(problem, f - t * d)) / (2.0 * t)
+            predicted = float(np.sum(w * d * grad))
+            errs.append(abs(fd - predicted) / max(abs(predicted), abs(fd), 1e-10))
+        errors[name] = _fold(np.max, errs)
+    worst = _fold(np.max, list(errors.values()))
+    return CheckResult(
+        "fd_gradient",
+        worst <= bound,
+        f"{len(problems)} problems, max rel err {worst:.3e} (<= {bound:g})",
+        errors,
+    )
 
 
 def _log_normalized(weights, logs):
@@ -70,7 +105,7 @@ def _log_normalized(weights, logs):
     return logs - (c + np.log(float(np.sum(weights * np.exp(logs - c)))))
 
 
-def entropy_closed_form_check(grid, s=None, k_max=10_000):
+def check_entropy_closed_form(m=300, k_max=10_000):
     """Entropy PGM on the linear simplex problem vs f_k = exp(-k s Phi)/Z.
 
     The mirror update is additive, u_{k+1} = u_k - s Phi + const, so
@@ -79,30 +114,112 @@ def entropy_closed_form_check(grid, s=None, k_max=10_000):
     entries) at geometric checkpoints, and fits the gap slope over
     [k_max/10, k_max], which the construction pins at -1.
 
-    The default step s = 100/k_max ends the run at Gibbs width
-    1/(k_max s) = 0.01, inside the continuum regime for the grids used
-    here; past that width the mass sits on a few cells and the gap
-    decays exponentially instead. It also starts the fit window at
-    k s = 10, where the width is already well below the domain size.
+    The step s = 100/k_max ends the run at Gibbs width 1/(k_max s) =
+    0.01, inside the continuum regime for the grids used here; past
+    that width the mass sits on a few cells and the gap decays
+    exponentially instead. It also starts the fit window at k s = 10,
+    where the width is already well below the domain size.
     """
-    if s is None:
-        s = 100.0 / k_max
+    dev_bound, slope_tol = 1e-10, 0.05
+    grid = torus_grid(1, m)
+    s = 100.0 / k_max
     problem = lb_problem(grid, "I")
     dgf = EntropyDgf()
     phi = problem.smooth.features[0]
-    w = grid.weights
     checkpoints = tuple(
         int(k) for k in np.unique(np.rint(np.geomspace(1, k_max, 9))) if k <= k_max
     )
-    worst = 0.0
+    devs = []
     for k in checkpoints:
         trace = run_pgm(problem, dgf, SolverConfig(iters=k, step=s, record=(k,)))
-        log_f = _log_normalized(w, trace.final_mirror)
-        log_ref = _log_normalized(w, -k * s * phi)
-        worst = max(worst, float(np.max(np.abs(np.expm1(log_f - log_ref)))))
+        log_f = _log_normalized(grid.weights, trace.final_mirror)
+        log_ref = _log_normalized(grid.weights, -k * s * phi)
+        devs.append(float(np.max(np.abs(np.expm1(log_f - log_ref)))))
+    dev = _fold(np.max, devs)
     trace = run_pgm(problem, dgf, SolverConfig(iters=k_max, step=s))
     slope, _ = fit_loglog(trace.k, trace.gap, window=(k_max / 10.0, float(k_max)))
-    return EntropyCheck(worst, slope, checkpoints)
+    return CheckResult(
+        "entropy_closed_form",
+        dev <= dev_bound and abs(slope + 1.0) <= slope_tol,
+        f"max rel dev {dev:.3e} (<= {dev_bound:g}), "
+        f"gap slope {slope:+.3f} (-1 +/- {slope_tol:g})",
+        {"max_rel_dev": dev, "gap_slope": slope, "checkpoints": checkpoints},
+    )
+
+
+def check_kkt_sweep(steps=1000, m=50, dgfs=None):
+    """Max prox optimality residual over (dgf x regularizer) PGM runs.
+
+    Twelve combinations by default: {p=2, entropy, hyperbolic} against
+    the four regularizer rows, each stepped `steps` times on a small 1D
+    deconvolution problem with the default admissible step. values maps
+    (dgf name, regularizer kind) to the worst residual of that run.
+    """
+    bound = 1e-8
+    if dgfs is None:
+        dgfs = (PowerDgf(2.0), EntropyDgf(), HyperbolicDgf())
+    grid = torus_grid(1, m)
+    residuals = {}
+    for dgf in dgfs:
+        for reg in (nonneg_tv(0.05), simplex(), tv(0.05), tv_ball(1.0)):
+            problem = deconv_problem(grid, reg)
+            f0 = np.ones(grid.size)
+            step, _ = resolve_step(problem, dgf, SolverConfig(iters=steps), f0)
+            state = MirrorState.from_primal(dgf, grid, f0)
+            measured = []
+            for _ in range(steps):
+                grad = problem.smooth.gradient(grid.weights, state.primal)
+                nxt = bregman_step(dgf, reg, state, grad, step)
+                report = kkt_residual(dgf, reg, state, nxt, grad, step)
+                measured += [report.stationarity, report.comp_slack]
+                state = nxt
+            residuals[(dgf.name, reg.kind)] = _fold(np.max, measured)
+    worst = _fold(np.max, list(residuals.values()))
+    return CheckResult(
+        "kkt_sweep",
+        len(residuals) == 12 and worst <= bound,
+        f"{len(residuals)} dgf x regularizer combinations (want 12), "
+        f"max residual {worst:.3e} (<= {bound:g})",
+        residuals,
+    )
+
+
+def check_pinsker(dgfs=None, m=100, n_samples=1000, seed=0):
+    """Worst margin D(f, g) - c(K) ||f - g||_L1^2 over random pairs.
+
+    Pairs are drawn with L1 norms spread over (0, K], K = 1; entropy
+    gets nonnegative samples. A correct strong-convexity constant keeps
+    every margin above -1e-12. Default: four dgfs; values maps each
+    dgf name to its worst margin.
+    """
+    bound, K = -1e-12, 1.0
+    if dgfs is None:
+        dgfs = (PowerDgf(2.0), PowerDgf(1.5), EntropyDgf(), HyperbolicDgf())
+    w = torus_grid(1, m).weights
+    margins = []
+    for dgf in dgfs:
+        rng = np.random.default_rng(seed)
+        c = sc_constant(dgf, K)
+        samples = []
+        for _ in range(n_samples):
+            pair = []
+            for _ in range(2):
+                raw = rng.standard_normal(w.size)
+                if dgf.domain == "nonnegative":
+                    raw = np.abs(raw)
+                norm = float(np.sum(w * np.abs(raw)))
+                pair.append(raw * (K * rng.uniform(0.05, 1.0) / norm))
+            f, g = pair
+            l1 = float(np.sum(w * np.abs(f - g)))
+            samples.append(dgf.divergence_values(w, f, g) - c * l1**2)
+        margins.append((dgf.name, _fold(np.min, samples)))
+    worst = _fold(np.min, [margin for _, margin in margins])
+    return CheckResult(
+        "pinsker_margins",
+        worst >= bound,
+        f"{len(dgfs)} dgfs x {n_samples} pairs, worst margin {worst:.3e} (>= {bound:g})",
+        dict(margins),
+    )
 
 
 def flow_test_problem(m=200):
@@ -121,19 +238,8 @@ def flow_test_problem(m=200):
     return Problem(name="flow-test", grid=grid, smooth=smooth, reg=tv(0.0))
 
 
-@dataclass
-class FlowCheck:
-    """Euler trajectory gaps at one step size and its half."""
-
-    gap_step: float
-    gap_half: float
-
-    @property
-    def ratio(self):
-        return self.gap_step / self.gap_half
-
-
 def _euler_gap(problem, step, horizon, variant):
+    """Sup gap of the two Euler trajectories at the horizon; NaN on blow-up."""
     smooth, w = problem.smooth, problem.grid.weights
     n = int(round(horizon / step))
     m = problem.grid.size
@@ -146,7 +252,7 @@ def _euler_gap(problem, step, horizon, variant):
             f = f - step * 2.0 * f * smooth.gradient(w, f**2)
             u = u - step * 4.0 * smooth.gradient(w, np.exp(u))
         h_gd, h_mf = f**2, np.exp(u)
-    elif variant == "diff":
+    else:
         # (a) joint flow of (f, g) for F(f^2 - g^2), h = f^2 - g^2
         # (b) hyperbolic mirror flow of 4F with beta = 2 f0 g0
         f0, g0 = 1.25, 0.75
@@ -158,187 +264,53 @@ def _euler_gap(problem, step, horizon, variant):
             f, g = f - step * 2.0 * f * grad, g + step * 2.0 * g * grad
             u = u - step * 4.0 * smooth.gradient(w, beta * np.sinh(u))
         h_gd, h_mf = f**2 - g**2, beta * np.sinh(u)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     for h in (h_gd, h_mf):
         if not np.all(np.isfinite(h)) or np.max(np.abs(h)) > 1e6:
-            raise RuntimeError(f"flow blow-up at step {step} ({variant})")
+            return math.nan
     return float(np.max(np.abs(h_gd - h_mf)))
 
 
-def mirror_flow_equivalence(problem=None, step=1e-3, horizon=1.0, variant="square"):
+def check_mirror_flow(variant, horizon=1.0):
     """First-order agreement of reparameterized gradient flow and mirror flow.
 
     In continuous time the squared parameterization follows the entropy
     mirror flow of 4F exactly (and the difference-of-squares one the
     hyperbolic flow with beta = 2 f0 g0); with explicit Euler the
     trajectory gap is O(step), so halving the step should roughly halve
-    the gap.
+    the gap: their ratio should be near 2. A trajectory that blows up
+    fails the check.
     """
-    if problem is None:
-        problem = flow_test_problem()
-    return FlowCheck(
-        _euler_gap(problem, step, horizon, variant),
-        _euler_gap(problem, step / 2.0, horizon, variant),
-    )
-
-
-def pinsker_sample(dgf, grid, K=1.0, n_samples=1000, seed=0):
-    """Worst margin D(f, g) - c(K) ||f - g||_L1^2 over random pairs.
-
-    Pairs are drawn with L1 norms spread over (0, K]; entropy gets
-    nonnegative samples. A correct strong-convexity constant keeps
-    every margin above -1e-12.
-    """
-    rng = np.random.default_rng(seed)
-    c = sc_constant(dgf, K)
-    w = grid.weights
-    worst = math.inf
-    for _ in range(n_samples):
-        pair = []
-        for _ in range(2):
-            raw = rng.standard_normal(grid.size)
-            if dgf.domain == "nonnegative":
-                raw = np.abs(raw)
-            norm = float(np.sum(w * np.abs(raw)))
-            target = K * rng.uniform(0.05, 1.0)
-            pair.append(raw * (target / norm))
-        f, g = pair
-        margin = dgf.divergence_values(w, f, g) - c * float(np.sum(w * np.abs(f - g))) ** 2
-        worst = min(worst, margin)
-    return worst
-
-
-def kkt_sweep(steps=1000, m=50, dgfs=None, lam=0.05, radius=1.0):
-    """Max prox optimality residual over (dgf x regularizer) PGM runs.
-
-    Twelve combinations by default: {p=2, entropy, hyperbolic} against
-    the four regularizer rows, each stepped `steps` times on a small
-    1D deconvolution problem with the default admissible step.
-    """
-    if dgfs is None:
-        dgfs = (PowerDgf(2.0), EntropyDgf(), HyperbolicDgf())
-    regs = (nonneg_tv(lam), simplex(), tv(lam), tv_ball(radius))
-    grid = torus_grid(1, m)
-    results = {}
-    for dgf in dgfs:
-        for reg in regs:
-            problem = deconv_problem(grid, reg)
-            f0 = np.ones(grid.size)
-            step, _ = resolve_step(problem, dgf, SolverConfig(iters=steps), f0)
-            state = MirrorState.from_primal(dgf, grid, f0)
-            worst = 0.0
-            for _ in range(steps):
-                grad = problem.smooth.gradient(grid.weights, state.primal)
-                nxt = bregman_step(dgf, reg, state, grad, step)
-                worst = max(
-                    worst, kkt_residual(dgf, reg, state, nxt, grad, step).worst()
-                )
-                state = nxt
-            results[(dgf.name, reg.kind)] = worst
-    return results
-
-
-def gamma_bound_check(k_max=1_000_000):
-    """Largest violation of 0 < gamma_k <= min(1, 2/(k+2)) up to k_max."""
-    gamma, worst = 1.0, 0.0
-    for k in range(k_max + 1):
-        if not 0.0 < gamma <= 1.0:
-            return math.inf
-        worst = max(worst, gamma - 2.0 / (k + 2))
-        gamma = gamma_next(gamma)
-    return worst
-
-
-@dataclass
-class CheckResult:
-    """Outcome of one acceptance check; detail states the measured value
-    next to the bound it was held to."""
-
-    name: str
-    passed: bool
-    detail: str
-
-
-# Grid sizes (points per axis) of the finite-difference gradient check.
-FD_GRID_SIZES = {
-    "deconv1d": 50, "deconv2d": 8, "relu": 200,
-    "lb:I": 100, "lb:I*": 100, "lb:II": 100, "lb:II*": 100,
-}
-
-
-def check_fd_gradient(grid_sizes=FD_GRID_SIZES, seed=0):
-    """Potential against finite differences on every registered problem."""
-    bound = 1e-5
-    worst = max(
-        fd_gradient_check(build_problem(token, grid_size=n), seed=seed)
-        for token, n in grid_sizes.items()
-    )
+    if variant not in ("square", "diff"):
+        raise ValueError(f"unknown variant {variant!r}")
+    lo, hi, step = 1.5, 2.5, 1e-3
+    name = f"mirror_flow_{variant}"
+    problem = flow_test_problem()
+    values = {}
+    for key, s in (("gap_step", step), ("gap_half", step / 2.0)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values[key] = _euler_gap(problem, s, horizon, variant)
+        if math.isnan(values[key]):
+            return CheckResult(name, False, f"flow blow-up at step {s:g}", values)
+    ratio = values["gap_step"] / values["gap_half"]
     return CheckResult(
-        "fd_gradient",
-        worst <= bound,
-        f"{len(grid_sizes)} problems, max rel err {worst:.3e} (<= {bound:g})",
-    )
-
-
-def check_entropy_closed_form(m=300, k_max=10_000):
-    """Entropy iterates against their closed form; gap slope against -1."""
-    dev_bound, slope_tol = 1e-10, 0.05
-    check = entropy_closed_form_check(torus_grid(1, m), k_max=k_max)
-    ok = check.max_rel_dev <= dev_bound and abs(check.gap_slope + 1.0) <= slope_tol
-    return CheckResult(
-        "entropy_closed_form",
-        ok,
-        f"max rel dev {check.max_rel_dev:.3e} (<= {dev_bound:g}), "
-        f"gap slope {check.gap_slope:+.3f} (-1 +/- {slope_tol:g})",
-    )
-
-
-def check_kkt_sweep(steps=1000, m=50):
-    """Prox KKT residuals over all twelve dgf x regularizer combinations."""
-    bound = 1e-8
-    sweep = kkt_sweep(steps=steps, m=m)
-    worst = max(sweep.values())
-    return CheckResult(
-        "kkt_sweep",
-        len(sweep) == 12 and worst <= bound,
-        f"{len(sweep)} dgf x regularizer combinations (want 12), "
-        f"max residual {worst:.3e} (<= {bound:g})",
-    )
-
-
-def check_pinsker(dgfs=None, m=100, n_samples=1000, seed=0):
-    """Strong-convexity margins of each dgf (default: four of them)."""
-    bound = -1e-12
-    if dgfs is None:
-        dgfs = (PowerDgf(2.0), PowerDgf(1.5), EntropyDgf(), HyperbolicDgf())
-    grid = torus_grid(1, m)
-    worst = min(pinsker_sample(dgf, grid, n_samples=n_samples, seed=seed) for dgf in dgfs)
-    return CheckResult(
-        "pinsker_margins",
-        worst >= bound,
-        f"{len(dgfs)} dgfs x {n_samples} pairs, worst margin {worst:.3e} (>= {bound:g})",
-    )
-
-
-def check_mirror_flow(variant):
-    """Euler gap ratio between a step and its half, which should be near 2."""
-    lo, hi = 1.5, 2.5
-    ratio = mirror_flow_equivalence(variant=variant).ratio
-    return CheckResult(
-        f"mirror_flow_{variant}",
-        lo <= ratio <= hi,
-        f"gap ratio {ratio:.3f} (in [{lo:g}, {hi:g}])",
+        name, lo <= ratio <= hi, f"gap ratio {ratio:.3f} (in [{lo:g}, {hi:g}])", values
     )
 
 
 def check_gamma_bound(k_max=1_000_000):
     """0 < gamma_k <= min(1, 2/(k+2)), exactly, for every k <= k_max."""
-    worst = gamma_bound_check(k_max)
+    gamma, worst = 1.0, 0.0
+    for k in range(k_max + 1):
+        if not 0.0 < gamma <= 1.0:
+            worst = math.inf
+            break
+        worst = max(worst, gamma - 2.0 / (k + 2))
+        gamma = gamma_next(gamma)
     return CheckResult(
         "gamma_bound",
         worst <= 0.0,
         f"max (gamma_k - 2/(k+2)) = {worst:.3e} over k <= {k_max:g} (<= 0)",
+        {"max_excess": worst},
     )
 
 

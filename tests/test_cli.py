@@ -10,6 +10,7 @@ from bpgm import SolverConfig, build_problem, parse_dgf, run_pgm, solver, torus_
 from bpgm.analysis import EnvelopeCurve
 from bpgm.cli import main
 from bpgm.solver import Trace
+from bpgm.verify import CheckResult
 
 
 def run_cli(*argv):
@@ -366,8 +367,24 @@ def test_run_nonfinite_gradient_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_verify_fast(capsys):
     assert run_cli("verify", "--fast") == 0
-    text = capsys.readouterr().out
-    assert "checks passed" in text
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == [
+        "fd_gradient", "entropy_closed_form", "kkt_sweep", "pinsker_margins",
+        "mirror_flow_square", "mirror_flow_diff", "gamma_bound",
+    ]
+    assert all(line.split()[1] == "PASS" for line in lines[:-1])
+    assert lines[-1] == "7/7 checks passed"
+
+
+def test_verify_failure_exits_3(monkeypatch, capsys):
+    results = [
+        CheckResult("good", True, "fine", {"x": 0.0}),
+        CheckResult("bad", False, "measured 2 (<= 1)", {"x": 2.0}),
+    ]
+    monkeypatch.setattr("bpgm.cli.run_all_checks", lambda seed, fast: results)
+    assert run_cli("verify", "--fast") == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["good  PASS  fine", "bad   FAIL  measured 2 (<= 1)", "1/2 checks passed"]
 
 
 def test_inf_value_from_reference_trace(tmp_path):

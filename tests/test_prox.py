@@ -326,3 +326,28 @@ def test_prox_step_meets_kkt_for_every_row(dgf, reg, inputs):
     state = MirrorState(dgf, grid, u, dgf.eta_prime_inv(u))
     nxt = bregman_step(dgf, reg, state, grad, s)
     assert kkt_residual(dgf, reg, state, nxt, grad, s).worst() <= 1e-8
+
+
+@st.composite
+def _wide_prox_inputs(draw):
+    m = draw(st.integers(2, 60))
+    wide = hnp.arrays(
+        float, m, elements=st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False)
+    )
+    return draw(wide), draw(wide), draw(st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dgf=st.sampled_from(_KKT_DGFS),
+    reg=st.sampled_from([r for r in _KKT_REGS if r.kind in ("nonneg_tv", "simplex")]),
+    inputs=_wide_prox_inputs(),
+)
+def test_clamp_rows_meet_kkt_on_wide_domain(dgf, reg, inputs):
+    """Complementary slackness is relative to the primal scale, so entropy
+    and hyperbolic densities near e^300 do not inflate it."""
+    u, grad, s = inputs
+    grid = torus_grid(1, len(u))
+    state = MirrorState(dgf, grid, u, dgf.eta_prime_inv(u))
+    nxt = bregman_step(dgf, reg, state, grad, s)
+    assert kkt_residual(dgf, reg, state, nxt, grad, s).worst() <= 1e-8

@@ -1,53 +1,66 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bpgm import (
-    EntropyDgf,
-    HyperbolicDgf,
-    PowerDgf,
-    build_problem,
-    entropy_closed_form_check,
-    fd_gradient_check,
-    kkt_sweep,
-    mirror_flow_equivalence,
-    pinsker_sample,
-    run_all_checks,
-    torus_grid,
-)
-from bpgm.objective import SmoothObjective
+import bpgm
+from bpgm import EntropyDgf, HyperbolicDgf, PowerDgf, build_problem, run_all_checks
+from bpgm import verify
+from bpgm.objective import SmoothObjective, SquaredResidual
 from bpgm.verify import (
     check_entropy_closed_form,
+    check_fd_gradient,
     check_gamma_bound,
     check_kkt_sweep,
+    check_mirror_flow,
     check_pinsker,
     flow_test_problem,
 )
 
 
+def _with_gradient(problem, scale_gradient):
+    """The problem with its smooth gradient passed through scale_gradient."""
+
+    class Altered(SmoothObjective):
+        def gradient(self, weights, f):
+            return scale_gradient(super().gradient(weights, f))
+
+    sm = problem.smooth
+    altered = Altered(sm.features, sm.outer, sm.feature_weights, sm.phi_lip_class)
+    return replace(problem, smooth=altered)
+
+
 def test_fd_gradient_check_clean():
     problem = build_problem("deconv1d", grid_size=50, lam=0.1)
-    assert fd_gradient_check(problem, seed=0) <= 1e-6
+    result = check_fd_gradient(problems={"deconv1d": problem}, seed=0)
+    assert result.values["deconv1d"] <= 1e-6
+    assert result.passed, result.detail
 
 
 def test_fd_gradient_check_catches_wrong_gradient():
-    class Crooked(SmoothObjective):
-        def gradient(self, weights, f):
-            return 1.01 * super().gradient(weights, f)
+    bad = _with_gradient(build_problem("deconv1d", grid_size=50), lambda g: 1.01 * g)
+    result = check_fd_gradient(problems={"deconv1d": bad}, seed=0)
+    assert result.values["deconv1d"] > 1e-3
+    assert not result.passed
 
-    problem = build_problem("deconv1d", grid_size=50)
-    sm = problem.smooth
-    crooked = Crooked(sm.features, sm.outer, sm.feature_weights, sm.phi_lip_class)
-    bad = replace(problem, smooth=crooked)
-    assert fd_gradient_check(bad, seed=0) > 1e-3
+
+def test_fd_gradient_check_fails_on_nan_gradient():
+    def one_nan(g):
+        g = g.copy()
+        g[7] = np.nan
+        return g
+
+    bad = _with_gradient(build_problem("deconv1d", grid_size=50), one_nan)
+    result = check_fd_gradient(problems={"deconv1d": bad}, seed=0)
+    assert not result.passed, result.detail
+    assert "nan" in result.detail
 
 
 def test_entropy_closed_form_check_contract():
-    check = entropy_closed_form_check(torus_grid(1, 300), k_max=1000)
-    assert check.checkpoints[0] == 1
-    assert check.checkpoints[-1] == 1000
     result = check_entropy_closed_form(m=300, k_max=1000)
+    assert result.values["checkpoints"][0] == 1
+    assert result.values["checkpoints"][-1] == 1000
     assert result.passed, result.detail
 
 
@@ -62,28 +75,55 @@ def test_pinsker_catches_deflated_divergence():
         def divergence_values(self, weights, f, g):
             return 0.5 * super().divergence_values(weights, f, g)
 
-    worst = pinsker_sample(Deflated(2.0), torus_grid(1, 80), n_samples=300, seed=1)
-    assert worst < -1e-6
+    result = check_pinsker(dgfs=(Deflated(2.0),), m=80, n_samples=300, seed=1)
+    assert result.values["p:2"] < -1e-6
+    assert not result.passed
+
+
+def test_pinsker_fails_on_nan_divergence():
+    class NanDivergence(PowerDgf):
+        def divergence_values(self, weights, f, g):
+            return np.nan
+
+    result = check_pinsker(dgfs=(NanDivergence(2.0),), m=80, n_samples=300, seed=1)
+    assert not result.passed, result.detail
+    assert "worst margin nan" in result.detail
 
 
 def test_kkt_sweep_all_combinations():
-    results = kkt_sweep(steps=50, m=30)
-    assert {name for name, _ in results} == {"p:2", "ent", "hyp:0.001"}
-    assert {kind for _, kind in results} == {"nonneg_tv", "simplex", "tv", "tv_ball"}
     result = check_kkt_sweep(steps=50, m=30)
+    assert {name for name, _ in result.values} == {"p:2", "ent", "hyp:0.001"}
+    assert {kind for _, kind in result.values} == {"nonneg_tv", "simplex", "tv", "tv_ball"}
     assert result.passed, result.detail
 
 
 @pytest.mark.parametrize("variant", ["square", "diff"])
 def test_mirror_flow_halving(variant):
-    check = mirror_flow_equivalence(variant=variant, step=1e-3, horizon=0.5)
-    assert check.gap_half < check.gap_step
-    assert check.ratio == pytest.approx(2.0, abs=0.2)
+    result = check_mirror_flow(variant, horizon=0.5)
+    gap_step, gap_half = result.values["gap_step"], result.values["gap_half"]
+    assert gap_half < gap_step
+    assert gap_step / gap_half == pytest.approx(2.0, abs=0.2)
 
 
 def test_mirror_flow_unknown_variant():
     with pytest.raises(ValueError):
-        mirror_flow_equivalence(variant="cube")
+        check_mirror_flow("cube")
+
+
+@pytest.mark.parametrize("variant", ["square", "diff"])
+def test_mirror_flow_blow_up_fails_the_check(variant, monkeypatch):
+    # A 2e5-fold steeper quadratic: explicit Euler at step 1e-3 diverges.
+    problem = flow_test_problem()
+    sm = problem.smooth
+    steep = SmoothObjective(
+        sm.features, SquaredResidual(np.zeros(1), scale=1e5), phi_lip_class=sm.phi_lip_class
+    )
+    monkeypatch.setattr(verify, "flow_test_problem", lambda: replace(problem, smooth=steep))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = check_mirror_flow(variant)
+    assert not result.passed
+    assert result.detail == "flow blow-up at step 0.001"
 
 
 def test_flow_test_problem_shape():
@@ -105,17 +145,31 @@ def test_run_all_checks_fast():
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
         assert r.detail
+        assert r.values
 
 
 def test_pinsker_check_covers_four_dgfs():
     result = check_pinsker(m=50, n_samples=20)
     assert result.passed, result.detail
     assert result.detail.startswith("4 dgfs")
+    assert set(result.values) == {"p:2", "p:1.5", "ent", "hyp:0.001"}
 
 
-def test_kkt_check_requires_twelve_combinations(monkeypatch):
-    eleven = {(f"dgf{i}", "tv"): 0.0 for i in range(11)}
-    monkeypatch.setattr("bpgm.verify.kkt_sweep", lambda steps, m: eleven)
-    result = check_kkt_sweep(steps=5, m=30)
+def test_kkt_check_requires_twelve_combinations():
+    result = check_kkt_sweep(steps=5, m=30, dgfs=(PowerDgf(2.0), EntropyDgf()))
+    assert len(result.values) == 8
     assert not result.passed
-    assert "11 dgf x regularizer combinations" in result.detail
+    assert "8 dgf x regularizer combinations" in result.detail
+
+
+def test_package_exports():
+    names = bpgm.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(bpgm, name) is not None
+    raw = {
+        "fd_gradient_check", "entropy_closed_form_check", "kkt_sweep",
+        "pinsker_sample", "mirror_flow_equivalence", "gamma_bound_check",
+    }
+    assert not raw & set(names)
+    assert not any(hasattr(verify, name) for name in raw | {"EntropyCheck", "FlowCheck"})
