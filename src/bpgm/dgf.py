@@ -32,7 +32,8 @@ class Dgf:
     Subclasses set `name`, `domain` ("signed" or "nonnegative") and the
     relative-strong-convexity parameters `p` (exponent) and `beta`
     (offset), and implement eta, eta_prime, eta_prime_inv, eta_second
-    as numpy ufunc-style maps.
+    as numpy ufunc-style maps. eta_second is the slope of the dual
+    equation in prox.solve_kappa: d/du eta'^{-1}(u) = 1 / eta''(eta'^{-1}(u)).
     """
 
     name = None

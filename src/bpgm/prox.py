@@ -11,23 +11,20 @@ back: a plain shift (entropy, whose domain is already nonnegative), a
 shift clamped at eta'(0) = 0 (sign constraint) or a soft threshold
 (TV). For the TV weight kappa = s * lam; for the mass and norm
 constraints kappa is the dual shift of solve_kappa, closed form for
-entropy and found by bisection for the signed dgfs.
+entropy and found by a monotone Newton iteration for the signed dgfs.
 
 All updates satisfy the first-order optimality condition
 
     grad + (u_next - u_prev) / s + phi = 0,   phi in dH(h_next),
 
-exactly up to the root-finder tolerance; kkt_residual reconstructs phi
-and measures the violation, which doubles as a solver self-check.
+up to rounding; kkt_residual reconstructs phi and measures the
+violation, which doubles as a solver self-check.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_KAPPA_TOL = 1e-12
-_MAX_BISECT = 200
 
 
 @dataclass
@@ -64,27 +61,6 @@ def soft_threshold(a, kappa):
     return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
 
 
-def _mass(dgf, weights, a, kappa):
-    """sum_j w_j eta'^{-1}((a_j - kappa)_+) for a signed dgf."""
-    return float(np.sum(weights * dgf.eta_prime_inv(np.maximum(a - kappa, 0.0))))
-
-
-def _bisect(fun, lo, hi, target):
-    """Bisect decreasing `fun` to fun(kappa) = target; returns kappa."""
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        res = fun(mid) - target
-        if abs(res) <= _KAPPA_TOL * max(1.0, abs(target)):
-            return mid
-        if res > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _KAPPA_TOL * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def solve_kappa(dgf, weights, a, target):
     """The dual shift kappa with sum_j w_j eta'^{-1}((a_j - kappa)_+) = target.
 
@@ -94,6 +70,17 @@ def solve_kappa(dgf, weights, a, target):
     primal into this sum) or a = v (entropy) and target K, kappa then
     clipped at 0. For entropy the clamp is void and
     kappa = log(sum_j w_j e^{a_j} / target) in closed form.
+
+    For the signed dgfs M(kappa), the sum above, is decreasing and
+    convex, since eta'^{-1} is increasing and convex on [0, inf) with
+    eta'^{-1}(0) = 0. So Newton's method, with slope
+    -sum_{a > kappa} w / eta''(eta'^{-1}(a - kappa)), climbs to the root
+    monotonically from any point left of it. It starts at the larger of
+    two lower bounds: min a - eta'(target), where every term is at least
+    target (the weights sum to 1), and a_j - eta'(target / w_j) at the
+    largest a_j, where that term alone is target. It stops once an
+    update no longer increases kappa: the iterates are increasing floats
+    bounded by the root, so the loop needs no tolerance and no cap.
     """
     if target <= 0:
         raise ValueError(f"dual target must be positive, got {target}")
@@ -102,15 +89,24 @@ def solve_kappa(dgf, weights, a, target):
         # Zero densities sit at a = -inf and drop out of the sum.
         c = float(np.max(a))
         kappa = c + np.log(float(np.sum(weights * np.exp(a - c))) / target)
+    elif math.isfinite(lo := float(np.min(a))):
+        # A -inf entry would drop out of the sum unnoticed, so it fails here.
+        top = int(np.argmax(a))
+        kappa = max(lo - float(dgf.eta_prime(target)),
+                    float(a[top] - dgf.eta_prime(target / weights[top])))
+        while True:
+            on = a > kappa
+            w, h = weights[on], dgf.eta_prime_inv(a[on] - kappa)
+            excess = float(np.sum(w * h)) - target
+            # At or past the root the update cannot increase kappa.
+            if excess <= 0.0:
+                break
+            step = excess / float(np.sum(w / dgf.eta_second(h)))
+            if kappa + step <= kappa:
+                break
+            kappa += step
     else:
-        # The weights sum to 1 and the clamped mirror map is increasing,
-        # so the sum is >= target once every a - kappa >= eta'(target)
-        # and <= target once every a - kappa <= eta'(target).
-        t = float(dgf.eta_prime(target))
-        lo, hi = float(np.min(a)) - t, float(np.max(a)) - t
         kappa = math.nan
-        if math.isfinite(lo) and math.isfinite(hi):
-            kappa = _bisect(lambda k: _mass(dgf, weights, a, k), lo, hi, target)
     if not math.isfinite(kappa):
         raise ValueError("mirror point must be finite for the dual search")
     return kappa

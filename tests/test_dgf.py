@@ -1,7 +1,9 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bpgm import (
     EntropyDgf,
@@ -72,6 +74,22 @@ def test_eta_second_positive():
     for d in (PowerDgf(2.0), PowerDgf(1.5), HyperbolicDgf()):
         assert np.all(d.eta_second(s_signed) > 0)
     assert np.all(EntropyDgf().eta_second(np.abs(s_signed) + 1e-6) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    token=st.sampled_from(["p:2", "p:1.5", "hyp:0.001", "hyp:0.5", "ent"]),
+    mag=st.floats(1e-2, 30.0),
+    negative=st.booleans(),
+)
+def test_eta_second_matches_central_difference(token, mag, negative):
+    """eta_second drives the Newton dual solve; check it against
+    eta_prime, to 1e-6 relative."""
+    d = parse_dgf(token)
+    s = -mag if negative and d.domain == "signed" else mag
+    h = 1e-5 * mag
+    fd = (d.eta_prime(np.array([s + h])) - d.eta_prime(np.array([s - h])))[0] / (2.0 * h)
+    assert d.eta_second(np.array([s]))[0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_bregman_entropy_constant_densities():
