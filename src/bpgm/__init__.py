@@ -13,7 +13,6 @@ from .analysis import (
     fit_rate,
     mollify,
     psi_envelope,
-    reference_inf,
     theoretical_exponent,
 )
 from .dgf import (
@@ -57,7 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RateModel", "classify_setting", "fit_rate", "mollify", "psi_envelope",
-    "reference_inf", "theoretical_exponent",
+    "theoretical_exponent",
     "EntropyDgf", "HyperbolicDgf", "PowerDgf", "parse_dgf", "sc_constant",
     "step_size",
     "Grid", "ball_mass", "circle_grid", "dirac_density", "geodesic_dist",

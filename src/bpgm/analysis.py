@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgf import EntropyDgf, HyperbolicDgf, PowerDgf, parse_dgf
+from .dgf import EntropyDgf, HyperbolicDgf, PowerDgf
 from .grid import ball_mass, dist_to_point
 from .objective import density_values, eval_F, grad_potential, minimizer_density
-from .solver import SolverConfig, run_apgm, write_atomic
+from .solver import write_atomic
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def classify_setting(problem, tol=1e-10):
         return setting_exponent(problem.setting_tag)
     smooth_phi = problem.smooth.phi_lip_class == "gradient_lipschitz"
     candidates = (2, 4) if smooth_phi else (1, 2)
-    if not problem.mu_star:
+    if problem.mu_star is None:
         raise ValueError(
             f"cannot classify {problem.name}: no setting tag and no minimizer "
             f"to test the potential at; candidates are q={candidates[0]} "
@@ -107,7 +107,7 @@ def mollify(problem, eps):
     geodesic ball of radius eps, normalized by the ball's reference
     mass, so total signed mass is conserved exactly.
     """
-    if not problem.mu_star:
+    if problem.mu_star is None:
         raise ValueError(f"problem {problem.name} has no recorded minimizer")
     grid = problem.grid
     if eps <= grid.spacing:
@@ -171,7 +171,7 @@ def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):
     if problem.inf_value is None:
         raise ValueError(
             f"problem {problem.name} has no optimal value; attach one "
-            f"(closed form or converged reference) before computing the envelope"
+            f"(closed form or exact_optimum) before computing the envelope"
         )
     if eps_grid is None:
         eps_grid = default_eps_grid(problem.grid)
@@ -239,16 +239,3 @@ def fit_loglog(k, gap, window=(1e3, None), strip_log=False):
 def fit_rate(trace, window=(1e3, None), strip_log=False):
     """Slope and r^2 of a trace's suboptimality gap."""
     return fit_loglog(trace.k, trace.gap, window=window, strip_log=strip_log)
-
-
-def reference_inf(problem, iters, dgf_token="hyp:0.001", step=None):
-    """High-accuracy reference for the optimal value: long APGM run.
-
-    Returns the smallest objective value seen along the run. Use ~10x
-    the benchmark budget; cache the result, the run is the expensive
-    part.
-    """
-    dgf = parse_dgf(dgf_token)
-    config = SolverConfig(iters=iters, method="apgm", step=step)
-    trace = run_apgm(problem, dgf, config)
-    return float(np.min(trace.F))

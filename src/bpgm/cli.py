@@ -34,7 +34,7 @@ from .analysis import (
     theoretical_exponent,
 )
 from .dgf import parse_dgf
-from .objective import PROBLEM_TOKENS, build_problem, parse_regularizer
+from .objective import PROBLEM_TOKENS, build_problem, exact_optimum, parse_regularizer
 from .solver import SolverConfig, Trace, run as run_solver, write_atomic
 from .verify import run_all_checks
 
@@ -91,15 +91,19 @@ def _build_problem_from_args(args):
         lam=args.lam,
         seed=args.seed,
     )
-    inf_value = args.inf_value
-    if inf_value is not None and args.inf_value_from:
-        raise ValueError("give either --inf-value or --inf-value-from, not both")
-    if args.inf_value_from:
-        ref = Trace.read_csv(args.inf_value_from)
-        inf_value = float(np.nanmin(ref.F))
-    if inf_value is not None:
-        problem = problem.with_inf_value(inf_value)
-    return problem
+    return problem if problem.inf_value is not None else exact_optimum(problem)
+
+
+def _predicted_rate(meta, source):
+    """Rate model of a trace from its metadata: q from `setting`, d from `dim`."""
+    missing = [key for key in ("setting", "dim") if not meta.get(key)]
+    if missing:
+        raise ValueError(
+            f"trace {source} has no {' or '.join(missing)} metadata; "
+            f"rates needs the problem's setting tag and dimension"
+        )
+    q = setting_exponent(meta["setting"])
+    return theoretical_exponent(meta["method"], parse_dgf(meta["dgf"]), q, int(meta["dim"]))
 
 
 def _run_one(args):
@@ -127,28 +131,19 @@ def _run_one(args):
         )
         return 2, "\n".join(lines)
     final_F, final_gap = float(trace.F[-1]), float(trace.gap[-1])
-    lines.append(f"final F = {final_F:.6e}" + (
-        f", gap = {final_gap:.6e}" if math.isfinite(final_gap) else ""
-    ))
-    if np.any(np.nan_to_num(trace.gap) > 0):
-        q = classify_setting(problem)
-        model = theoretical_exponent(config.method, dgf, q, problem.grid.dim)
-        window = (args.fit_lo, float(config.iters) if args.fit_hi is None else args.fit_hi)
-        try:
-            # Raw fit: a log(k) factor in the theory does not move the
-            # asymptotic log-log slope, so the comparison stays direct.
-            slope, r2 = fit_rate(trace, window=window)
-            lines.append(
-                f"fitted slope {slope:+.3f} (r2 {r2:.4f}) over "
-                f"k in [{window[0]:g}, {window[1]:g}]; theory {model.describe()}"
-            )
-        except ValueError as exc:
-            lines.append(f"no slope fit: {exc}")
-    else:
+    lines.append(f"final F = {final_F:.6e}, gap = {final_gap:.6e}")
+    model = _predicted_rate(trace.meta, args.out)
+    window = (args.fit_lo, float(config.iters) if args.fit_hi is None else args.fit_hi)
+    try:
+        # Raw fit: a log(k) factor in the theory does not move the
+        # asymptotic log-log slope, so the comparison stays direct.
+        slope, r2 = fit_rate(trace, window=window)
         lines.append(
-            "no reference optimum recorded; pass --inf-value or --inf-value-from "
-            "to get gap columns and slope fits"
+            f"fitted slope {slope:+.3f} (r2 {r2:.4f}) over "
+            f"k in [{window[0]:g}, {window[1]:g}]; theory {model.describe()}"
         )
+    except ValueError as exc:
+        lines.append(f"no slope fit: {exc}")
     return 0, "\n".join(lines)
 
 
@@ -160,10 +155,10 @@ def cmd_run(args):
     out = args.out
     jobs = []
     for token in tokens:
-        if len(tokens) == 1:
-            path = out
-        elif "{dgf}" in out:
+        if "{dgf}" in out:
             path = out.replace("{dgf}", token.replace(":", "-"))
+        elif len(tokens) == 1:
+            path = out
         else:
             root, ext = os.path.splitext(out)
             path = f"{root}_{token.replace(':', '-')}{ext or '.csv'}"
@@ -187,15 +182,7 @@ def cmd_rates(args):
     rows = []
     for path in args.traces:
         trace = Trace.read_csv(path)
-        missing = [key for key in ("setting", "dim") if not trace.meta.get(key)]
-        if missing:
-            raise ValueError(
-                f"trace {path} has no {' or '.join(missing)} metadata; "
-                f"rates needs the problem's setting tag and dimension"
-            )
-        dgf = parse_dgf(trace.meta["dgf"])
-        q = setting_exponent(trace.meta["setting"])
-        model = theoretical_exponent(trace.meta["method"], dgf, q, int(trace.meta["dim"]))
+        model = _predicted_rate(trace.meta, path)
         slope, r2 = fit_loglog(trace.k, trace.gap, window=window)
         rows.append((path, trace.meta, slope, r2, model))
     header = f"{'trace':<40} {'fitted':>8} {'theory':>8} {'diff':>7} {'r2':>7}"
@@ -275,10 +262,6 @@ def build_parser():
     run_p.add_argument("--reg", help="nonneg_tv:<lam> | simplex | tv:<lam> | tv_ball:<K>")
     run_p.add_argument("--lam", type=float)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--inf-value", type=float)
-    run_p.add_argument(
-        "--inf-value-from", help="trace CSV whose minimum F serves as the reference optimum"
-    )
     run_p.add_argument("--fit-lo", type=float, default=1e3)
     run_p.add_argument("--fit-hi", type=float, help="default: --iters")
     run_p.add_argument("--out")
@@ -301,8 +284,6 @@ def build_parser():
     psi_p.add_argument("--reg")
     psi_p.add_argument("--lam", type=float)
     psi_p.add_argument("--seed", type=int, default=0)
-    psi_p.add_argument("--inf-value", type=float)
-    psi_p.add_argument("--inf-value-from")
     psi_p.add_argument("--alpha-lo", type=float, default=1e-6)
     psi_p.add_argument("--alpha-hi", type=float, default=1e-2)
     psi_p.add_argument("--alpha-count", type=int, default=25)

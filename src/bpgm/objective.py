@@ -221,8 +221,8 @@ class Problem:
     """A composite objective F = G + H on a fixed grid.
 
     inf_value, if set, is the optimal value of the discretized problem
-    (closed form where available, otherwise a converged reference);
-    mu_star describes a known sparse minimizer as (point, weight) atoms.
+    (closed form, or solved by exact_optimum); mu_star describes a known
+    sparse minimizer as (point, weight) atoms.
     k_bound_hint is an a-priori bound on sup_k ||f_k||_L1 along the
     iterations, used for default step sizes when the regularizer itself
     does not bound the norm.
@@ -274,11 +274,15 @@ def grad_potential(problem, f):
 
 
 def minimizer_density(problem):
-    """Value array of the known sparse minimizer mu_star on the grid, if any."""
-    if not problem.mu_star:
+    """Value array of the known sparse minimizer mu_star on the grid, if any.
+
+    An empty mu_star records the zero density.
+    """
+    if problem.mu_star is None:
         raise ValueError(f"problem {problem.name} has no recorded minimizer")
     return sum(
-        dirac_density(problem.grid, point, weight) for point, weight in problem.mu_star
+        (dirac_density(problem.grid, point, weight) for point, weight in problem.mu_star),
+        np.zeros(problem.grid.size),
     )
 
 
@@ -469,6 +473,71 @@ def relu_problem(grid, n=10, lam=0.05, seed=0):
         hint = eval_F(problem, f0) / lam
         problem = replace(problem, k_bound_hint=hint)
     return problem
+
+
+def exact_optimum(problem):
+    """The problem with its exact optimum recorded, by the Lasso homotopy.
+
+    Applies to a SquaredResidual smooth part under tv:lam with lam > 0.
+    In g = w f, with the feature rows and the target scaled by
+    sqrt(2 scale omega), G + H = 1/2 ||B g - z||^2 + lam ||g||_1. The
+    homotopy (Osborne, Presnell & Turlach 2000; Efron et al. 2004) lowers
+    mu from max |B^T z|, where g = 0, to lam. Between knots the active
+    coefficients solve B_A^T B_A g_A = B_A^T z - mu s_A, affine in mu;
+    the next knot is the largest mu below the current one at which an
+    inactive correlation reaches +-mu (join) or an active coefficient
+    reaches 0 (leave). The column that changed at a knot is barred from
+    the opposite event at the next one, else rounding makes the path
+    cycle. The atoms of mu_star are the pairs (grid point, g_j).
+
+    Raises ValueError for another outer or regularizer or for lam = 0,
+    and RuntimeError when the path stalls (10 m knots short of lam) or
+    the active Gram matrix is singular.
+    """
+    smooth, lam = problem.smooth, problem.reg.lam
+    if not isinstance(smooth.outer, SquaredResidual) or problem.reg.kind != "tv" or lam <= 0:
+        raise ValueError(
+            f"no exact solve for {problem.name} under {problem.reg.token}: it needs "
+            f"a squared residual under tv:<lam> with lam > 0"
+        )
+    row_scale = np.sqrt(2.0 * smooth.outer.scale * smooth.feature_weights)
+    B, z = row_scale[:, None] * smooth.features, row_scale * smooth.outer.target
+    m = problem.grid.size
+    mu, active, signs, barred = math.inf, [], [], None
+    for _ in range(10 * m):
+        B_A = B[:, active]
+        try:
+            u, v = np.linalg.solve(B_A.T @ B_A, np.stack([B_A.T @ z, signs], axis=1)).T
+        except np.linalg.LinAlgError:
+            raise RuntimeError(f"singular active Gram matrix at mu = {mu!r}") from None
+        # Below mu, g_A = u - t v and the correlations are p + t q.
+        p, q = B.T @ (z - B_A @ u), B.T @ (B_A @ v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            join, leave = np.stack([p / (1.0 - q), -p / (1.0 + q)]), u / v
+        join[:, active] = -np.inf
+        if barred in active:
+            leave[active.index(barred)] = -np.inf
+        elif barred is not None:
+            join[:, barred] = -np.inf
+        knots = np.concatenate([join.ravel(), leave])
+        knots[~(knots < mu)] = -np.inf
+        k = int(np.argmax(knots))
+        if knots[k] <= lam:
+            break
+        mu = float(knots[k])
+        if k < 2 * m:
+            side, barred = divmod(k, m)
+            active.append(barred)
+            signs.append(1.0 - 2.0 * side)
+        else:
+            barred = active.pop(k - 2 * m)
+            signs.pop(k - 2 * m)
+    else:
+        raise RuntimeError(f"Lasso homotopy stalled at mu = {mu!r} after {10 * m} knots")
+    g = np.zeros(m)
+    g[active] = u - lam * v
+    atoms = tuple((problem.grid.points[j], float(g[j])) for j in np.flatnonzero(g))
+    return replace(problem, inf_value=eval_F(problem, g / problem.grid.weights), mu_star=atoms)
 
 
 # -- CLI problem registry ---------------------------------------------------

@@ -15,7 +15,6 @@ from bpgm import (
     nonneg_tv,
     parse_dgf,
     psi_envelope,
-    reference_inf,
     run_pgm,
     theoretical_exponent,
     torus_grid,
@@ -230,10 +229,3 @@ def test_fit_rate_on_synthetic_trace():
     slope, r2 = fit_rate(trace, window=(100.0, None))
     assert -1.2 < slope < -0.4
     assert r2 > 0.9
-
-
-def test_reference_inf_returns_running_minimum():
-    problem = build_problem("deconv1d", grid_size=60, lam=0.3)
-    ref = reference_inf(problem, iters=20_000)
-    assert ref >= problem.inf_value - 1e-12
-    assert ref == pytest.approx(problem.inf_value, abs=1e-4)

@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from bpgm import SolverConfig, build_problem, parse_dgf, run_pgm, solver, torus_grid
+from bpgm import SolverConfig, build_problem, parse_dgf, run_apgm, run_pgm, solver, torus_grid
 from bpgm.analysis import EnvelopeCurve
-from bpgm.cli import main
+from bpgm.cli import _build_problem_from_args, build_parser, main
+from bpgm.objective import PROBLEM_TOKENS, eval_F, minimizer_density
 from bpgm.solver import Trace
-from bpgm.verify import CheckResult
+from bpgm.verify import FD_GRID_SIZES, CheckResult
 
 
 def run_cli(*argv):
@@ -137,6 +138,16 @@ def test_multi_dgf_fanout_placeholder(tmp_path):
     assert code == 0
     assert (tmp_path / "tr_p-2.csv").exists()
     assert (tmp_path / "tr_ent.csv").exists()
+
+
+def test_single_dgf_placeholder(tmp_path):
+    out = tmp_path / "pos_{dgf}.csv"
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--dgf", "p:2", "--grid-size", "50",
+        "--iters", "30", "--out", str(out),
+    )
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pos_p-2.csv"]
 
 
 def test_multi_dgf_fanout_suffix(tmp_path):
@@ -347,6 +358,48 @@ def test_psi_eps_count_alone_keeps_default_ends(tmp_path):
     assert eps_star and eps_star <= radii
 
 
+def test_psi_relu_uses_exact_optimum(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert run_cli("psi", "--problem", "relu", "--out", str(out)) == 0
+    assert "alpha-exponent" in capsys.readouterr().out
+    rows = [line for line in out.read_text().splitlines() if line[0].isdigit()]
+    assert len(rows) == 25
+
+
+def test_run_relu_fits_against_exact_optimum(tmp_path, capsys):
+    out = tmp_path / "relu.csv"
+    code = run_cli(
+        "run", "--problem", "relu", "--dgf", "p:2", "--iters", "2000", "--out", str(out),
+    )
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "fitted slope" in text and "theory k^(-0.5)" in text
+    assert float(Trace.read_csv(out).meta["inf_value"]) > 0.0
+
+
+def test_run_relu_without_tv_weight_is_usage_error(tmp_path, capsys):
+    code = run_cli(
+        "run", "--problem", "relu", "--lam", "0", "--dgf", "p:2", "--iters", "10",
+        "--k-bound", "10", "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 1
+    assert "lam > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", PROBLEM_TOKENS)
+def test_every_registered_problem_knows_its_optimum(token):
+    args = build_parser()[0].parse_args(
+        ["run", "--problem", token, "--grid-size", str(FD_GRID_SIZES[token])]
+    )
+    problem = _build_problem_from_args(args)
+    assert problem.inf_value is not None and problem.mu_star is not None
+    assert eval_F(problem, minimizer_density(problem)) == pytest.approx(
+        problem.inf_value, rel=1e-14, abs=0.0
+    )
+    trace = run_apgm(problem, parse_dgf("p:2"), SolverConfig(iters=300, method="apgm"))
+    assert np.min(trace.F) >= problem.inf_value - 1e-12
+
+
 def test_psi_requires_out():
     assert run_cli("psi", "--problem", "lb:I", "--grid-size", "200") == 1
 
@@ -385,33 +438,6 @@ def test_verify_failure_exits_3(monkeypatch, capsys):
     assert run_cli("verify", "--fast") == 3
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["good  PASS  fine", "bad   FAIL  measured 2 (<= 1)", "1/2 checks passed"]
-
-
-def test_inf_value_from_reference_trace(tmp_path):
-    ref = tmp_path / "ref.csv"
-    run_cli(
-        "run", "--problem", "deconv1d", "--dgf", "p:2", "--grid-size", "60",
-        "--lam", "0.3", "--reg", "tv:0.3", "--iters", "2000", "--out", str(ref),
-    )
-    out = tmp_path / "next.csv"
-    code = run_cli(
-        "run", "--problem", "deconv1d", "--dgf", "p:1.5", "--grid-size", "60",
-        "--reg", "tv:0.3", "--iters", "200", "--inf-value-from", str(ref),
-        "--out", str(out),
-    )
-    assert code == 0
-    trace = Trace.read_csv(out)
-    assert float(trace.meta["inf_value"]) > 0.0
-    assert np.all(np.isfinite(trace.gap))
-
-
-def test_inf_value_flags_are_exclusive(tmp_path):
-    code = run_cli(
-        "run", "--problem", "deconv1d", "--dgf", "p:2", "--iters", "10",
-        "--inf-value", "0.0", "--inf-value-from", str(tmp_path / "x.csv"),
-        "--out", str(tmp_path / "t.csv"),
-    )
-    assert code == 1
 
 
 def test_repeat_runs_byte_identical_modulo_time(tmp_path):

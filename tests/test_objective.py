@@ -30,6 +30,7 @@ from bpgm.grid import geodesic_dist
 from bpgm.solver import resolve_step
 from bpgm.objective import (
     dirichlet_kernel,
+    exact_optimum,
     minimizer_density,
     smoothed_square_dist,
 )
@@ -233,6 +234,66 @@ def test_relu_norm_bound_hint():
     _, k_bound = resolve_step(problem, parse_dgf("hyp"), SolverConfig(iters=1), f0)
     assert k_bound == eval_F(problem, f0) / 0.05
     assert problem.k_bound_hint == k_bound
+
+
+@pytest.mark.parametrize(
+    "dim, n, lam", ((1, 300, 0.05), (1, 300, 1.0), (1, 300, 12.0), (2, 12, 0.05))
+)
+def test_exact_optimum_matches_deconv_closed_form(dim, n, lam):
+    # An independent oracle: the tv rows of deconvolution have a closed form.
+    problem = deconv_problem(torus_grid(dim, n), tv(lam))
+    solved = exact_optimum(replace(problem, inf_value=None, mu_star=None))
+    assert solved.inf_value == pytest.approx(problem.inf_value, rel=1e-12)
+    assert eval_F(solved, minimizer_density(solved)) == solved.inf_value
+
+
+@pytest.mark.parametrize("m", (200, 2000))
+@pytest.mark.parametrize("lam", (0.01, 0.05, 0.2))
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_optimum_meets_lasso_kkt(seed, lam, m):
+    # G'[f*] = -lam sign(f*) on the support and |G'[f*]| <= lam off it.
+    problem = exact_optimum(relu_problem(circle_grid(m), lam=lam, seed=seed))
+    f = minimizer_density(problem)
+    potential = grad_potential(problem, f)
+    support = f != 0.0
+    assert len(problem.mu_star) == np.count_nonzero(support)
+    assert np.all(np.abs(potential[support] + lam * np.sign(f[support])) <= 1e-10)
+    assert np.all(np.abs(potential[~support]) <= lam * (1.0 + 1e-10))
+    assert eval_F(problem, f) == problem.inf_value
+
+
+def test_exact_optimum_relu_seed0_value():
+    problem = exact_optimum(build_problem("relu", seed=0))
+    assert problem.inf_value == pytest.approx(0.1901142265891132, rel=1e-12)
+    weights = sorted(weight for _, weight in problem.mu_star)
+    assert weights == pytest.approx([-0.0910, 0.6235], abs=1e-4)
+
+
+def test_exact_optimum_is_below_apgm():
+    problem = exact_optimum(relu_problem(circle_grid(200), seed=0))
+    trace = run_apgm(problem, parse_dgf("hyp"), SolverConfig(iters=3000, method="apgm"))
+    assert not trace.aborted
+    assert np.min(trace.F) >= problem.inf_value - 1e-12
+
+
+@pytest.mark.parametrize("problem", (
+    relu_problem(circle_grid(50), lam=0.0),
+    deconv_problem(torus_grid(1, 60), nonneg_tv(0.05)),
+    deconv_problem(torus_grid(1, 60), tv_ball(0.5)),
+    lb_problem(torus_grid(1, 60), "I*"),
+), ids=("lam-0", "nonneg_tv", "tv_ball", "lb"))
+def test_exact_optimum_rejects_other_problems(problem):
+    with pytest.raises(ValueError):
+        exact_optimum(problem)
+
+
+def test_exact_optimum_singular_gram_is_runtime_error(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(RuntimeError, match="singular"):
+        exact_optimum(relu_problem(circle_grid(50), seed=0))
 
 
 def test_regularizer_violation_and_value():
