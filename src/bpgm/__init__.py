@@ -7,14 +7,7 @@ proximal gradient methods and a benchmark harness for their
 convergence-rate theory.
 """
 
-from .analysis import (
-    RateModel,
-    classify_setting,
-    fit_rate,
-    mollify,
-    psi_envelope,
-    theoretical_exponent,
-)
+from .analysis import RateModel, fit_rate, mollify, psi_envelope, theoretical_exponent
 from .dgf import (
     EntropyDgf,
     HyperbolicDgf,
@@ -55,8 +48,7 @@ from .verify import CheckResult, run_all_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "RateModel", "classify_setting", "fit_rate", "mollify", "psi_envelope",
-    "theoretical_exponent",
+    "RateModel", "fit_rate", "mollify", "psi_envelope", "theoretical_exponent",
     "EntropyDgf", "HyperbolicDgf", "PowerDgf", "parse_dgf", "sc_constant",
     "step_size",
     "Grid", "ball_mass", "circle_grid", "dirac_density", "geodesic_dist",

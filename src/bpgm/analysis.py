@@ -9,9 +9,10 @@ is evaluated over the box-kernel mollifications f_eps of the known
 sparse minimizer (plus f0 itself as the alpha-independent candidate),
 which is exactly the candidate family behind the convergence-rate upper
 bounds: its alpha-exponent reveals the structure exponent q of the
-problem. Fitted trace slopes are compared against the predicted
-exponents -q/((p-1)d + q) (PGM) and -2q/((p-1)d + q) (APGM) for the
-power geometries, and -1 / -2 with a log factor for the entropies.
+problem. Fitted trace slopes are compared against the one predicted
+exponent -a q/((p-1)d + q), a = 1 for PGM and 2 for APGM, with q from
+the problem's setting tag and p from the dgf; the entropies (p = 1)
+get the dimension-free -a with a log factor.
 """
 
 import math
@@ -20,21 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgf import EntropyDgf, HyperbolicDgf, PowerDgf
 from .grid import ball_mass, dist_to_point
-from .objective import density_values, eval_F, grad_potential, minimizer_density
+from .objective import density_values, eval_F
 from .solver import write_atomic
+
+
+_TAG_TO_Q = {"I": 1, "I*": 2, "II": 2, "II*": 4}
 
 
 @dataclass(frozen=True)
 class RateModel:
-    """Predicted asymptotic log-log slope for one (method, dgf, q, d)."""
+    """Predicted asymptotic log-log slope of a trace's gap."""
 
-    method: str
-    dgf_name: str
-    p: float
-    q: int
-    d: int
     exponent: float
     log_factor: bool
 
@@ -43,60 +41,23 @@ class RateModel:
         return f"{log}k^({self.exponent:+.4g})"
 
 
-def theoretical_exponent(method, dgf, q, d):
-    """Rate model from the upper-bound table.
+def theoretical_exponent(method, dgf, setting, d):
+    """Rate model of `method` in the geometry of `dgf` on a problem with
+    setting tag `setting` (I, I*, II or II*) in dimension d.
 
-    Power dgf: exponent -q/((p-1)d + q), doubled for APGM. Entropy and
-    hyperbolic: -1 (PGM) / -2 (APGM) with a log(k) factor, dimension
-    free.
+    exponent = -a q / ((p-1) d + q) with a = 1 (PGM) or 2 (APGM), q the
+    structure exponent of the tag and p the dgf's exponent; at p = 1
+    (entropies) it is the dimension-free -a, with a log(k) factor.
     """
     if method not in ("pgm", "apgm"):
         raise ValueError(f"unknown method {method!r}")
-    if q not in (1, 2, 4):
-        raise ValueError(f"structure exponent q must be 1, 2 or 4, got {q}")
+    if setting not in _TAG_TO_Q:
+        raise ValueError(f"unknown setting tag {setting!r}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    accel = 2 if method == "apgm" else 1
-    if isinstance(dgf, PowerDgf):
-        exponent = -accel * q / ((dgf.p - 1.0) * d + q)
-        return RateModel(method, dgf.name, dgf.p, q, d, exponent, False)
-    if isinstance(dgf, (EntropyDgf, HyperbolicDgf)):
-        return RateModel(method, dgf.name, dgf.p, q, d, -float(accel), True)
-    raise ValueError(f"unsupported dgf {dgf!r}")
-
-
-_TAG_TO_Q = {"I": 1, "I*": 2, "II": 2, "II*": 4}
-
-
-def setting_exponent(tag):
-    """Structure exponent q of a setting tag (I, I*, II or II*)."""
-    try:
-        return _TAG_TO_Q[tag]
-    except KeyError:
-        raise ValueError(f"unknown setting tag {tag!r}") from None
-
-
-def classify_setting(problem, tol=1e-10):
-    """Structure exponent q of a problem.
-
-    Uses the recorded setting tag when present; otherwise combines the
-    feature smoothness class with a numerical check of whether the
-    potential vanishes at the known minimizer. Raises when neither
-    route is available, reporting both candidate values.
-    """
-    if problem.setting_tag is not None:
-        return setting_exponent(problem.setting_tag)
-    smooth_phi = problem.smooth.phi_lip_class == "gradient_lipschitz"
-    candidates = (2, 4) if smooth_phi else (1, 2)
-    if problem.mu_star is None:
-        raise ValueError(
-            f"cannot classify {problem.name}: no setting tag and no minimizer "
-            f"to test the potential at; candidates are q={candidates[0]} "
-            f"(potential nonzero at the minimizer) or q={candidates[1]} (vanishing)"
-        )
-    gnorm = float(np.max(np.abs(grad_potential(problem, minimizer_density(problem)))))
-    star = gnorm <= tol
-    return candidates[1] if star else candidates[0]
+    a = 2 if method == "apgm" else 1
+    q = _TAG_TO_Q[setting]
+    return RateModel(-a * q / ((dgf.p - 1.0) * d + q), dgf.p == 1.0)
 
 
 def mollify(problem, eps):
@@ -199,8 +160,8 @@ def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):
     return curve
 
 
-def fit_loglog(k, gap, window=(1e3, None), strip_log=False):
-    """Least-squares slope of log gap (optionally log(gap/log k)) vs log k.
+def fit_loglog(k, gap, window=(1e3, None)):
+    """Least-squares slope of log gap vs log k.
 
     Rows outside the window, with non-positive gap, or non-finite are
     dropped (with a warning when that truncates the window); at least
@@ -211,8 +172,7 @@ def fit_loglog(k, gap, window=(1e3, None), strip_log=False):
     lo, hi = window
     lo = 0.0 if lo is None else lo
     hi = math.inf if hi is None else hi
-    # log k needs k > 0; log log k needs k > 1
-    keep = (k > (1.0 if strip_log else 0.0)) & (k >= lo) & (k <= hi)
+    keep = (k > 0.0) & (k >= lo) & (k <= hi)
     usable = keep & (gap > 0) & np.isfinite(gap)
     if np.any(keep & ~usable):
         warnings.warn(
@@ -227,8 +187,6 @@ def fit_loglog(k, gap, window=(1e3, None), strip_log=False):
         )
     x = np.log(k[usable])
     y = np.log(gap[usable])
-    if strip_log:
-        y = y - np.log(np.log(k[usable]))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -236,6 +194,6 @@ def fit_loglog(k, gap, window=(1e3, None), strip_log=False):
     return float(slope), r2
 
 
-def fit_rate(trace, window=(1e3, None), strip_log=False):
+def fit_rate(trace, window=(1e3, None)):
     """Slope and r^2 of a trace's suboptimality gap."""
-    return fit_loglog(trace.k, trace.gap, window=window, strip_log=strip_log)
+    return fit_loglog(trace.k, trace.gap, window=window)

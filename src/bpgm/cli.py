@@ -20,19 +20,12 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .analysis import (
-    classify_setting,
-    default_eps_grid,
-    fit_loglog,
-    fit_rate,
-    psi_envelope,
-    setting_exponent,
-    theoretical_exponent,
-)
+from .analysis import default_eps_grid, fit_loglog, psi_envelope, theoretical_exponent
 from .dgf import parse_dgf
 from .objective import PROBLEM_TOKENS, build_problem, exact_optimum, parse_regularizer
 from .solver import SolverConfig, Trace, run as run_solver, write_atomic
@@ -95,15 +88,26 @@ def _build_problem_from_args(args):
 
 
 def _predicted_rate(meta, source):
-    """Rate model of a trace from its metadata: q from `setting`, d from `dim`."""
+    """Rate model of a trace from its `method`, `dgf`, `setting` and `dim` metadata."""
     missing = [key for key in ("setting", "dim") if not meta.get(key)]
     if missing:
         raise ValueError(
             f"trace {source} has no {' or '.join(missing)} metadata; "
             f"rates needs the problem's setting tag and dimension"
         )
-    q = setting_exponent(meta["setting"])
-    return theoretical_exponent(meta["method"], parse_dgf(meta["dgf"]), q, int(meta["dim"]))
+    dgf = parse_dgf(meta["dgf"])
+    return theoretical_exponent(meta["method"], dgf, meta["setting"], int(meta["dim"]))
+
+
+def _noted(notes, label, fn, *args, **kwargs):
+    """fn(*args, **kwargs); the warnings it raises go to `notes` as lines
+    `note: <label><message>` instead of to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            notes.extend(f"note: {label}{w.message}" for w in caught)
 
 
 def _run_one(args):
@@ -113,7 +117,8 @@ def _run_one(args):
     config = SolverConfig(
         iters=args.iters, method=args.method, step=args.step, k_bound=args.k_bound
     )
-    trace = run_solver(problem, dgf, config)
+    notes = []
+    trace = _noted(notes, "", run_solver, problem, dgf, config)
     trace.meta["seed"] = str(args.seed)
 
     trace.write_csv(args.out)
@@ -129,7 +134,7 @@ def _run_one(args):
             f"aborted at iteration {trace.meta['aborted_at']} "
             f"(non-finite {trace.meta['abort_reason']})"
         )
-        return 2, "\n".join(lines)
+        return 2, "\n".join(lines + notes)
     final_F, final_gap = float(trace.F[-1]), float(trace.gap[-1])
     lines.append(f"final F = {final_F:.6e}, gap = {final_gap:.6e}")
     model = _predicted_rate(trace.meta, args.out)
@@ -137,14 +142,14 @@ def _run_one(args):
     try:
         # Raw fit: a log(k) factor in the theory does not move the
         # asymptotic log-log slope, so the comparison stays direct.
-        slope, r2 = fit_rate(trace, window=window)
+        slope, r2 = _noted(notes, "", fit_loglog, trace.k, trace.gap, window=window)
         lines.append(
             f"fitted slope {slope:+.3f} (r2 {r2:.4f}) over "
             f"k in [{window[0]:g}, {window[1]:g}]; theory {model.describe()}"
         )
     except ValueError as exc:
         lines.append(f"no slope fit: {exc}")
-    return 0, "\n".join(lines)
+    return 0, "\n".join(lines + notes)
 
 
 def cmd_run(args):
@@ -180,10 +185,17 @@ def cmd_run(args):
 def cmd_rates(args):
     window = (args.fit_lo, args.fit_hi)
     rows = []
+    notes = []
     for path in args.traces:
         trace = Trace.read_csv(path)
         model = _predicted_rate(trace.meta, path)
-        slope, r2 = fit_loglog(trace.k, trace.gap, window=window)
+        label = f"{os.path.basename(path)}: "
+        if trace.meta.get("k_bound_exceeded_at"):
+            notes.append(
+                f"note: {label}APGM prox sequence exceeded the norm bound at "
+                f"iteration {trace.meta['k_bound_exceeded_at']}"
+            )
+        slope, r2 = _noted(notes, label, fit_loglog, trace.k, trace.gap, window=window)
         rows.append((path, trace.meta, slope, r2, model))
     header = f"{'trace':<40} {'fitted':>8} {'theory':>8} {'diff':>7} {'r2':>7}"
     print(header)
@@ -199,6 +211,8 @@ def cmd_rates(args):
             f"{path},{meta.get('problem', '')},{meta.get('dgf', '')},"
             f"{meta.get('method', '')},{slope!r},{model.exponent!r},{diff!r},{r2!r}\n"
         )
+    for note in notes:
+        print(note)
     if args.out:
         write_atomic(args.out, csv_lines)
         print(f"wrote {args.out}")
@@ -221,8 +235,7 @@ def cmd_psi(args):
             (f"{float(a)!r} {float(p)!r}\n" for a, p in zip(curve.alpha, curve.psi_hat)),
         )
     slope, r2 = fit_loglog(curve.alpha, curve.psi_hat, window=(0.0, math.inf))
-    q = classify_setting(problem)
-    model = theoretical_exponent("pgm", dgf, q, problem.grid.dim)
+    model = theoretical_exponent("pgm", dgf, problem.setting_tag, problem.grid.dim)
     predicted = -model.exponent
     log_note = " (log-corrected for entropies)" if model.log_factor else ""
     interior = np.sum(np.isfinite(curve.eps_star)) / len(curve.eps_star)

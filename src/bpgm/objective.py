@@ -74,7 +74,8 @@ class SmoothObjective:
         Inner-product weights of the feature space (default all ones).
     phi_lip_class : str
         "lipschitz" or "gradient_lipschitz"; how smooth theta -> Phi(theta)
-        is, used to classify convergence-rate settings.
+        is. Problems on "gradient_lipschitz" features are in setting II or
+        II*, the others in I or I*.
     """
 
     def __init__(self, features, outer, feature_weights=None, phi_lip_class="lipschitz"):
@@ -447,8 +448,6 @@ def relu_problem(grid, n=10, lam=0.05, seed=0):
         raise ValueError("ReLU neurons live on a circle grid")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got n={n}")
-    if lam < 0:
-        raise ValueError(f"TV weight must be nonnegative, got {lam}")
     x = np.linspace(-1.0, 1.0, n)
     noise = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
     y = np.abs(x) - 0.5 + noise

@@ -131,10 +131,8 @@ def bregman_step(dgf, reg, state, grad, s_eff):
         kappa = s_eff * reg.lam
     elif reg.kind == "simplex":
         kappa = solve_kappa(dgf, w, v, 1.0)
-    elif reg.kind == "tv_ball":
+    else:  # tv_ball
         kappa = max(0.0, solve_kappa(dgf, w, np.abs(v) if signed else v, reg.radius))
-    else:
-        raise ValueError(f"unknown regularizer kind {reg.kind!r}")
 
     if not signed:
         u_next = v - kappa
@@ -187,11 +185,9 @@ def kkt_residual(dgf, reg, state_prev, state_next, grad, s):
         c = reg.lam
     elif reg.kind == "simplex":
         c = float(np.max(r[on]))
-    elif reg.kind == "tv_ball":
+    else:  # tv_ball
         active = l1 >= reg.radius - 1e-9 and np.any(on)
         c = max(0.0, float(np.median(r[on] * np.sign(h[on])))) if active else 0.0
-    else:
-        raise ValueError(f"unknown regularizer kind {reg.kind!r}")
 
     if clamp:
         dev = (np.abs(r[on] - c), np.maximum(r[~on] - c, 0.0))

@@ -6,21 +6,21 @@ import pytest
 from bpgm import (
     SolverConfig,
     build_problem,
-    classify_setting,
-    deconv_problem,
     eval_F,
     fit_rate,
     lb_problem,
     mollify,
-    nonneg_tv,
     parse_dgf,
     psi_envelope,
     run_pgm,
     theoretical_exponent,
     torus_grid,
-    tv,
 )
 from bpgm.analysis import EnvelopeCurve, default_eps_grid, fit_loglog
+
+
+# The setting tags of each structure exponent q in the paper's rate table.
+TAGS_OF_Q = {1: ("I",), 2: ("I*", "II"), 4: ("II*",)}
 
 
 @pytest.mark.parametrize(
@@ -36,52 +36,33 @@ from bpgm.analysis import EnvelopeCurve, default_eps_grid, fit_loglog
     ],
 )
 def test_power_exponent_table(method, token, q, d, expect):
-    model = theoretical_exponent(method, parse_dgf(token), q, d)
-    assert model.exponent == pytest.approx(expect)
-    assert not model.log_factor
+    for tag in TAGS_OF_Q[q]:
+        model = theoretical_exponent(method, parse_dgf(token), tag, d)
+        assert model.exponent == pytest.approx(expect)
+        assert not model.log_factor
 
 
 def test_entropy_exponents_dimension_free():
     for d in (1, 2, 3):
-        m = theoretical_exponent("pgm", parse_dgf("ent"), 2, d)
-        assert (m.exponent, m.log_factor) == (-1.0, True)
-        m = theoretical_exponent("apgm", parse_dgf("hyp"), 4, d)
-        assert (m.exponent, m.log_factor) == (-2.0, True)
-        assert "log" in m.describe()
+        for tag in ("I", "I*", "II", "II*"):
+            for token in ("ent", "hyp", "hyp:0.5"):
+                m = theoretical_exponent("pgm", parse_dgf(token), tag, d)
+                assert (m.exponent, m.log_factor) == (-1.0, True)
+                m = theoretical_exponent("apgm", parse_dgf(token), tag, d)
+                assert (m.exponent, m.log_factor) == (-2.0, True)
+                assert "log" in m.describe()
 
 
 def test_theoretical_exponent_validation():
     d = parse_dgf("p:2")
     with pytest.raises(ValueError):
-        theoretical_exponent("sgd", d, 2, 1)
+        theoretical_exponent("sgd", d, "II", 1)
     with pytest.raises(ValueError):
-        theoretical_exponent("pgm", d, 3, 1)
+        theoretical_exponent("pgm", d, "III", 1)
     with pytest.raises(ValueError):
-        theoretical_exponent("pgm", d, 2, 0)
-
-
-def test_classify_setting_tags():
-    g = torus_grid(1, 100)
-    assert classify_setting(lb_problem(g, "I")) == 1
-    assert classify_setting(lb_problem(g, "I*")) == 2
-    assert classify_setting(lb_problem(g, "II")) == 2
-    assert classify_setting(lb_problem(g, "II*")) == 4
-    assert classify_setting(deconv_problem(g, nonneg_tv(0.0))) == 4
-    assert classify_setting(deconv_problem(g, tv(0.05))) == 2
-    assert classify_setting(build_problem("relu", seed=0)) == 1
-
-
-def test_classify_setting_numeric_fallback():
-    # strip the tag: the potential test at the minimizer must recover q
-    g = torus_grid(1, 80)
-    from dataclasses import replace
-
-    tagged = deconv_problem(g, nonneg_tv(0.0))
-    assert classify_setting(replace(tagged, setting_tag=None)) == 4
-    nostar = deconv_problem(g, tv(0.05))
-    assert classify_setting(replace(nostar, setting_tag=None)) == 2
+        theoretical_exponent("pgm", d, None, 1)
     with pytest.raises(ValueError):
-        classify_setting(replace(tagged, setting_tag=None, mu_star=None))
+        theoretical_exponent("pgm", d, "II", 0)
 
 
 def test_mollify_conserves_mass():
@@ -199,13 +180,9 @@ def test_fit_loglog_exact_power():
 def test_fit_loglog_log_factor_both_ways():
     k = np.geomspace(10, 1e5, 500)
     logk_over_k = np.log(k) / k
-    stripped, _ = fit_loglog(k, logk_over_k, window=(1e3, None), strip_log=True)
-    assert stripped == pytest.approx(-1.0, abs=1e-9)
     raw, _ = fit_loglog(k, logk_over_k, window=(1e3, None))
     # the log factor flattens the raw slope by about 1/log k
     assert raw == pytest.approx(-0.9, abs=0.02)
-    over_stripped, _ = fit_loglog(k, 1.0 / k, window=(1e3, None), strip_log=True)
-    assert over_stripped == pytest.approx(-1.1, abs=0.02)
 
 
 def test_fit_loglog_drops_bad_rows():

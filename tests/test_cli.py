@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from bpgm import SolverConfig, build_problem, parse_dgf, run_apgm, run_pgm, solver, torus_grid
 from bpgm.analysis import EnvelopeCurve
 from bpgm.cli import _build_problem_from_args, build_parser, main
-from bpgm.objective import PROBLEM_TOKENS, eval_F, minimizer_density
+from bpgm.objective import PROBLEM_TOKENS, eval_F, grad_potential, minimizer_density
 from bpgm.solver import Trace
 from bpgm.verify import FD_GRID_SIZES, CheckResult
 
@@ -386,18 +387,82 @@ def test_run_relu_without_tv_weight_is_usage_error(tmp_path, capsys):
     assert "lam > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("token", PROBLEM_TOKENS)
-def test_every_registered_problem_knows_its_optimum(token):
+def _registered_problem(token):
+    """A registered problem built as the CLI builds it, at its FD grid size."""
     args = build_parser()[0].parse_args(
         ["run", "--problem", token, "--grid-size", str(FD_GRID_SIZES[token])]
     )
-    problem = _build_problem_from_args(args)
+    return _build_problem_from_args(args)
+
+
+@pytest.mark.parametrize("token", PROBLEM_TOKENS)
+def test_every_registered_problem_knows_its_optimum(token):
+    problem = _registered_problem(token)
     assert problem.inf_value is not None and problem.mu_star is not None
     assert eval_F(problem, minimizer_density(problem)) == pytest.approx(
         problem.inf_value, rel=1e-14, abs=0.0
     )
     trace = run_apgm(problem, parse_dgf("p:2"), SolverConfig(iters=300, method="apgm"))
     assert np.min(trace.F) >= problem.inf_value - 1e-12
+
+
+@pytest.mark.parametrize("token", PROBLEM_TOKENS)
+def test_every_registered_problem_has_the_right_setting_tag(token):
+    problem = _registered_problem(token)
+    tag = problem.setting_tag
+    assert tag in ("I", "I*", "II", "II*")
+    # II exactly for C^2 features, starred exactly when the potential
+    # vanishes at the minimizer.
+    assert tag.startswith("II") == (problem.smooth.phi_lip_class == "gradient_lipschitz")
+    pot = grad_potential(problem, minimizer_density(problem))
+    assert tag.endswith("*") == (np.max(np.abs(pot)) <= 1e-10)
+
+
+def _run_quietly(*argv):
+    """run_cli with every warning an error, so none can reach stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(*argv)
+
+
+def _traces_with_notes(tmp_path):
+    """Two CLI runs that need notes: a run that hits the optimum exactly
+    inside the fit window, and an APGM run past its norm bound."""
+    exact, overrun = tmp_path / "exact.csv", tmp_path / "overrun.csv"
+    codes = (
+        _run_quietly(
+            "run", "--problem", "lb:I", "--grid-size", "200", "--dgf", "hyp",
+            "--iters", "3000", "--out", str(exact),
+        ),
+        _run_quietly(
+            "run", "--problem", "deconv1d", "--grid-size", "60", "--method", "apgm",
+            "--dgf", "p:2", "--step", "0.05", "--k-bound", "1e-3", "--iters", "200",
+            "--out", str(overrun),
+        ),
+    )
+    return codes, exact, overrun
+
+
+def test_run_prints_notes_instead_of_warnings(tmp_path, capsys):
+    codes, _, _ = _traces_with_notes(tmp_path)
+    assert codes == (0, 0)
+    captured = capsys.readouterr()
+    assert "note: dropping 7 rows with non-positive or non-finite gap" in captured.out
+    assert "exceeded the norm bound (1 > 0.001) at iteration 1;" in captured.out
+    assert "Warning" not in captured.err
+
+
+def test_rates_prints_notes_instead_of_warnings(tmp_path, capsys):
+    _, exact, overrun = _traces_with_notes(tmp_path)
+    capsys.readouterr()
+    assert _run_quietly("rates", str(exact), str(overrun), "--fit-lo", "10") == 0
+    captured = capsys.readouterr()
+    assert "note: exact.csv: dropping 7 rows with non-positive" in captured.out
+    assert (
+        "note: overrun.csv: APGM prox sequence exceeded the norm bound at iteration 1"
+        in captured.out
+    )
+    assert captured.err == ""
 
 
 def test_psi_requires_out():

@@ -25,7 +25,6 @@ from bpgm import (
     tv,
     tv_ball,
 )
-from bpgm.analysis import classify_setting, setting_exponent
 from bpgm.grid import geodesic_dist
 from bpgm.solver import resolve_step
 from bpgm.objective import (
@@ -143,8 +142,10 @@ def test_setting_tags_from_regularization():
     for reg, weight, tag in cases:
         problem = deconv_problem(g, reg)
         assert problem.setting_tag == tag, reg.token
-        untagged = replace(problem, setting_tag=None, mu_star=((np.zeros(1), weight),))
-        assert classify_setting(untagged) == setting_exponent(tag), reg.token
+        # Starred exactly when the potential vanishes at the minimizer.
+        at_minimizer = replace(problem, mu_star=((np.zeros(1), weight),))
+        pot = grad_potential(at_minimizer, minimizer_density(at_minimizer))
+        assert tag.endswith("*") == (np.max(np.abs(pot)) <= 1e-10), reg.token
 
 
 def test_potential_vanishes_at_exact_recovery():
@@ -226,6 +227,11 @@ def test_relu_problem_seeded():
     assert ya.shape == (10,)
     assert a.smooth.lip_grad == pytest.approx(1.0)
     assert np.all(a.smooth.features >= 0.0)
+
+
+def test_relu_rejects_negative_tv_weight():
+    with pytest.raises(ValueError, match="TV weight must be nonnegative, got -1"):
+        relu_problem(circle_grid(50), lam=-1)
 
 
 def test_relu_norm_bound_hint():
