@@ -3,13 +3,14 @@
 Subcommands: run (solve + trace), rates (fit slopes of saved traces),
 psi (envelope curves), verify (oracle suite).
 
-run, rates and psi take an optional flat `key = value` file through
---config. Its keys are the subcommand's long option names, with `-` or
-`_`; its values become that subcommand's argparse defaults, so they are
-cast like flag values and explicit flags win. An unknown key, a value
-that does not cast, or a missing required setting is a usage error.
-Every effective value is echoed into the output metadata so a trace is
-a complete record of its run.
+Every setting is a long option. An `@FILE` argument stands for the
+settings in FILE, read in its place: one `key = value` per line, keys
+being long option names with `-` or `_`, blank lines and `#` lines
+skipped (`bpgm run @run.cfg --iters 20`). The last occurrence of a
+setting wins, so a flag after `@FILE` overrides the file. Options are
+never abbreviated, so a misspelt key is an unknown option rather than
+another one. Every effective value is echoed into the output metadata
+so a trace is a complete record of its run.
 
 Exit codes: 0 success, 1 usage, 2 runtime failure, 3 verification
 failure. BPGM_WORKERS controls fan-out when `run` is given several
@@ -32,48 +33,25 @@ from .solver import SolverConfig, Trace, run as run_solver, write_atomic
 from .verify import run_all_checks
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse with usage errors mapped to exit code 1, no abbreviated
+    options, and `key = value` lines in `@FILE` settings files."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
 
-
-def _read_config_file(path):
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"bad config line (expected key=value): {line!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _config_defaults(command, path):
-    """The config file at `path` as defaults for the `command` parser."""
-    values = _read_config_file(path)
-    keys = {
-        action.dest for action in command._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    }
-    unknown = sorted(set(values) - keys)
-    if unknown:
-        raise ValueError(
-            f"unknown config key(s) {', '.join(unknown)} in {path} for "
-            f"'{command.prog}'; known: {', '.join(sorted(keys))}"
-        )
-    return values
-
-
-def _require(args, *keys):
-    missing = [f"--{key.replace('_', '-')}" for key in keys if getattr(args, key) is None]
-    if missing:
-        raise ValueError(f"no {', '.join(missing)} given (flag or config)")
+    def convert_arg_line_to_args(self, arg_line):
+        line = arg_line.strip()
+        if not line or line.startswith("#"):
+            return []
+        key, sep, value = line.partition("=")
+        if not sep:
+            self.error(f"bad settings line (expected key = value): {line!r}")
+        return [f"--{key.strip().replace('_', '-')}={value.strip()}"]
 
 
 def _build_problem_from_args(args):
@@ -81,7 +59,6 @@ def _build_problem_from_args(args):
         args.problem,
         grid_size=args.grid_size,
         reg=parse_regularizer(args.reg) if args.reg else None,
-        lam=args.lam,
         seed=args.seed,
     )
     return problem if problem.inf_value is not None else exact_optimum(problem)
@@ -153,10 +130,9 @@ def _run_one(args):
 
 
 def cmd_run(args):
-    _require(args, "problem", "dgf", "iters", "out")
     tokens = [t.strip() for t in args.dgf.split(",") if t.strip()]
     if not tokens:
-        raise ValueError("no dgf token given (flag --dgf or config)")
+        raise ValueError("no dgf token given in --dgf")
     out = args.out
     jobs = []
     for token in tokens:
@@ -220,7 +196,6 @@ def cmd_rates(args):
 
 
 def cmd_psi(args):
-    _require(args, "problem", "out")
     problem = _build_problem_from_args(args)
     dgf = parse_dgf(args.dgf)
     alphas = np.geomspace(args.alpha_lo, args.alpha_hi, args.alpha_count)
@@ -259,27 +234,24 @@ def cmd_verify(args):
 
 
 def build_parser():
-    """The `bpgm` parser and its subcommand parsers by name."""
-    parser = _Parser(prog="bpgm", description=__doc__.split("\n\n")[0])
+    """The `bpgm` argument parser."""
+    parser = _Parser(prog="bpgm", description=__doc__.split("\n\n")[0], fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
-    config_help = "flat key=value file of option defaults; flags take precedence"
 
     run_p = sub.add_parser("run", help="solve a problem and write a trace CSV")
-    run_p.add_argument("--problem", choices=PROBLEM_TOKENS)
-    run_p.add_argument("--dgf", help="dgf token(s), comma separated: p:<v> | ent | hyp:<beta>")
+    run_p.add_argument("--problem", choices=PROBLEM_TOKENS, required=True)
+    run_p.add_argument("--dgf", required=True, help="comma-separated p:<v> | ent | hyp:<beta>")
     run_p.add_argument("--method", choices=("pgm", "apgm"), default="pgm")
-    run_p.add_argument("--iters", type=int)
+    run_p.add_argument("--iters", type=int, required=True)
     run_p.add_argument("--step", type=float)
     run_p.add_argument("--k-bound", type=float)
     run_p.add_argument("--grid-size", type=int)
     run_p.add_argument("--reg", help="nonneg_tv:<lam> | simplex | tv:<lam> | tv_ball:<K>")
-    run_p.add_argument("--lam", type=float)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--fit-lo", type=float, default=1e3)
     run_p.add_argument("--fit-hi", type=float, help="default: --iters")
-    run_p.add_argument("--out")
+    run_p.add_argument("--out", required=True)
     run_p.add_argument("--plot-data", help="also write plain 'k gap' columns")
-    run_p.add_argument("--config", help=config_help)
     run_p.set_defaults(func=cmd_run)
 
     rates_p = sub.add_parser("rates", help="fit rate slopes of saved traces")
@@ -287,15 +259,13 @@ def build_parser():
     rates_p.add_argument("--fit-lo", type=float, default=1e3)
     rates_p.add_argument("--fit-hi", type=float, default=math.inf)
     rates_p.add_argument("--out", help="machine-readable CSV report")
-    rates_p.add_argument("--config", help=config_help)
     rates_p.set_defaults(func=cmd_rates)
 
     psi_p = sub.add_parser("psi", help="compute a suboptimality envelope curve")
-    psi_p.add_argument("--problem", choices=PROBLEM_TOKENS)
+    psi_p.add_argument("--problem", choices=PROBLEM_TOKENS, required=True)
     psi_p.add_argument("--dgf", default="p:2")
     psi_p.add_argument("--grid-size", type=int)
     psi_p.add_argument("--reg")
-    psi_p.add_argument("--lam", type=float)
     psi_p.add_argument("--seed", type=int, default=0)
     psi_p.add_argument("--alpha-lo", type=float, default=1e-6)
     psi_p.add_argument("--alpha-hi", type=float, default=1e-2)
@@ -303,26 +273,20 @@ def build_parser():
     psi_p.add_argument("--eps-lo", type=float)
     psi_p.add_argument("--eps-hi", type=float)
     psi_p.add_argument("--eps-count", type=int, default=30)
-    psi_p.add_argument("--out")
+    psi_p.add_argument("--out", required=True)
     psi_p.add_argument("--plot-data")
-    psi_p.add_argument("--config", help=config_help)
     psi_p.set_defaults(func=cmd_psi)
 
     verify_p = sub.add_parser("verify", help="run the oracle suite")
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--fast", action="store_true", help="smaller sweeps (smoke test)")
     verify_p.set_defaults(func=cmd_verify)
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None):
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            command = commands[args.command]
-            command.set_defaults(**_config_defaults(command, args.config))
-            args = parser.parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"bpgm: {exc}", file=sys.stderr)

@@ -541,38 +541,44 @@ def exact_optimum(problem):
 
 # -- CLI problem registry ---------------------------------------------------
 
-PROBLEM_TOKENS = ("deconv1d", "deconv2d", "lb:I", "lb:I*", "lb:II", "lb:II*", "relu")
+_DEFAULT_AXIS_POINTS = {
+    "deconv1d": 300, "deconv2d": 60,
+    "lb:I": 2000, "lb:I*": 2000, "lb:II": 2000, "lb:II*": 2000, "relu": 2000,
+}
 
-_DEFAULT_AXIS_POINTS = {"deconv1d": 300, "deconv2d": 60, "relu": 2000}
+PROBLEM_TOKENS = tuple(_DEFAULT_AXIS_POINTS)
 
 
 def build_problem(token, grid_size=None, reg=None, lam=None, seed=0, n_samples=10):
     """Build a problem from its CLI token with documented defaults.
 
-    grid_size is the number of points per axis (300 for deconv1d, 60
-    for deconv2d, 2000 for relu and the lower-bound settings). `reg`
-    overrides the default regularizer where the problem admits a
-    choice; `lam` is a shorthand to override only the TV weight.
+    grid_size is the number of points per axis; None selects the token's
+    `_DEFAULT_AXIS_POINTS` entry (300 for deconv1d, 60 for deconv2d, 2000
+    for relu and the lower-bound settings). `reg` overrides the default regularizer where the problem
+    admits a choice; `lam` sets the weight of the default one instead
+    (nonneg_tv for deconvolution, tv for relu), so it goes with neither
+    `reg` nor a lower-bound token.
     """
     if token not in PROBLEM_TOKENS:
         raise ValueError(f"unknown problem token {token!r}, expected one of {PROBLEM_TOKENS}")
+    if lam is not None and (reg is not None or token.startswith("lb:")):
+        raise ValueError(
+            "lam sets the TV weight of the default regularizer only; give the "
+            "weight in reg (lower-bound problems have none)"
+        )
+    n = _DEFAULT_AXIS_POINTS[token] if grid_size is None else grid_size
     if token.startswith("deconv"):
         dim = int(token[len("deconv") : -1])
-        n = grid_size or _DEFAULT_AXIS_POINTS[token]
         if reg is None:
             reg = nonneg_tv(0.0 if lam is None else lam)
-        elif lam is not None and reg.kind in ("nonneg_tv", "tv"):
-            reg = replace(reg, lam=lam)
         return deconv_problem(torus_grid(dim, n), reg)
     if token.startswith("lb:"):
-        n = grid_size or 2000
         if reg is not None and reg.kind != "simplex":
             raise ValueError("lower-bound problems are fixed to the simplex")
         return lb_problem(torus_grid(1, n), token[3:])
     # relu
-    m = grid_size or _DEFAULT_AXIS_POINTS["relu"]
     if reg is not None and reg.kind != "tv":
         raise ValueError("relu regression uses a signed TV regularizer")
     if lam is None:
         lam = reg.lam if reg is not None else 0.05
-    return relu_problem(circle_grid(m), n=n_samples, lam=lam, seed=seed)
+    return relu_problem(circle_grid(n), n=n_samples, lam=lam, seed=seed)

@@ -215,6 +215,11 @@ def _base_meta(problem, dgf, config, step, k_bound):
 
 
 def _run(problem, dgf, config, f0, accelerated):
+    if dgf.domain == "nonnegative" and any(weight < 0 for _, weight in problem.mu_star or ()):
+        raise ValueError(
+            f"the optimum of {problem.name} has negative weight, which {dgf.name} cannot "
+            f"reach on nonnegative densities; use a signed dgf (hyp, p:<v>)"
+        )
     grid = problem.grid
     f0 = np.ones(grid.size) if f0 is None else density_values(problem, f0)
     if problem.reg.violation(grid.weights, f0) > FEAS_TOL:

@@ -1,8 +1,11 @@
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,8 +55,8 @@ def test_run_rejects_unknown_problem(tmp_path):
 
 
 def test_run_requires_dgf_and_out(tmp_path):
-    assert run_cli("run", "--problem", "deconv1d", "--out", str(tmp_path / "t.csv")) == 1
-    assert run_cli("run", "--problem", "deconv1d", "--dgf", "p:2") == 1
+    assert run_cli_code("run", "--problem", "deconv1d", "--out", str(tmp_path / "t.csv")) == 1
+    assert run_cli_code("run", "--problem", "deconv1d", "--dgf", "p:2") == 1
 
 
 def test_config_file_with_flag_precedence(tmp_path):
@@ -62,10 +65,10 @@ def test_config_file_with_flag_precedence(tmp_path):
         "problem = deconv1d\ndgf = ent\ngrid-size = 50\niters = 40\n# comment\n"
     )
     out1 = tmp_path / "a.csv"
-    assert run_cli("run", "--config", str(cfg), "--out", str(out1)) == 0
+    assert run_cli("run", f"@{cfg}", "--out", str(out1)) == 0
     assert Trace.read_csv(out1).meta["iters"] == "40"
     out2 = tmp_path / "b.csv"
-    assert run_cli("run", "--config", str(cfg), "--iters", "20", "--out", str(out2)) == 0
+    assert run_cli("run", f"@{cfg}", "--iters", "20", "--out", str(out2)) == 0
     assert Trace.read_csv(out2).meta["iters"] == "20"
 
 
@@ -75,14 +78,14 @@ def test_run_reads_plot_data_from_config(tmp_path):
     cfg.write_text(
         f"problem = deconv1d\ndgf = p:2\ngrid-size = 50\niters = 40\nplot-data = {plot}\n"
     )
-    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 0
+    assert run_cli("run", f"@{cfg}", "--out", str(tmp_path / "t.csv")) == 0
     assert plot.exists()
 
 
 def test_config_file_rejects_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("problem deconv1d\n")
-    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1
+    assert run_cli_code("run", f"@{cfg}", "--out", str(tmp_path / "t.csv")) == 1
 
 
 def run_cli_code(*argv):
@@ -94,7 +97,7 @@ def run_cli_code(*argv):
 
 
 def test_run_without_iters_is_usage_error(tmp_path, capsys):
-    code = run_cli("run", "--problem", "deconv1d", "--dgf", "p:2", "--out", str(tmp_path / "t.csv"))
+    code = run_cli_code("run", "--problem", "deconv1d", "--dgf", "p:2", "--out", str(tmp_path / "t.csv"))
     assert code == 1
     assert "--iters" in capsys.readouterr().err
 
@@ -102,7 +105,7 @@ def test_run_without_iters_is_usage_error(tmp_path, capsys):
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = deconv1d\ndgf = p:2\niter = 40\n")
-    assert run_cli_code("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1
+    assert run_cli_code("run", f"@{cfg}", "--out", str(tmp_path / "t.csv")) == 1
     assert "iter" in capsys.readouterr().err.split("known:")[0]
 
 
@@ -112,14 +115,78 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 def test_rates_config_rejects_other_keys(tmp_path, key):
     cfg = tmp_path / "rates.cfg"
     cfg.write_text(f"fit-lo = 100\n{key} = 1\n")
-    assert run_cli_code("rates", str(tmp_path / "t.csv"), "--config", str(cfg)) == 1
+    assert run_cli_code("rates", str(tmp_path / "t.csv"), f"@{cfg}") == 1
 
 
 def test_config_value_is_cast_like_a_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = deconv1d\ndgf = p:2\niters = forty\n")
-    assert run_cli_code("run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1
+    assert run_cli_code("run", f"@{cfg}", "--out", str(tmp_path / "t.csv")) == 1
     assert "--iters" in capsys.readouterr().err
+
+
+def test_settings_last_occurrence_wins(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = deconv1d\ndgf = p:2\ngrid-size = 50\niters = 40\n")
+    out = tmp_path / "t.csv"
+    assert run_cli("run", "--iters", "20", f"@{cfg}", "--out", str(out)) == 0
+    assert Trace.read_csv(out).meta["iters"] == "40"
+
+
+# Options are never abbreviated, and the TV weight is part of --reg.
+@pytest.mark.parametrize("extra", (("--iter", "40"), ("--iters", "40", "--lam", "0.1")))
+def test_run_rejects_abbreviated_and_removed_options(tmp_path, capsys, extra):
+    code = run_cli_code(
+        "run", "--problem", "deconv1d", "--dgf", "p:2", "--grid-size", "50", *extra,
+        "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 1
+    assert extra[-2] in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_missing_settings_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run_cli_code("run", f"@{missing}") == 1
+    assert "No such file" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Every `bpgm` command in the README's sh blocks, as argv lists:
+    continuations joined, `VAR=value` prefixes and comments dropped, and
+    commands with `@FILE` words (tested above) skipped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, flags=re.S)).replace("\\\n", " ")
+    commands = []
+    for line in lines.splitlines():
+        words = shlex.split(line, comments=True)
+        while words and re.match(r"\w+=", words[0]):
+            words.pop(0)
+        if words[:1] == ["bpgm"] and not any(word.startswith("@") for word in words):
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"run", "rates", "psi", "verify"}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: bpgm {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
+
+
+def test_run_rejects_entropy_on_signed_optimum(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = run_cli(
+        "run", "--problem", "relu", "--grid-size", "200", "--dgf", "ent", "--method", "apgm",
+        "--iters", "2000", "--out", str(out),
+    )
+    assert code == 1
+    assert "signed dgf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_rejects_empty_dgf_tokens(tmp_path):
@@ -249,7 +316,7 @@ def test_rates_reads_config(tmp_path):
     ) == 0
     cfg = tmp_path / "rates.cfg"
     cfg.write_text(f"fit-lo = 2000\nfit-hi = 2900\nout = {by_config}\n")
-    assert run_cli("rates", str(trace), "--config", str(cfg)) == 0
+    assert run_cli("rates", str(trace), f"@{cfg}") == 0
     assert by_config.read_text() == by_flag.read_text()
     assert run_cli("rates", str(trace), "--out", str(default)) == 0
     assert default.read_text() != by_flag.read_text()
@@ -322,7 +389,7 @@ def test_psi_reads_config(tmp_path):
         f"eps-lo = 0.02\neps-hi = 0.1\neps-count = 5\nout = {by_config}\n"
         f"plot-data = {tmp_path / 'cfg.dat'}\n"
     )
-    assert run_cli(*common, "--config", str(cfg)) == 0
+    assert run_cli(*common, f"@{cfg}") == 0
     assert by_config.read_text() == by_flag.read_text()
     assert (tmp_path / "cfg.dat").exists()
     alphas = [float(line.split(",")[0]) for line in by_flag.read_text().splitlines()
@@ -380,7 +447,7 @@ def test_run_relu_fits_against_exact_optimum(tmp_path, capsys):
 
 def test_run_relu_without_tv_weight_is_usage_error(tmp_path, capsys):
     code = run_cli(
-        "run", "--problem", "relu", "--lam", "0", "--dgf", "p:2", "--iters", "10",
+        "run", "--problem", "relu", "--reg", "tv:0", "--dgf", "p:2", "--iters", "10",
         "--k-bound", "10", "--out", str(tmp_path / "t.csv"),
     )
     assert code == 1
@@ -389,9 +456,10 @@ def test_run_relu_without_tv_weight_is_usage_error(tmp_path, capsys):
 
 def _registered_problem(token):
     """A registered problem built as the CLI builds it, at its FD grid size."""
-    args = build_parser()[0].parse_args(
-        ["run", "--problem", token, "--grid-size", str(FD_GRID_SIZES[token])]
-    )
+    args = build_parser().parse_args([
+        "run", "--problem", token, "--grid-size", str(FD_GRID_SIZES[token]),
+        "--dgf", "p:2", "--iters", "1", "--out", "unused.csv",
+    ])
     return _build_problem_from_args(args)
 
 
@@ -466,7 +534,7 @@ def test_rates_prints_notes_instead_of_warnings(tmp_path, capsys):
 
 
 def test_psi_requires_out():
-    assert run_cli("psi", "--problem", "lb:I", "--grid-size", "200") == 1
+    assert run_cli_code("psi", "--problem", "lb:I", "--grid-size", "200") == 1
 
 
 def test_run_nonfinite_gradient_exits_2(tmp_path, monkeypatch, capsys):

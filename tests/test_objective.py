@@ -28,6 +28,7 @@ from bpgm import (
 from bpgm.grid import geodesic_dist
 from bpgm.solver import resolve_step
 from bpgm.objective import (
+    PROBLEM_TOKENS,
     dirichlet_kernel,
     exact_optimum,
     minimizer_density,
@@ -359,6 +360,20 @@ def test_build_problem_tokens_and_defaults():
         build_problem("gaussian")
     with pytest.raises(ValueError):
         build_problem("relu", reg=simplex())
+
+
+@pytest.mark.parametrize("token", PROBLEM_TOKENS)
+def test_build_problem_grid_size_zero_is_not_the_default(token):
+    with pytest.raises(ValueError, match="at least one point"):
+        build_problem(token, grid_size=0)
+
+
+@pytest.mark.parametrize("token, reg", (
+    ("lb:I", None), ("deconv1d", simplex()), ("relu", tv(0.05)),
+), ids=("lb", "deconv-reg", "relu-reg"))
+def test_build_problem_lam_only_sets_the_default_weight(token, reg):
+    with pytest.raises(ValueError, match="lam sets the TV weight"):
+        build_problem(token, grid_size=20, reg=reg, lam=0.5)
 
 
 def test_problem_with_inf_value_copies():

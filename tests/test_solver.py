@@ -23,7 +23,7 @@ from bpgm import (
     tv_ball,
 )
 from bpgm.grid import dist_to_point
-from bpgm.objective import LinearForm, Problem, SmoothObjective
+from bpgm.objective import LinearForm, Problem, SmoothObjective, exact_optimum
 from bpgm.solver import default_k_bound, record_schedule, resolve_step
 
 
@@ -227,6 +227,13 @@ def test_diverging_runs_end_labelled(token, reg, method):
         warnings.filterwarnings("ignore", "APGM prox sequence exceeded", RuntimeWarning)
         trace = run(problem, parse_dgf(token), config)
     assert not trace.aborted or trace.meta["abort_reason"] in ("gradient", "objective")
+
+
+def test_entropy_is_rejected_on_a_signed_optimum():
+    problem = exact_optimum(build_problem("relu", grid_size=200))
+    assert min(weight for _, weight in problem.mu_star) < 0
+    with pytest.raises(ValueError, match="signed dgf"):
+        run_pgm(problem, parse_dgf("ent"), SolverConfig(iters=10))
 
 
 def test_start_density_of_wrong_shape_is_rejected():
