@@ -86,10 +86,18 @@ def mollify(problem, eps):
 def default_eps_grid(grid, count=30, lo=None, hi=None):
     """`count` log-spaced mollification radii from `lo` to `hi`.
 
-    A missing end defaults to 3 spacings (lo) or diameter/4 (hi).
+    A missing end defaults to 3 spacings (lo) or diameter/4 (hi). On a
+    grid too coarse for that sweep (3 h >= D / 4, with spacing h and
+    diameter D) the defaults widen to min(3 h, sqrt(h D)) and D, which
+    keeps every radius above the spacing and at most the diameter.
     """
-    lo = 3.0 * grid.spacing if lo is None else lo
-    hi = grid.diameter / 4.0 if hi is None else hi
+    h, diameter = grid.spacing, grid.diameter
+    if 3.0 * h < diameter / 4.0:
+        default_lo, default_hi = 3.0 * h, diameter / 4.0
+    else:
+        default_lo, default_hi = min(3.0 * h, math.sqrt(h * diameter)), diameter
+    lo = default_lo if lo is None else lo
+    hi = default_hi if hi is None else hi
     if lo >= hi:
         raise ValueError(
             f"empty mollification sweep: radius {lo} >= {hi} "

@@ -13,8 +13,7 @@ another one. Every effective value is echoed into the output metadata
 so a trace is a complete record of its run.
 
 Exit codes: 0 success, 1 usage, 2 runtime failure, 3 verification
-failure. BPGM_WORKERS controls fan-out when `run` is given several
-dgf tokens.
+failure.
 """
 
 import argparse
@@ -22,7 +21,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -87,25 +85,21 @@ def _noted(notes, label, fn, *args, **kwargs):
             notes.extend(f"note: {label}{w.message}" for w in caught)
 
 
-def _run_one(args):
-    """One (problem, dgf) run; module-level for process-pool pickling."""
-    problem = _build_problem_from_args(args)
-    dgf = parse_dgf(args.dgf)
-    config = SolverConfig(
-        iters=args.iters, method=args.method, step=args.step, k_bound=args.k_bound
-    )
+def _run_one(args, problem, dgf, config, out):
+    """Solve `problem` under `dgf` and write the trace to `out`; returns
+    the exit code (2 for an aborted run) and the report."""
     notes = []
     trace = _noted(notes, "", run_solver, problem, dgf, config)
     trace.meta["seed"] = str(args.seed)
 
-    trace.write_csv(args.out)
+    trace.write_csv(out)
     if args.plot_data:
         write_atomic(
             args.plot_data,
             (f"{int(k)} {float(g)!r}\n" for k, g in zip(trace.k, trace.gap) if k > 0),
         )
 
-    lines = [f"wrote {args.out}"]
+    lines = [f"wrote {out}"]
     if trace.aborted:
         lines.append(
             f"aborted at iteration {trace.meta['aborted_at']} "
@@ -114,7 +108,7 @@ def _run_one(args):
         return 2, "\n".join(lines + notes)
     final_F, final_gap = float(trace.F[-1]), float(trace.gap[-1])
     lines.append(f"final F = {final_F:.6e}, gap = {final_gap:.6e}")
-    model = _predicted_rate(trace.meta, args.out)
+    model = _predicted_rate(trace.meta, out)
     window = (args.fit_lo, float(config.iters) if args.fit_hi is None else args.fit_hi)
     try:
         # Raw fit: a log(k) factor in the theory does not move the
@@ -130,29 +124,22 @@ def _run_one(args):
 
 
 def cmd_run(args):
+    """Run the --dgf tokens in order on one problem. Every token and
+    output path is checked before the first run, and each report prints
+    as its run ends, so a later failure leaves the earlier ones shown."""
     tokens = [t.strip() for t in args.dgf.split(",") if t.strip()]
     if not tokens:
         raise ValueError("no dgf token given in --dgf")
-    out = args.out
-    jobs = []
-    for token in tokens:
-        if "{dgf}" in out:
-            path = out.replace("{dgf}", token.replace(":", "-"))
-        elif len(tokens) == 1:
-            path = out
-        else:
-            root, ext = os.path.splitext(out)
-            path = f"{root}_{token.replace(':', '-')}{ext or '.csv'}"
-        jobs.append(argparse.Namespace(**{**vars(args), "dgf": token, "out": path}))
-
-    workers = int(os.environ.get("BPGM_WORKERS", "1"))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs))
-    else:
-        results = [_run_one(job) for job in jobs]
+    if len(tokens) > 1 and "{dgf}" not in args.out:
+        raise ValueError(f"--out {args.out} needs {{dgf}} to name the trace of each dgf token")
+    jobs = [(parse_dgf(t), args.out.replace("{dgf}", t.replace(":", "-"))) for t in tokens]
+    config = SolverConfig(
+        iters=args.iters, method=args.method, step=args.step, k_bound=args.k_bound
+    )
+    problem = _build_problem_from_args(args)
     status = 0
-    for code, text in results:
+    for dgf, out in jobs:
+        code, text = _run_one(args, problem, dgf, config, out)
         print(text)
         status = max(status, code)
     return status

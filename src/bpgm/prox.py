@@ -36,7 +36,6 @@ class MirrorState:
     eta'(0) = 0 for signed dgfs).
     """
 
-    dgf: object
     grid: object
     u: np.ndarray
     primal: np.ndarray
@@ -44,7 +43,7 @@ class MirrorState:
     @classmethod
     def from_primal(cls, dgf, grid, f):
         f = np.asarray(f, dtype=float)
-        return cls(dgf, grid, np.asarray(dgf.eta_prime(f)), f)
+        return cls(grid, np.asarray(dgf.eta_prime(f)), f)
 
     def l1(self):
         return float(np.sum(self.grid.weights * np.abs(self.primal)))
@@ -140,7 +139,7 @@ def bregman_step(dgf, reg, state, grad, s_eff):
         u_next = soft_threshold(v, kappa)
     else:
         u_next = np.maximum(v - kappa, 0.0)
-    return MirrorState(dgf, state.grid, u_next, np.asarray(dgf.eta_prime_inv(u_next)))
+    return MirrorState(state.grid, u_next, np.asarray(dgf.eta_prime_inv(u_next)))
 
 
 @dataclass

@@ -104,7 +104,11 @@ def test_default_eps_grid_range():
     assert eps[0] == pytest.approx(3.0 * g.spacing)
     assert eps[-1] == pytest.approx(g.diameter / 4.0)
     with pytest.raises(ValueError):
-        default_eps_grid(torus_grid(1, 8))
+        default_eps_grid(g, lo=0.2, hi=0.1)
+    # 3 spacings reach diameter/4 on these grids, so the defaults widen.
+    for coarse in (torus_grid(1, 8), torus_grid(1, 24), torus_grid(2, 4), torus_grid(2, 16)):
+        eps = default_eps_grid(coarse)
+        assert np.all(eps > coarse.spacing) and eps[-1] == pytest.approx(coarse.diameter)
 
 
 def test_psi_envelope_matches_brute_force():

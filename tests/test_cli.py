@@ -1,9 +1,6 @@
 import math
-import os
 import re
 import shlex
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -13,7 +10,9 @@ import pytest
 from bpgm import SolverConfig, build_problem, parse_dgf, run_apgm, run_pgm, solver, torus_grid
 from bpgm.analysis import EnvelopeCurve
 from bpgm.cli import _build_problem_from_args, build_parser, main
-from bpgm.objective import PROBLEM_TOKENS, eval_F, grad_potential, minimizer_density
+from bpgm.objective import (
+    PROBLEM_TOKENS, eval_F, exact_optimum, grad_potential, minimizer_density,
+)
 from bpgm.solver import Trace
 from bpgm.verify import FD_GRID_SIZES, CheckResult
 
@@ -153,8 +152,8 @@ def test_missing_settings_file_is_usage_error(tmp_path, capsys):
 
 def _readme_commands():
     """Every `bpgm` command in the README's sh blocks, as argv lists:
-    continuations joined, `VAR=value` prefixes and comments dropped, and
-    commands with `@FILE` words (tested above) skipped."""
+    continuations joined, `VAR=value` prefixes, comments and a trailing
+    `&` dropped, and commands with `@FILE` words (tested above) skipped."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = "".join(re.findall(r"```sh\n(.*?)```", text, flags=re.S)).replace("\\\n", " ")
     commands = []
@@ -162,6 +161,8 @@ def _readme_commands():
         words = shlex.split(line, comments=True)
         while words and re.match(r"\w+=", words[0]):
             words.pop(0)
+        if words[-1:] == ["&"]:
+            words.pop()
         if words[:1] == ["bpgm"] and not any(word.startswith("@") for word in words):
             commands.append(words[1:])
     return commands
@@ -218,15 +219,53 @@ def test_single_dgf_placeholder(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pos_p-2.csv"]
 
 
-def test_multi_dgf_fanout_suffix(tmp_path):
-    out = tmp_path / "trace.csv"
+def test_multi_dgf_needs_placeholder(tmp_path, capsys):
+    out = tmp_path / "t.csv"
     code = run_cli(
-        "run", "--problem", "deconv1d", "--dgf", "p:2,hyp:0.01", "--grid-size", "50",
+        "run", "--problem", "deconv1d", "--dgf", "p:2,ent", "--grid-size", "50",
         "--iters", "30", "--out", str(out),
     )
+    assert code == 1
+    assert "{dgf}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_multi_dgf_bad_token_runs_nothing(tmp_path):
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--dgf", "p:2,p:3", "--grid-size", "50",
+        "--iters", "30", "--out", str(tmp_path / "t_{dgf}.csv"),
+    )
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_multi_dgf_prints_finished_reports_before_a_failure(tmp_path, capsys):
+    code = run_cli(
+        "run", "--problem", "relu", "--grid-size", "100", "--dgf", "p:2,ent",
+        "--iters", "200", "--out", str(tmp_path / "fan_{dgf}.csv"),
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"wrote {tmp_path / 'fan_p-2.csv'}" in captured.out
+    assert "final F = " in captured.out
+    assert "signed dgf" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fan_p-2.csv"]
+
+
+def test_multi_dgf_builds_the_problem_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(problem):
+        calls.append(problem.name)
+        return exact_optimum(problem)
+
+    monkeypatch.setattr("bpgm.cli.exact_optimum", counted)
+    code = run_cli(
+        "run", "--problem", "relu", "--grid-size", "100", "--dgf", "p:2,hyp",
+        "--iters", "50", "--out", str(tmp_path / "r_{dgf}.csv"),
+    )
     assert code == 0
-    assert (tmp_path / "trace_p-2.csv").exists()
-    assert (tmp_path / "trace_hyp-0.01.csv").exists()
+    assert len(calls) == 1
 
 
 def test_plot_data_emitter(tmp_path):
@@ -426,6 +465,17 @@ def test_psi_eps_count_alone_keeps_default_ends(tmp_path):
     assert eps_star and eps_star <= radii
 
 
+# Grids where 3 spacings reach diameter/4, and every token at its FD size.
+@pytest.mark.parametrize("token, n", (
+    ("deconv1d", 24), ("lb:I", 20), ("relu", 24), ("deconv2d", 16),
+    *((token, FD_GRID_SIZES[token]) for token in PROBLEM_TOKENS),
+))
+def test_psi_default_sweep_on_every_grid(tmp_path, token, n):
+    out = tmp_path / "e.csv"
+    assert run_cli("psi", "--problem", token, "--grid-size", str(n), "--out", str(out)) == 0
+    assert out.exists()
+
+
 def test_psi_relu_uses_exact_optimum(tmp_path, capsys):
     out = tmp_path / "e.csv"
     assert run_cli("psi", "--problem", "relu", "--out", str(out)) == 0
@@ -573,6 +623,17 @@ def test_verify_failure_exits_3(monkeypatch, capsys):
     assert lines == ["good  PASS  fine", "bad   FAIL  measured 2 (<= 1)", "1/2 checks passed"]
 
 
+def _strip_time(text):
+    """A trace file without its last (time_s) column."""
+    kept = []
+    for line in text.splitlines():
+        if line.startswith("#") or line.startswith("k,"):
+            kept.append(line)
+        else:
+            kept.append(line.rsplit(",", 1)[0])
+    return "\n".join(kept)
+
+
 def test_repeat_runs_byte_identical_modulo_time(tmp_path):
     files = []
     for name in ("r1.csv", "r2.csv"):
@@ -582,34 +643,15 @@ def test_repeat_runs_byte_identical_modulo_time(tmp_path):
             "--iters", "500", "--out", str(out),
         )
         files.append(out)
-
-    def strip_time(text):
-        kept = []
-        for line in text.splitlines():
-            if line.startswith("#") or line.startswith("k,"):
-                kept.append(line)
-            else:
-                kept.append(line.rsplit(",", 1)[0])
-        return "\n".join(kept)
-
     a, b = (f.read_text() for f in files)
-    assert strip_time(a) == strip_time(b)
+    assert _strip_time(a) == _strip_time(b)
 
 
-def test_parallel_fanout_subprocess(tmp_path):
-    out = tmp_path / "w_{dgf}.csv"
-    env = dict(os.environ, BPGM_WORKERS="2")
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "bpgm.cli", "run", "--problem", "deconv1d",
-            "--dgf", "p:2,ent", "--grid-size", "50", "--iters", "30",
-            "--out", str(out),
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "w_p-2.csv").exists()
-    assert (tmp_path / "w_ent.csv").exists()
+def test_multi_dgf_traces_match_single_token_runs(tmp_path):
+    common = ("run", "--problem", "deconv1d", "--grid-size", "50", "--iters", "300")
+    assert run_cli(*common, "--dgf", "p:2,ent", "--out", str(tmp_path / "multi_{dgf}.csv")) == 0
+    for token, name in (("p:2", "p-2"), ("ent", "ent")):
+        single = tmp_path / f"single_{name}.csv"
+        assert run_cli(*common, "--dgf", token, "--out", str(single)) == 0
+        multi = tmp_path / f"multi_{name}.csv"
+        assert _strip_time(multi.read_text()) == _strip_time(single.read_text())

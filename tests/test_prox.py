@@ -228,7 +228,7 @@ def test_kkt_residual_detects_corrupted_step():
     grad = rng.standard_normal(40)
     nxt = bregman_step(dgf, reg, state, grad, 0.15)
     bad_u = nxt.u + 1e-3 * rng.standard_normal(40)
-    bad = MirrorState(dgf, grid, bad_u, dgf.eta_prime_inv(bad_u))
+    bad = MirrorState(grid, bad_u, dgf.eta_prime_inv(bad_u))
     assert kkt_residual(dgf, reg, state, bad, grad, 0.15).worst() > 1e-5
 
 
@@ -394,6 +394,6 @@ def test_prox_step_meets_kkt_for_every_row(dgf, reg, inputs):
     inflate it; the ball rows rely on an exact dual solve."""
     u, grad, s = inputs
     grid = torus_grid(1, len(u))
-    state = MirrorState(dgf, grid, u, dgf.eta_prime_inv(u))
+    state = MirrorState(grid, u, dgf.eta_prime_inv(u))
     nxt = bregman_step(dgf, reg, state, grad, s)
     assert kkt_residual(dgf, reg, state, nxt, grad, s).worst() <= 1e-8
