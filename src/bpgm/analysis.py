@@ -83,27 +83,24 @@ def mollify(problem, eps):
     return values
 
 
-def default_eps_grid(grid, count=30, lo=None, hi=None):
-    """`count` log-spaced mollification radii from `lo` to `hi`.
+def default_eps_grid(grid):
+    """30 log-spaced mollification radii from 3 spacings to diameter/4.
 
-    A missing end defaults to 3 spacings (lo) or diameter/4 (hi). On a
-    grid too coarse for that sweep (3 h >= D / 4, with spacing h and
-    diameter D) the defaults widen to min(3 h, sqrt(h D)) and D, which
+    On a grid too coarse for that sweep (3 h >= D / 4, with spacing h
+    and diameter D) the ends widen to min(3 h, sqrt(h D)) and D, which
     keeps every radius above the spacing and at most the diameter.
     """
     h, diameter = grid.spacing, grid.diameter
     if 3.0 * h < diameter / 4.0:
-        default_lo, default_hi = 3.0 * h, diameter / 4.0
+        lo, hi = 3.0 * h, diameter / 4.0
     else:
-        default_lo, default_hi = min(3.0 * h, math.sqrt(h * diameter)), diameter
-    lo = default_lo if lo is None else lo
-    hi = default_hi if hi is None else hi
+        lo, hi = min(3.0 * h, math.sqrt(h * diameter)), diameter
     if lo >= hi:
         raise ValueError(
             f"empty mollification sweep: radius {lo} >= {hi} "
             f"(grid spacing {grid.spacing})"
         )
-    return np.geomspace(lo, hi, count)
+    return np.geomspace(lo, hi, 30)
 
 
 @dataclass

@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .analysis import default_eps_grid, fit_loglog, psi_envelope, theoretical_exponent
+from .analysis import fit_loglog, psi_envelope, theoretical_exponent
 from .dgf import parse_dgf
 from .objective import PROBLEM_TOKENS, build_problem, exact_optimum, parse_regularizer
 from .solver import SolverConfig, Trace, run as run_solver, write_atomic
@@ -85,19 +85,13 @@ def _noted(notes, label, fn, *args, **kwargs):
             notes.extend(f"note: {label}{w.message}" for w in caught)
 
 
-def _run_one(args, problem, dgf, config, out):
+def _run_one(problem, dgf, config, out, seed):
     """Solve `problem` under `dgf` and write the trace to `out`; returns
     the exit code (2 for an aborted run) and the report."""
     notes = []
     trace = _noted(notes, "", run_solver, problem, dgf, config)
-    trace.meta["seed"] = str(args.seed)
-
+    trace.meta["seed"] = str(seed)
     trace.write_csv(out)
-    if args.plot_data:
-        write_atomic(
-            args.plot_data,
-            (f"{int(k)} {float(g)!r}\n" for k, g in zip(trace.k, trace.gap) if k > 0),
-        )
 
     lines = [f"wrote {out}"]
     if trace.aborted:
@@ -109,7 +103,7 @@ def _run_one(args, problem, dgf, config, out):
     final_F, final_gap = float(trace.F[-1]), float(trace.gap[-1])
     lines.append(f"final F = {final_F:.6e}, gap = {final_gap:.6e}")
     model = _predicted_rate(trace.meta, out)
-    window = (args.fit_lo, float(config.iters) if args.fit_hi is None else args.fit_hi)
+    window = (1e3, float(config.iters))
     try:
         # Raw fit: a log(k) factor in the theory does not move the
         # asymptotic log-log slope, so the comparison stays direct.
@@ -133,13 +127,14 @@ def cmd_run(args):
     if len(tokens) > 1 and "{dgf}" not in args.out:
         raise ValueError(f"--out {args.out} needs {{dgf}} to name the trace of each dgf token")
     jobs = [(parse_dgf(t), args.out.replace("{dgf}", t.replace(":", "-"))) for t in tokens]
-    config = SolverConfig(
-        iters=args.iters, method=args.method, step=args.step, k_bound=args.k_bound
-    )
+    for _, out in jobs:
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise OSError(f"--out {out}: {os.path.dirname(out)} is not a directory")
+    config = SolverConfig(iters=args.iters, method=args.method, step=args.step)
     problem = _build_problem_from_args(args)
     status = 0
     for dgf, out in jobs:
-        code, text = _run_one(args, problem, dgf, config, out)
+        code, text = _run_one(problem, dgf, config, out, args.seed)
         print(text)
         status = max(status, code)
     return status
@@ -185,17 +180,10 @@ def cmd_rates(args):
 def cmd_psi(args):
     problem = _build_problem_from_args(args)
     dgf = parse_dgf(args.dgf)
-    alphas = np.geomspace(args.alpha_lo, args.alpha_hi, args.alpha_count)
-    eps_grid = default_eps_grid(problem.grid, args.eps_count, args.eps_lo, args.eps_hi)
-    f0 = np.ones(problem.grid.size)
-    curve = psi_envelope(problem, dgf, f0, alphas, eps_grid=eps_grid)
+    alphas = np.geomspace(args.alpha_lo, args.alpha_hi, 25)
+    curve = psi_envelope(problem, dgf, np.ones(problem.grid.size), alphas)
     curve.write_csv(args.out)
     print(f"wrote {args.out}")
-    if args.plot_data:
-        write_atomic(
-            args.plot_data,
-            (f"{float(a)!r} {float(p)!r}\n" for a, p in zip(curve.alpha, curve.psi_hat)),
-        )
     slope, r2 = fit_loglog(curve.alpha, curve.psi_hat, window=(0.0, math.inf))
     model = theoretical_exponent("pgm", dgf, problem.setting_tag, problem.grid.dim)
     predicted = -model.exponent
@@ -231,14 +219,10 @@ def build_parser():
     run_p.add_argument("--method", choices=("pgm", "apgm"), default="pgm")
     run_p.add_argument("--iters", type=int, required=True)
     run_p.add_argument("--step", type=float)
-    run_p.add_argument("--k-bound", type=float)
     run_p.add_argument("--grid-size", type=int)
     run_p.add_argument("--reg", help="nonneg_tv:<lam> | simplex | tv:<lam> | tv_ball:<K>")
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--fit-lo", type=float, default=1e3)
-    run_p.add_argument("--fit-hi", type=float, help="default: --iters")
     run_p.add_argument("--out", required=True)
-    run_p.add_argument("--plot-data", help="also write plain 'k gap' columns")
     run_p.set_defaults(func=cmd_run)
 
     rates_p = sub.add_parser("rates", help="fit rate slopes of saved traces")
@@ -256,12 +240,7 @@ def build_parser():
     psi_p.add_argument("--seed", type=int, default=0)
     psi_p.add_argument("--alpha-lo", type=float, default=1e-6)
     psi_p.add_argument("--alpha-hi", type=float, default=1e-2)
-    psi_p.add_argument("--alpha-count", type=int, default=25)
-    psi_p.add_argument("--eps-lo", type=float)
-    psi_p.add_argument("--eps-hi", type=float)
-    psi_p.add_argument("--eps-count", type=int, default=30)
     psi_p.add_argument("--out", required=True)
-    psi_p.add_argument("--plot-data")
     psi_p.set_defaults(func=cmd_psi)
 
     verify_p = sub.add_parser("verify", help="run the oracle suite")

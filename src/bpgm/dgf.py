@@ -159,8 +159,8 @@ class HyperbolicDgf(Dgf):
     p = 1.0
 
     def __init__(self, beta=DEFAULT_BETA):
-        if beta <= 0:
-            raise ValueError(f"hyperbolic offset beta must be positive, got {beta}")
+        if not (math.isfinite(beta) and beta > 0):
+            raise ValueError(f"hyperbolic offset beta must be finite and positive, got {beta}")
         self.beta = float(beta)
         self.name = f"hyp:{beta:g}"
 

@@ -144,6 +144,9 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in _REG_KINDS:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
+        for name, value in (("TV weight", self.lam), ("TV ball radius", self.radius)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise ValueError(f"TV weight must be nonnegative, got {self.lam}")
         if self.kind == "tv_ball" and self.radius <= 0:

@@ -67,8 +67,10 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.iters < 1:
             raise ValueError(f"need at least one iteration, got {self.iters}")
-        if self.step is not None and self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        for name in ("step", "k_bound"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass

@@ -103,8 +103,8 @@ def test_default_eps_grid_range():
     assert len(eps) == 30
     assert eps[0] == pytest.approx(3.0 * g.spacing)
     assert eps[-1] == pytest.approx(g.diameter / 4.0)
-    with pytest.raises(ValueError):
-        default_eps_grid(g, lo=0.2, hi=0.1)
+    with pytest.raises(ValueError, match="empty mollification sweep"):
+        default_eps_grid(torus_grid(1, 1))
     # 3 spacings reach diameter/4 on these grids, so the defaults widen.
     for coarse in (torus_grid(1, 8), torus_grid(1, 24), torus_grid(2, 4), torus_grid(2, 16)):
         eps = default_eps_grid(coarse)

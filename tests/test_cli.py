@@ -1,4 +1,4 @@
-import math
+import argparse
 import re
 import shlex
 import warnings
@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpgm import SolverConfig, build_problem, parse_dgf, run_apgm, run_pgm, solver, torus_grid
+from bpgm import SolverConfig, build_problem, parse_dgf, run_apgm, run_pgm, solver
 from bpgm.analysis import EnvelopeCurve
 from bpgm.cli import _build_problem_from_args, build_parser, main
 from bpgm.objective import (
@@ -71,16 +71,6 @@ def test_config_file_with_flag_precedence(tmp_path):
     assert Trace.read_csv(out2).meta["iters"] == "20"
 
 
-def test_run_reads_plot_data_from_config(tmp_path):
-    plot = tmp_path / "t.dat"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"problem = deconv1d\ndgf = p:2\ngrid-size = 50\niters = 40\nplot-data = {plot}\n"
-    )
-    assert run_cli("run", f"@{cfg}", "--out", str(tmp_path / "t.csv")) == 0
-    assert plot.exists()
-
-
 def test_config_file_rejects_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("problem deconv1d\n")
@@ -142,6 +132,83 @@ def test_run_rejects_abbreviated_and_removed_options(tmp_path, capsys, extra):
     assert code == 1
     assert extra[-2] in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def _options(command):
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        option for action in subparsers.choices[command]._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+
+
+def test_every_subcommand_has_exactly_its_options():
+    assert _options("run") == {
+        "--problem", "--dgf", "--method", "--iters", "--step", "--grid-size", "--reg",
+        "--seed", "--out",
+    }
+    assert _options("psi") == {
+        "--problem", "--dgf", "--grid-size", "--reg", "--seed", "--alpha-lo", "--alpha-hi",
+        "--out",
+    }
+    assert _options("rates") == {"--fit-lo", "--fit-hi", "--out"}
+    assert _options("verify") == {"--seed", "--fast"}
+
+
+# The plot writers, the run fit window, the run norm bound and the psi
+# sweep knobs are gone: the program derives their values.
+@pytest.mark.parametrize("as_file", (False, True), ids=("flag", "file"))
+@pytest.mark.parametrize("command, option, value", (
+    ("run", "--plot-data", "t.dat"), ("run", "--k-bound", "10"),
+    ("run", "--fit-lo", "100"), ("run", "--fit-hi", "1000"),
+    ("psi", "--plot-data", "e.dat"), ("psi", "--eps-lo", "0.02"), ("psi", "--eps-hi", "0.1"),
+    ("psi", "--eps-count", "5"), ("psi", "--alpha-count", "10"),
+))
+def test_removed_options_are_usage_errors(tmp_path, capsys, command, option, value, as_file):
+    out = tmp_path / "t.csv"
+    argv = [command, "--problem", "deconv1d", "--grid-size", "50", "--out", str(out)]
+    if command == "run":
+        argv += ["--dgf", "p:2", "--iters", "10"]
+    if as_file:
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(f"{option[2:]} = {value}\n")
+        argv.append(f"@{cfg}")
+    else:
+        argv += [option, value]
+    assert run_cli_code(*argv) == 1
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", (
+    ("--reg", "tv_ball:nan"), ("--reg", "tv_ball:inf"), ("--reg", "tv:nan"),
+    ("--reg", "tv:inf"), ("--reg", "nonneg_tv:inf"), ("--dgf", "hyp:nan"),
+    ("--dgf", "hyp:inf"), ("--step", "nan"), ("--step", "inf"),
+))
+def test_run_rejects_nonfinite_numbers(tmp_path, capsys, option, value):
+    out = tmp_path / "t.csv"
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--grid-size", "50", "--iters", "10",
+        "--dgf", "p:2", option, value, "--out", str(out),
+    )
+    assert code == 1
+    assert value in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_checks_trace_directory_before_solving(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("bpgm.cli.run_solver", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "x.csv"
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--dgf", "p:2", "--iters", "10", "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--out {out}" in err and ".tmp" not in err
+    assert calls == []
 
 
 def test_missing_settings_file_is_usage_error(tmp_path, capsys):
@@ -268,21 +335,6 @@ def test_multi_dgf_builds_the_problem_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_plot_data_emitter(tmp_path):
-    out = tmp_path / "t.csv"
-    plot = tmp_path / "t.dat"
-    code = run_cli(
-        "run", "--problem", "deconv1d", "--dgf", "p:2", "--grid-size", "50",
-        "--iters", "100", "--out", str(out), "--plot-data", str(plot),
-    )
-    assert code == 0
-    rows = [line.split() for line in plot.read_text().splitlines()]
-    assert all(len(r) == 2 for r in rows)
-    ks = np.array([int(r[0]) for r in rows])
-    assert np.all(ks > 0)
-    float(rows[0][1])  # parses
-
-
 def test_rates_table_and_report(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -401,16 +453,13 @@ def test_rates_rejects_malformed_trace(tmp_path, capsys, write):
 
 def test_psi_subcommand(tmp_path, capsys):
     out = tmp_path / "env.csv"
-    plot = tmp_path / "env.dat"
     code = run_cli(
         "psi", "--problem", "lb:I", "--dgf", "p:2", "--grid-size", "300",
-        "--alpha-lo", "5e-4", "--alpha-hi", "1e-2", "--alpha-count", "12",
-        "--out", str(out), "--plot-data", str(plot),
+        "--alpha-lo", "5e-4", "--alpha-hi", "1e-2", "--out", str(out),
     )
     assert code == 0
     text = capsys.readouterr().out
     assert "alpha-exponent" in text and "predicted +0.500" in text
-    assert out.exists() and plot.exists()
     header = out.read_text().splitlines()
     assert any(line == "alpha,psi_hat,eps_star" for line in header)
 
@@ -419,50 +468,15 @@ def test_psi_reads_config(tmp_path):
     by_flag, by_config = tmp_path / "flag.csv", tmp_path / "cfg.csv"
     common = ("psi", "--problem", "lb:I", "--dgf", "p:2", "--grid-size", "200")
     assert run_cli(
-        *common, "--alpha-lo", "1e-3", "--alpha-hi", "1e-2", "--alpha-count", "10",
-        "--eps-lo", "0.02", "--eps-hi", "0.1", "--eps-count", "5", "--out", str(by_flag),
+        *common, "--alpha-lo", "1e-3", "--alpha-hi", "1e-2", "--out", str(by_flag),
     ) == 0
     cfg = tmp_path / "psi.cfg"
-    cfg.write_text(
-        "alpha-lo = 1e-3\nalpha-hi = 1e-2\nalpha-count = 10\n"
-        f"eps-lo = 0.02\neps-hi = 0.1\neps-count = 5\nout = {by_config}\n"
-        f"plot-data = {tmp_path / 'cfg.dat'}\n"
-    )
+    cfg.write_text(f"alpha-lo = 1e-3\nalpha-hi = 1e-2\nout = {by_config}\n")
     assert run_cli(*common, f"@{cfg}") == 0
     assert by_config.read_text() == by_flag.read_text()
-    assert (tmp_path / "cfg.dat").exists()
     alphas = [float(line.split(",")[0]) for line in by_flag.read_text().splitlines()
               if line[0].isdigit()]
-    assert alphas == pytest.approx(np.geomspace(1e-3, 1e-2, 10))
-
-
-def _eps_star(path):
-    rows = [line.split(",") for line in path.read_text().splitlines() if line[0].isdigit()]
-    return {float(row[2]) for row in rows} - {math.inf}
-
-
-def test_psi_eps_lo_alone_keeps_default_hi(tmp_path):
-    out = tmp_path / "env.csv"
-    assert run_cli(
-        "psi", "--problem", "lb:II*", "--grid-size", "300", "--eps-lo", "0.05",
-        "--out", str(out),
-    ) == 0
-    grid = torus_grid(1, 300)
-    radii = set(np.geomspace(0.05, grid.diameter / 4.0, 30))
-    eps_star = _eps_star(out)
-    assert eps_star and eps_star <= radii
-
-
-def test_psi_eps_count_alone_keeps_default_ends(tmp_path):
-    out = tmp_path / "env.csv"
-    assert run_cli(
-        "psi", "--problem", "lb:II*", "--grid-size", "300", "--eps-count", "5",
-        "--out", str(out),
-    ) == 0
-    grid = torus_grid(1, 300)
-    radii = set(np.geomspace(3.0 * grid.spacing, grid.diameter / 4.0, 5))
-    eps_star = _eps_star(out)
-    assert eps_star and eps_star <= radii
+    assert alphas == pytest.approx(np.geomspace(1e-3, 1e-2, 25))
 
 
 # Grids where 3 spacings reach diameter/4, and every token at its FD size.
@@ -498,7 +512,7 @@ def test_run_relu_fits_against_exact_optimum(tmp_path, capsys):
 def test_run_relu_without_tv_weight_is_usage_error(tmp_path, capsys):
     code = run_cli(
         "run", "--problem", "relu", "--reg", "tv:0", "--dgf", "p:2", "--iters", "10",
-        "--k-bound", "10", "--out", str(tmp_path / "t.csv"),
+        "--out", str(tmp_path / "t.csv"),
     )
     assert code == 1
     assert "lam > 0" in capsys.readouterr().err
@@ -554,7 +568,7 @@ def _traces_with_notes(tmp_path):
         ),
         _run_quietly(
             "run", "--problem", "deconv1d", "--grid-size", "60", "--method", "apgm",
-            "--dgf", "p:2", "--step", "0.05", "--k-bound", "1e-3", "--iters", "200",
+            "--dgf", "p:2", "--step", "5", "--iters", "200",
             "--out", str(overrun),
         ),
     )
@@ -566,7 +580,7 @@ def test_run_prints_notes_instead_of_warnings(tmp_path, capsys):
     assert codes == (0, 0)
     captured = capsys.readouterr()
     assert "note: dropping 7 rows with non-positive or non-finite gap" in captured.out
-    assert "exceeded the norm bound (1 > 0.001) at iteration 1;" in captured.out
+    assert "exceeded the norm bound (8.64 > 3) at iteration 1;" in captured.out
     assert "Warning" not in captured.err
 
 

@@ -108,6 +108,11 @@ def test_solver_config_validation():
         SolverConfig(iters=0)
     with pytest.raises(ValueError):
         SolverConfig(iters=10, method="fista")
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            SolverConfig(iters=10, step=bad)
+        with pytest.raises(ValueError, match="k_bound must be finite and positive"):
+            SolverConfig(iters=10, k_bound=bad)
     with pytest.raises(ValueError):
         SolverConfig(iters=10, step=-0.1)
 
