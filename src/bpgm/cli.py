@@ -128,6 +128,8 @@ def cmd_run(args):
         raise ValueError(f"--out {args.out} needs {{dgf}} to name the trace of each dgf token")
     jobs = [(parse_dgf(t), args.out.replace("{dgf}", t.replace(":", "-"))) for t in tokens]
     for _, out in jobs:
+        if os.path.isdir(out):
+            raise OSError(f"--out {out} is a directory")
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise OSError(f"--out {out}: {os.path.dirname(out)} is not a directory")
     config = SolverConfig(iters=args.iters, method=args.method, step=args.step)
@@ -178,6 +180,13 @@ def cmd_rates(args):
 
 
 def cmd_psi(args):
+    for option, alpha in (("--alpha-lo", args.alpha_lo), ("--alpha-hi", args.alpha_hi)):
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"{option} must be finite and positive, got {alpha:g}")
+    if not args.alpha_lo < args.alpha_hi:
+        raise ValueError(
+            f"--alpha-lo {args.alpha_lo:g} must be below --alpha-hi {args.alpha_hi:g}"
+        )
     problem = _build_problem_from_args(args)
     dgf = parse_dgf(args.dgf)
     alphas = np.geomspace(args.alpha_lo, args.alpha_hi, 25)

@@ -11,7 +11,10 @@ back: a plain shift (entropy, whose domain is already nonnegative), a
 shift clamped at eta'(0) = 0 (sign constraint) or a soft threshold
 (TV). For the TV weight kappa = s * lam; for the mass and norm
 constraints kappa is the dual shift of solve_kappa, closed form for
-entropy and found by a monotone Newton iteration for the signed dgfs.
+entropy and found by a monotone Newton iteration for the signed dgfs,
+warm-started from the previous prox point and filtered to the entries
+still above kappa. At p = 2 the mirror map eta'^{-1} is the identity
+and eta'' is 1, and PowerDgf returns both in closed form.
 
 All updates satisfy the first-order optimality condition
 
@@ -60,7 +63,7 @@ def soft_threshold(a, kappa):
     return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
 
 
-def solve_kappa(dgf, weights, a, target):
+def solve_kappa(dgf, weights, a, target, start=None):
     """The dual shift kappa with sum_j w_j eta'^{-1}((a_j - kappa)_+) = target.
 
     Both constrained prox rows reduce to this scalar equation: the
@@ -74,12 +77,29 @@ def solve_kappa(dgf, weights, a, target):
     convex, since eta'^{-1} is increasing and convex on [0, inf) with
     eta'^{-1}(0) = 0. So Newton's method, with slope
     -sum_{a > kappa} w / eta''(eta'^{-1}(a - kappa)), climbs to the root
-    monotonically from any point left of it. It starts at the larger of
-    two lower bounds: min a - eta'(target), where every term is at least
-    target (the weights sum to 1), and a_j - eta'(target / w_j) at the
-    largest a_j, where that term alone is target. It stops once an
-    update no longer increases kappa: the iterates are increasing floats
-    bounded by the root, so the loop needs no tolerance and no cap.
+    monotonically from any point left of it. The cold start is the
+    larger of two lower bounds: min a - eta'(target), where every term
+    is at least target (the weights sum to 1), and a_j - eta'(target / w_j)
+    at the largest a_j, where that term alone is target. It stops once
+    an update no longer increases kappa: the iterates are increasing
+    floats bounded by the root, so the loop needs no tolerance and no cap.
+
+    Each pass keeps only the entries with a_j > kappa (the filtering
+    step of Michelot's algorithm, see Condat 2016, "Fast projection onto
+    the simplex and the l1 ball"). kappa only grows, so an entry that
+    drops out contributes 0 to every later sum; the kept entries stay in
+    order, so every sum, and kappa, is the one the unfiltered loop gets.
+
+    `start` is an optional warm start. bregman_step passes
+    min_j (a_j - a_prev_j) over the support of the previous prox point
+    h_prev, with a_prev = eta'(h_prev) (its absolute value for the
+    ball). When the mass of h_prev is the target, each support term at
+    that kappa is at least h_prev_j, so M >= target and the hint lies
+    left of the root. The hint is used only when it is finite, above
+    the cold start and its first pass finds M >= target. Otherwise, as
+    for a hint right of the root, whose filter may have dropped live
+    entries, the loop restarts from the cold start on the full arrays:
+    a bad hint costs one pass and never gives a wrong kappa.
     """
     if target <= 0:
         raise ValueError(f"dual target must be positive, got {target}")
@@ -91,12 +111,21 @@ def solve_kappa(dgf, weights, a, target):
     elif math.isfinite(lo := float(np.min(a))):
         # A -inf entry would drop out of the sum unnoticed, so it fails here.
         top = int(np.argmax(a))
-        kappa = max(lo - float(dgf.eta_prime(target)),
-                    float(a[top] - dgf.eta_prime(target / weights[top])))
+        cold = max(lo - float(dgf.eta_prime(target)),
+                   float(a[top] - dgf.eta_prime(target / weights[top])))
+        hinted = start is not None and cold < start < math.inf
+        kappa, live, w = (float(start) if hinted else cold), a, weights
         while True:
-            on = a > kappa
-            w, h = weights[on], dgf.eta_prime_inv(a[on] - kappa)
+            on = live > kappa
+            live, w = live[on], w[on]
+            h = dgf.eta_prime_inv(live - kappa)
             excess = float(np.sum(w * h)) - target
+            if hinted:
+                hinted = False
+                if excess < 0.0:
+                    # Right of the root: the filter may have dropped live entries.
+                    kappa, live, w = cold, a, weights
+                    continue
             # At or past the root the update cannot increase kappa.
             if excess <= 0.0:
                 break
@@ -109,6 +138,12 @@ def solve_kappa(dgf, weights, a, target):
     if not math.isfinite(kappa):
         raise ValueError("mirror point must be finite for the dual search")
     return kappa
+
+
+def _support_bound(a, a_prev):
+    """min_j (a_j - a_prev_j) over a_prev_j > 0: solve_kappa's warm start."""
+    on = a_prev > 0
+    return float(np.min(a[on] - a_prev[on], initial=math.inf))
 
 
 def bregman_step(dgf, reg, state, grad, s_eff):
@@ -129,9 +164,14 @@ def bregman_step(dgf, reg, state, grad, s_eff):
     if reg.kind in ("nonneg_tv", "tv"):
         kappa = s_eff * reg.lam
     elif reg.kind == "simplex":
-        kappa = solve_kappa(dgf, w, v, 1.0)
+        start = _support_bound(v, state.u) if signed else None
+        kappa = solve_kappa(dgf, w, v, 1.0, start)
     else:  # tv_ball
-        kappa = max(0.0, solve_kappa(dgf, w, np.abs(v) if signed else v, reg.radius))
+        a, start = v, None
+        if signed:
+            a = np.abs(v)
+            start = _support_bound(a, np.abs(state.u))
+        kappa = max(0.0, solve_kappa(dgf, w, a, reg.radius, start))
 
     if not signed:
         u_next = v - kappa

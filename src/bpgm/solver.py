@@ -14,6 +14,7 @@ coordinates. Traces record the suboptimality gap on a geometric
 schedule and serialize to CSV with a '#' metadata preamble.
 """
 
+import contextlib
 import math
 import os
 import time
@@ -34,15 +35,21 @@ def write_atomic(path, lines, meta=None, header=None):
 
     Readers never see a partial file. meta, if given, goes first as
     sorted `# key=value` lines, then the comma-joined header columns.
+    A failed write or rename removes the temp file and re-raises.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        if meta:
-            fh.writelines(f"# {key}={meta[key]}\n" for key in sorted(meta))
-        if header:
-            fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            if meta:
+                fh.writelines(f"# {key}={meta[key]}\n" for key in sorted(meta))
+            if header:
+                fh.write(",".join(header) + "\n")
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass

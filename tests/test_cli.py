@@ -211,6 +211,20 @@ def test_run_checks_trace_directory_before_solving(tmp_path, monkeypatch, capsys
     assert calls == []
 
 
+def test_run_rejects_directory_out_before_solving(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("bpgm.cli.run_solver", lambda *args: calls.append(args))
+    out = tmp_path / "adir"
+    out.mkdir()
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--dgf", "p:2", "--iters", "10", "--out", str(out),
+    )
+    assert code == 2
+    assert f"--out {out}" in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
 def test_missing_settings_file_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert run_cli_code("run", f"@{missing}") == 1
@@ -462,6 +476,25 @@ def test_psi_subcommand(tmp_path, capsys):
     assert "alpha-exponent" in text and "predicted +0.500" in text
     header = out.read_text().splitlines()
     assert any(line == "alpha,psi_hat,eps_star" for line in header)
+
+
+@pytest.mark.parametrize("lo, hi, option", (
+    ("nan", "1e-2", "--alpha-lo"), ("inf", "1e-2", "--alpha-lo"), ("-1", "1e-2", "--alpha-lo"),
+    ("0", "1e-2", "--alpha-lo"), ("1e-4", "nan", "--alpha-hi"), ("1e-4", "inf", "--alpha-hi"),
+    ("1e-4", "-1", "--alpha-hi"), ("1e-4", "0", "--alpha-hi"), ("1e-2", "1e-2", "--alpha-lo"),
+    ("1e-2", "1e-3", "--alpha-lo"),
+))
+def test_psi_rejects_bad_alpha_range(tmp_path, capsys, lo, hi, option):
+    out = tmp_path / "e.csv"
+    code = run_cli(
+        "psi", "--problem", "lb:I", "--grid-size", "50", "--alpha-lo", lo, "--alpha-hi", hi,
+        "--out", str(out),
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert option in captured.err and "Warning" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_psi_reads_config(tmp_path):

@@ -24,7 +24,7 @@ from bpgm import (
 )
 from bpgm.grid import dist_to_point
 from bpgm.objective import LinearForm, Problem, SmoothObjective, exact_optimum
-from bpgm.solver import default_k_bound, record_schedule, resolve_step
+from bpgm.solver import default_k_bound, record_schedule, resolve_step, write_atomic
 
 
 def test_gamma_sequence_first_values():
@@ -292,6 +292,22 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.array_equal(back.F, trace.F)
     assert np.array_equal(back.gap, trace.gap)
     assert np.array_equal(back.linf_mirror, trace.linf_mirror)
+
+
+def test_write_atomic_removes_temp_file_on_failure(tmp_path):
+    target = tmp_path / "adir"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_atomic(target, ["1\n"])
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+    def lines():
+        yield "1\n"
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        write_atomic(tmp_path / "t.csv", lines())
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
 
 
 def test_trace_read_rejects_empty(tmp_path):
