@@ -7,17 +7,24 @@ function
 
     G'[f](theta_j) = <grad R(z), Phi(theta_j)>,   z = A (w * f),
 
-which drives all the proximal gradient updates.
+which drives all the proximal gradient updates. A is stored whole (one
+matvec each way) or, when it factors by axis of a tensor grid, as its
+per-axis Kronecker factors, applied one axis at a time.
 
 Concrete problems:
 
   * sparse deconvolution against a real Dirichlet kernel of order 2,
-    target y = phi(. - 0), on T^1 or T^2;
+    target y = phi(. - 0), on T^1, T^2 or T^3: the trigonometric-moment
+    model of Candes & Fernandez-Granda 2014, "Towards a mathematical
+    theory of super-resolution". Its feature map is the Kronecker power
+    of a 5 x n real half spectrum per axis, with feature weights
+    (1, 2, 2, 2, 2) per axis and sup ||Phi|| = 5^(d/2), sqrt(5) per axis;
   * four lower-bound constructions on the simplex (linear or quadratic
     outer, kinked or smoothed distance feature);
   * one-hidden-layer ReLU regression with neurons on S^1.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -64,14 +71,24 @@ class LinearForm:
 class SmoothObjective:
     """G(f) = R(A (w f)) for a feature matrix A and outer function R.
 
+    A is given either whole, as one (M, m) matrix, or factored by axis,
+    as a tuple of per-axis matrices (M_i, n_i) whose Kronecker product
+    A_1 x ... x A_d it is, on a grid whose m = n_1 ... n_d points are
+    ordered with the first axis slowest (as `torus_grid` orders them).
+    A whole matrix costs one matvec each way; a factored one is applied
+    one axis at a time, (A_i @ x.reshape(n_i, -1)).T per axis, and is
+    never formed: `features` materializes it on first read.
+
     Parameters
     ----------
-    features : ndarray, shape (M, m)
-        Feature evaluations; column j is Phi(theta_j) in coordinates of
-        the feature space.
+    features : ndarray, shape (M, m), or tuple of ndarrays (M_i, n_i)
+        Feature evaluations; column j of A is Phi(theta_j) in coordinates
+        of the feature space.
     outer : SquaredResidual or LinearForm
     feature_weights : ndarray, shape (M,), optional
-        Inner-product weights of the feature space (default all ones).
+        Inner-product weights of the feature space (default all ones);
+        for factored features a tuple of per-axis weights (M_i,), whose
+        Kronecker product is the weight vector.
     phi_lip_class : str
         "lipschitz" or "gradient_lipschitz"; how smooth theta -> Phi(theta)
         is. Problems on "gradient_lipschitz" features are in setting II or
@@ -79,37 +96,71 @@ class SmoothObjective:
     """
 
     def __init__(self, features, outer, feature_weights=None, phi_lip_class="lipschitz"):
-        self.features = np.asarray(features, dtype=float)
-        if self.features.ndim != 2:
-            raise ValueError("features must be an (M, m) matrix")
-        self.outer = outer
+        factored = isinstance(features, tuple)
+        factors = features if factored else (features,)
+        factors = tuple(np.asarray(a, dtype=float) for a in factors)
+        if not factors or any(a.ndim != 2 for a in factors):
+            raise ValueError("features must be an (M, m) matrix or a tuple of them")
         if feature_weights is None:
-            feature_weights = np.ones(self.features.shape[0])
-        self.feature_weights = np.asarray(feature_weights, dtype=float)
-        if self.feature_weights.shape != (self.features.shape[0],):
-            raise ValueError("feature_weights must have shape (M,)")
+            feature_weights = tuple(np.ones(a.shape[0]) for a in factors)
+        elif not factored:
+            feature_weights = (feature_weights,)
+        axis_weights = tuple(np.asarray(w, dtype=float) for w in feature_weights)
+        if len(axis_weights) != len(factors) or any(
+            w.shape != (a.shape[0],) for w, a in zip(axis_weights, factors)
+        ):
+            raise ValueError("feature_weights must have shape (M,), one per factor")
         if phi_lip_class not in ("lipschitz", "gradient_lipschitz"):
             raise ValueError(f"unknown phi_lip_class {phi_lip_class!r}")
+        self.factors = factors
+        self.outer = outer
         self.phi_lip_class = phi_lip_class
-        # sup_j ||Phi(theta_j)|| in the weighted norm
-        self.phi_sup = float(
-            np.sqrt(np.max(np.sum(self.feature_weights[:, None] * self.features**2, axis=0)))
+        self.feature_weights = functools.reduce(np.kron, axis_weights)
+        # The whole matrix, or None: the one-factor case is a single matvec.
+        self._matrix = factors[0] if len(factors) == 1 else None
+        self._adjoints = tuple(a.T for a in factors)
+        # sup_j ||Phi(theta_j)|| in the weighted norm; the squared column
+        # norms of a Kronecker product are the products of the per-axis ones.
+        self.phi_sup = math.prod(
+            math.sqrt(float(np.max(np.sum(w[:, None] * a**2, axis=0))))
+            for w, a in zip(axis_weights, factors)
         )
+
+    @functools.cached_property
+    def features(self):
+        """The (M, m) feature matrix, formed on first read when factored."""
+        return functools.reduce(np.kron, self.factors)
 
     @property
     def lip_grad(self):
         return self.outer.lip_grad
 
     def moments(self, weights, f):
-        return self.features @ (weights * f)
+        x = weights * f
+        if self._matrix is not None:
+            return self._matrix @ x
+        return _kron_matvec(self.factors, x)
 
     def value(self, weights, f):
         return self.outer.value(self.moments(weights, f), self.feature_weights)
 
     def gradient(self, weights, f):
         """The potential G'[f] evaluated at every grid point, shape (m,)."""
-        r = self.outer.grad(self.moments(weights, f))
-        return self.features.T @ (self.feature_weights * r)
+        r = self.feature_weights * self.outer.grad(self.moments(weights, f))
+        if self._matrix is not None:
+            return self._matrix.T @ r
+        return _kron_matvec(self._adjoints, r)
+
+
+def _kron_matvec(factors, x):
+    """(A_1 x ... x A_d) x, contracting one axis per factor.
+
+    Each pass contracts the leading axis and moves the result to the
+    back, so after all d the axes are back in order.
+    """
+    for a in factors:
+        x = (a @ x.reshape(a.shape[1], -1)).T
+    return x.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -305,27 +356,42 @@ def dirichlet_kernel(grid, theta):
     return np.prod(per_axis, axis=-1)
 
 
-def _fourier_rows(grid):
-    """Real Fourier feature matrix of the order-2 kernel on a torus grid.
+def _fourier_rows(axis):
+    """Real half spectrum of the order-2 kernel on one torus axis, (5, n).
 
-    One cosine and one sine row per frequency k in {-2..2}^d. Because
-    the kernel has unit Fourier coefficients on exactly this set, the
-    L2 residual of the circulant convolution equals the plain squared
-    residual of these 2 * 5^d moments (discrete Parseval; the grid
-    resolves all frequencies involved for n >= 5 per axis).
+    Rows cos(2 pi k x) for k = 0, 1, 2 and -sin(2 pi k x) for k = 1, 2 at
+    the axis coordinates x: the real and imaginary parts of the moment
+    at frequency k, whose conjugate is the moment at -k. So with weights
+    (1, 2, 2, 2, 2) and target (1, 1, 1, 0, 0) the weighted squared
+    residual of these five real moments is the plain squared residual of
+    the five complex moments k = -2..2 against the kernel's unit
+    spectrum. Each column has weighted squared norm
+    1 + 2 (cos^2 + sin^2) + 2 (cos^2 + sin^2) = 5.
     """
-    freqs = np.array(
-        np.meshgrid(*([np.arange(-2, 3)] * grid.dim), indexing="ij")
-    ).reshape(grid.dim, -1).T  # (5^d, d)
-    phase = TWO_PI * (freqs @ grid.points.T)  # (5^d, m)
-    return np.concatenate([np.cos(phase), -np.sin(phase)], axis=0)
+    phase = TWO_PI * np.outer(np.arange(1, 3), axis)
+    return np.concatenate([np.ones((1, axis.size)), np.cos(phase), -np.sin(phase)])
+
+
+_HALF_SPECTRUM_WEIGHTS = np.array([1.0, 2.0, 2.0, 2.0, 2.0])
+_HALF_SPECTRUM_TARGET = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 def deconv_problem(grid, reg):
     """Sparse deconvolution: recover delta_0 from y = phi(. - 0).
 
-    G(f) = || phi * f - y ||^2 in L2 of the empirical measure, with
-    Lip(grad R) = 2 and ||Phi||_inf = 5^(d/2). Every row has a closed-form
+    G(f) = || phi * f - y ||^2 in L2 of the empirical measure. The kernel
+    has unit Fourier coefficients on exactly the frequencies {-2..2}^d,
+    so by discrete Parseval (the grid resolves them for n >= 5 per axis)
+    G is the squared residual of the 5^d complex moments
+    m_k = sum_j w_j f_j e^{-2 pi i k . theta_j} against 1. Both the
+    frequency set and the grid factor by axis, and so does G: its feature
+    map is the Kronecker power of the per-axis half spectrum
+    `_fourier_rows`, a 5 x n matrix, with feature weights
+    (1, 2, 2, 2, 2) and target (1, 1, 1, 0, 0) raised to the same
+    Kronecker power. The moments and the gradient are contracted one
+    axis at a time, at O(5 n^d) per axis, and the 5^d x n^d matrix is
+    never formed. Lip(grad R) = 2 and ||Phi||_inf = 5^(d/2), the product
+    of the per-axis column norms sqrt(5). Every row has a closed-form
     optimum, attained at a multiple of delta_0:
 
     - nonneg_tv:lam and tv:lam: a = max(0, 1 - lam / (2 * 5^d)); the
@@ -349,13 +415,17 @@ def deconv_problem(grid, reg):
         raise ValueError("deconvolution is defined on a torus grid")
     if grid.spacing > 1.0 / 5.0:
         raise ValueError("need at least 5 points per axis to resolve the kernel")
-    features = _fourier_rows(grid)
-    n_freq = 5**grid.dim
-    peak = float(n_freq)
-    # Moments of y = phi(. - 0): cosine rows 1, sine rows 0.
-    target = np.concatenate([np.ones(n_freq), np.zeros(n_freq)])
+    n = round(1.0 / grid.spacing)
+    # The last axis runs fastest: the first n points step along it.
+    rows = _fourier_rows(grid.points[:n, -1])
+    peak = float(5**grid.dim)
+    # Moments of y = phi(. - 0): per axis, cosine rows 1 and sine rows 0.
+    target = functools.reduce(np.kron, [_HALF_SPECTRUM_TARGET] * grid.dim)
     smooth = SmoothObjective(
-        features, SquaredResidual(target), phi_lip_class="gradient_lipschitz"
+        (rows,) * grid.dim,
+        SquaredResidual(target),
+        feature_weights=(_HALF_SPECTRUM_WEIGHTS,) * grid.dim,
+        phi_lip_class="gradient_lipschitz",
     )
     origin = np.zeros(grid.dim)
     # The grid Dirac at the origin reproduces y (G = 0), so the potential
@@ -545,7 +615,7 @@ def exact_optimum(problem):
 # -- CLI problem registry ---------------------------------------------------
 
 _DEFAULT_AXIS_POINTS = {
-    "deconv1d": 300, "deconv2d": 60,
+    "deconv1d": 300, "deconv2d": 60, "deconv3d": 20,
     "lb:I": 2000, "lb:I*": 2000, "lb:II": 2000, "lb:II*": 2000, "relu": 2000,
 }
 
@@ -556,11 +626,12 @@ def build_problem(token, grid_size=None, reg=None, lam=None, seed=0, n_samples=1
     """Build a problem from its CLI token with documented defaults.
 
     grid_size is the number of points per axis; None selects the token's
-    `_DEFAULT_AXIS_POINTS` entry (300 for deconv1d, 60 for deconv2d, 2000
-    for relu and the lower-bound settings). `reg` overrides the default regularizer where the problem
-    admits a choice; `lam` sets the weight of the default one instead
-    (nonneg_tv for deconvolution, tv for relu), so it goes with neither
-    `reg` nor a lower-bound token.
+    `_DEFAULT_AXIS_POINTS` entry (300 for deconv1d, 60 for deconv2d, 20
+    for deconv3d, 2000 for relu and the lower-bound settings). `reg`
+    overrides the default regularizer where the problem admits a choice;
+    `lam` sets the weight of the default one instead (nonneg_tv for
+    deconvolution, tv for relu), so it goes with neither `reg` nor a
+    lower-bound token.
     """
     if token not in PROBLEM_TOKENS:
         raise ValueError(f"unknown problem token {token!r}, expected one of {PROBLEM_TOKENS}")

@@ -63,14 +63,15 @@ def soft_threshold(a, kappa):
     return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
 
 
-def solve_kappa(dgf, weights, a, target, start=None):
-    """The dual shift kappa with sum_j w_j eta'^{-1}((a_j - kappa)_+) = target.
+def solve_kappa(dgf, weights, a, target, start=None, floor=-math.inf):
+    """max(floor, kappa) for the dual shift kappa with
+    sum_j w_j eta'^{-1}((a_j - kappa)_+) = target.
 
     Both constrained prox rows reduce to this scalar equation: the
     simplex with a = v and target 1, the TV ball with a = |v| (signed
     dgfs, whose odd eta'^{-1} turns the L1 norm of the thresholded
-    primal into this sum) or a = v (entropy) and target K, kappa then
-    clipped at 0. For entropy the clamp is void and
+    primal into this sum) or a = v (entropy) and target K, with floor 0
+    (an inactive ball leaves v unshifted). For entropy the clamp is void and
     kappa = log(sum_j w_j e^{a_j} / target) in closed form.
 
     For the signed dgfs M(kappa), the sum above, is decreasing and
@@ -98,8 +99,12 @@ def solve_kappa(dgf, weights, a, target, start=None):
     left of the root. The hint is used only when it is finite, above
     the cold start and its first pass finds M >= target. Otherwise, as
     for a hint right of the root, whose filter may have dropped live
-    entries, the loop restarts from the cold start on the full arrays:
-    a bad hint costs one pass and never gives a wrong kappa.
+    entries, the loop restarts on the full arrays from the cold start,
+    or from the floor when that is larger: a bad hint costs one pass and
+    never gives a wrong kappa. A hint right of the root and at or below
+    the floor ends the solve at the floor. So on an inactive ball, whose
+    previous point lies inside it, the solve takes one pass, or two when
+    the hint lies above 0, instead of a Newton solve to a negative root.
     """
     if target <= 0:
         raise ValueError(f"dual target must be positive, got {target}")
@@ -123,8 +128,10 @@ def solve_kappa(dgf, weights, a, target, start=None):
             if hinted:
                 hinted = False
                 if excess < 0.0:
+                    if kappa <= floor:  # the root lies below the floor
+                        break
                     # Right of the root: the filter may have dropped live entries.
-                    kappa, live, w = cold, a, weights
+                    kappa, live, w = max(cold, floor), a, weights
                     continue
             # At or past the root the update cannot increase kappa.
             if excess <= 0.0:
@@ -137,7 +144,7 @@ def solve_kappa(dgf, weights, a, target, start=None):
         kappa = math.nan
     if not math.isfinite(kappa):
         raise ValueError("mirror point must be finite for the dual search")
-    return kappa
+    return max(kappa, floor)
 
 
 def _support_bound(a, a_prev):
@@ -171,7 +178,7 @@ def bregman_step(dgf, reg, state, grad, s_eff):
         if signed:
             a = np.abs(v)
             start = _support_bound(a, np.abs(state.u))
-        kappa = max(0.0, solve_kappa(dgf, w, a, reg.radius, start))
+        kappa = solve_kappa(dgf, w, a, reg.radius, start, floor=0.0)
 
     if not signed:
         u_next = v - kappa

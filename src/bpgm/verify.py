@@ -59,7 +59,7 @@ def _fold(reduce, measured):
 
 # Grid sizes (points per axis) of the finite-difference gradient check.
 FD_GRID_SIZES = {
-    "deconv1d": 50, "deconv2d": 8, "relu": 200,
+    "deconv1d": 50, "deconv2d": 8, "deconv3d": 6, "relu": 200,
     "lb:I": 100, "lb:I*": 100, "lb:II": 100, "lb:II*": 100,
 }
 

@@ -420,6 +420,30 @@ def test_solve_kappa_any_hint_meets_residual_and_cold_loop(row):
     assert solve_kappa(dgf, w, a, target) == root
 
 
+@settings(max_examples=300, deadline=None)
+@given(row=_hinted_rows())
+def test_solve_kappa_floor_is_max_of_floor_and_root(row):
+    """With floor 0, as for the TV ball, kappa is max(0, root): to 1e-12
+    from any hint, and to the bit with none, where the loop is the cold one."""
+    dgf, w, a, target, hint, root = row
+    kappa = solve_kappa(dgf, w, a, target, hint, floor=0.0)
+    assert abs(kappa - max(0.0, root)) <= 1e-12 * max(1.0, abs(root))
+    assert solve_kappa(dgf, w, a, target, floor=0.0) == max(0.0, root)
+
+
+def test_solve_kappa_floor_ends_an_inactive_solve_in_one_pass():
+    # M(0) = 0.5 <= K = 1: the root is negative, so a hint right of it
+    # and at or below the floor ends the solve after its one pass; a hint
+    # above the floor costs a second pass, at the floor.
+    counted = _counting(parse_dgf("hyp"))
+    w = torus_grid(1, 4).weights
+    a = np.full(4, float(counted.eta_prime(0.5)))
+    for hint in (-0.01, 0.0, 0.3):
+        counted.calls = 0
+        assert solve_kappa(counted, w, a, 1.0, hint, floor=0.0) == 0.0
+        assert counted.calls == (1 if hint <= 0.0 else 2)
+
+
 _finite_arrays = hnp.arrays(
     float,
     st.integers(0, 50),
@@ -448,11 +472,17 @@ def test_power_two_closed_forms_match_general_formula(u):
 
 # Mirror-map calls per step over 2000 PGM iterations, and their bounds.
 # The counts are deterministic; an unfiltered cold-started dual solve
-# makes 7.53, 10.75 and 8.29 calls on these rows.
+# makes 7.53, 10.75 and 8.29 calls on the first three rows. The radius-50
+# ball is never active: its hint lies at or below the floor kappa = 0, so
+# each step is one dual pass and the final mirror map, 2 calls, where a
+# Newton solve to the negative root and a clip made 4.01, 11.53 and 7.18.
 @pytest.mark.parametrize("token, grid_size, reg, dgf_token, bound", (
     ("lb:I", 2000, None, "p:2", 4.0),
     ("deconv1d", 300, "tv_ball:1", "hyp", 7.0),
     ("deconv1d", 300, "tv_ball:1", "p:1.5", 6.5),
+    ("deconv1d", 300, "tv_ball:50", "p:2", 2.0),
+    ("deconv1d", 300, "tv_ball:50", "hyp", 2.0),
+    ("deconv1d", 300, "tv_ball:50", "p:1.5", 2.0),
 ))
 def test_dual_solve_pass_count(token, grid_size, reg, dgf_token, bound):
     problem = build_problem(
