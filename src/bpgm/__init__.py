@@ -14,7 +14,6 @@ from .dgf import (
     PowerDgf,
     parse_dgf,
     sc_constant,
-    step_size,
 )
 from .grid import (
     Grid,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "RateModel", "fit_rate", "mollify", "psi_envelope", "theoretical_exponent",
     "EntropyDgf", "HyperbolicDgf", "PowerDgf", "parse_dgf", "sc_constant",
-    "step_size",
     "Grid", "ball_mass", "circle_grid", "dirac_density", "geodesic_dist",
     "torus_grid",
     "Problem", "Regularizer", "SmoothObjective", "build_problem",

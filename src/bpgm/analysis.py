@@ -117,15 +117,8 @@ class EnvelopeCurve:
     meta: dict
 
     def write_csv(self, path):
-        write_atomic(
-            path,
-            (
-                f"{float(a)!r},{float(p)!r},{float(e)!r}\n"
-                for a, p, e in zip(self.alpha, self.psi_hat, self.eps_star)
-            ),
-            meta=self.meta,
-            header=("alpha", "psi_hat", "eps_star"),
-        )
+        columns = (self.alpha.tolist(), self.psi_hat.tolist(), self.eps_star.tolist())
+        write_atomic(path, zip(*columns), meta=self.meta, header=("alpha", "psi_hat", "eps_star"))
 
 
 def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):

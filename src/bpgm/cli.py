@@ -26,7 +26,13 @@ import numpy as np
 
 from .analysis import fit_loglog, psi_envelope, theoretical_exponent
 from .dgf import parse_dgf
-from .objective import PROBLEM_TOKENS, build_problem, exact_optimum, parse_regularizer
+from .objective import (
+    PROBLEM_TOKENS,
+    build_problem,
+    default_start,
+    exact_optimum,
+    parse_regularizer,
+)
 from .solver import SolverConfig, Trace, run as run_solver, write_atomic
 from .verify import run_all_checks
 
@@ -160,21 +166,22 @@ def cmd_rates(args):
     header = f"{'trace':<40} {'fitted':>8} {'theory':>8} {'diff':>7} {'r2':>7}"
     print(header)
     print("-" * len(header))
-    csv_lines = ["trace,problem,dgf,method,fitted,theory,diff,r2\n"]
+    csv_rows = []
     for path, meta, slope, r2, model in rows:
         diff = slope - model.exponent
         print(
             f"{os.path.basename(path):<40} {slope:>+8.3f} {model.exponent:>+8.3f} "
             f"{diff:>+7.3f} {r2:>7.4f}"
         )
-        csv_lines.append(
-            f"{path},{meta.get('problem', '')},{meta.get('dgf', '')},"
-            f"{meta.get('method', '')},{slope!r},{model.exponent!r},{diff!r},{r2!r}\n"
+        csv_rows.append(
+            (path, meta.get("problem", ""), meta.get("dgf", ""), meta.get("method", ""),
+             slope, model.exponent, diff, r2)
         )
     for note in notes:
         print(note)
     if args.out:
-        write_atomic(args.out, csv_lines)
+        header = ("trace", "problem", "dgf", "method", "fitted", "theory", "diff", "r2")
+        write_atomic(args.out, csv_rows, header=header)
         print(f"wrote {args.out}")
     return 0
 
@@ -190,7 +197,7 @@ def cmd_psi(args):
     problem = _build_problem_from_args(args)
     dgf = parse_dgf(args.dgf)
     alphas = np.geomspace(args.alpha_lo, args.alpha_hi, 25)
-    curve = psi_envelope(problem, dgf, np.ones(problem.grid.size), alphas)
+    curve = psi_envelope(problem, dgf, default_start(problem), alphas)
     curve.write_csv(args.out)
     print(f"wrote {args.out}")
     slope, r2 = fit_loglog(curve.alpha, curve.psi_hat, window=(0.0, math.inf))

@@ -26,6 +26,13 @@ import numpy as np
 DEFAULT_BETA = 1e-3
 
 
+def number_token(x):
+    """x as dgf names and regularizer tokens write it: the ':g' form when
+    that parses back to exactly x, else repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 class Dgf:
     """Base distance-generating function.
 
@@ -82,7 +89,7 @@ class PowerDgf(Dgf):
         if not 1.0 < p <= 2.0:
             raise ValueError(f"power exponent must lie in (1, 2], got {p}")
         self.p = float(p)
-        self.name = f"p:{p:g}"
+        self.name = f"p:{number_token(self.p)}"
 
     def eta(self, s):
         s = np.asarray(s, dtype=float)
@@ -169,7 +176,7 @@ class HyperbolicDgf(Dgf):
         if not (math.isfinite(beta) and beta > 0):
             raise ValueError(f"hyperbolic offset beta must be finite and positive, got {beta}")
         self.beta = float(beta)
-        self.name = f"hyp:{beta:g}"
+        self.name = f"hyp:{number_token(self.beta)}"
 
     def eta(self, s):
         s = np.asarray(s, dtype=float)
@@ -196,25 +203,6 @@ def sc_constant(dgf, k_bound):
     if k_bound <= 0:
         raise ValueError(f"norm bound must be positive, got {k_bound}")
     return 0.5 * (k_bound + dgf.beta) ** (dgf.p - 2.0)
-
-
-def step_size(dgf, k_bound, phi_sup, lip_grad):
-    """Largest admissible step for the proximal gradient methods.
-
-    s = 2 c(K) / (phi_sup^2 * lip_grad) = (K + beta)^(p-2) / (phi_sup^2
-    * lip_grad), where c(K) is `sc_constant`, phi_sup bounds the feature
-    norm sup_theta ||Phi(theta)|| and lip_grad is the Lipschitz constant
-    of grad R. Returns inf for linear objectives (lip_grad = 0): any
-    step is admissible there.
-    """
-    c = sc_constant(dgf, k_bound)
-    if phi_sup <= 0:
-        raise ValueError(f"feature sup-norm must be positive, got {phi_sup}")
-    if lip_grad < 0:
-        raise ValueError(f"Lipschitz constant must be nonnegative, got {lip_grad}")
-    if lip_grad == 0:
-        return math.inf
-    return 2.0 * c / (phi_sup**2 * lip_grad)
 
 
 def parse_dgf(token):

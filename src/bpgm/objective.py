@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dgf import number_token
 from .grid import circle_grid, dirac_density, dist_to_point, torus_grid
 
 TWO_PI = 2.0 * np.pi
@@ -116,7 +117,10 @@ class SmoothObjective:
         self.outer = outer
         self.phi_lip_class = phi_lip_class
         self.feature_weights = functools.reduce(np.kron, axis_weights)
-        # The whole matrix, or None: the one-factor case is a single matvec.
+        # One factor stays a plain matvec: through _kron_matvec it gives
+        # bit-identical results but costs 0.4-1.8 us more per call, which
+        # took 4-10 % off the deconv_small benchmark's iterations per
+        # second on a 2-core x86 VM.
         self._matrix = factors[0] if len(factors) == 1 else None
         self._adjoints = tuple(a.T for a in factors)
         # sup_j ||Phi(theta_j)|| in the weighted norm; the squared column
@@ -172,12 +176,6 @@ _REG_KINDS = ("nonneg_tv", "simplex", "tv", "tv_ball")
 FEAS_TOL = 1e-9
 
 
-def _number_token(x):
-    """Shortest of ':g' and repr that parses back to exactly x."""
-    short = f"{x:g}"
-    return short if float(short) == x else repr(float(x))
-
-
 @dataclass(frozen=True)
 class Regularizer:
     """Convex regularizer H(f), one of four kinds.
@@ -209,8 +207,8 @@ class Regularizer:
         if self.kind == "simplex":
             return "simplex"
         if self.kind == "tv_ball":
-            return f"tv_ball:{_number_token(self.radius)}"
-        return f"{self.kind}:{_number_token(self.lam)}"
+            return f"tv_ball:{number_token(self.radius)}"
+        return f"{self.kind}:{number_token(self.lam)}"
 
     def violation(self, weights, f):
         """Distance to the feasible set (0 when feasible)."""
@@ -279,8 +277,9 @@ class Problem:
     (closed form, or solved by exact_optimum); mu_star describes a known
     sparse minimizer as (point, weight) atoms.
     k_bound_hint is an a-priori bound on sup_k ||f_k||_L1 along the
-    iterations, used for default step sizes when the regularizer itself
-    does not bound the norm.
+    iterations. `solver.resolve_step` reads it for the default step when
+    the regularizer bounds neither the norm nor, by a TV weight, the
+    level set; it is the way to give a custom problem its bound.
     """
 
     name: str
@@ -294,6 +293,17 @@ class Problem:
 
     def with_inf_value(self, value):
         return replace(self, inf_value=float(value))
+
+
+def default_start(problem):
+    """The density a run or an envelope starts from when none is given.
+
+    The constant 1, except on a TV ball of radius K < 1, where it is the
+    constant K: its L1 norm is then K, so the start is feasible.
+    """
+    reg = problem.reg
+    level = reg.radius if reg.kind == "tv_ball" and reg.radius < 1.0 else 1.0
+    return np.full(problem.grid.size, level)
 
 
 def density_values(problem, f):
@@ -541,8 +551,7 @@ def relu_problem(grid, n=10, lam=0.05, seed=0):
     )
     if lam > 0:
         # Level-set bound: lam ||f_k|| <= F(f_k) <= F(f0) under descent.
-        f0 = np.ones(grid.size)
-        hint = eval_F(problem, f0) / lam
+        hint = eval_F(problem, default_start(problem)) / lam
         problem = replace(problem, k_bound_hint=hint)
     return problem
 

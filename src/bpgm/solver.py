@@ -23,19 +23,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dgf as dgf_mod
-from .objective import FEAS_TOL, density_values, eval_F
+from .dgf import sc_constant
+from .objective import FEAS_TOL, default_start, density_values, eval_F
 from .prox import MirrorState, bregman_step
 
 TRACE_COLUMNS = ("k", "F", "gap", "l1", "linf_mirror", "time_s")
 
 
-def write_atomic(path, lines, meta=None, header=None):
-    """Write text lines to path through a temp file and a rename.
+def write_atomic(path, rows, meta=None, header=None):
+    """Write CSV rows to path through a temp file and a rename.
 
     Readers never see a partial file. meta, if given, goes first as
-    sorted `# key=value` lines, then the comma-joined header columns.
-    A failed write or rename removes the temp file and re-raises.
+    sorted `# key=value` lines, then the comma-joined header columns,
+    then one comma-joined line per row of values: floats as repr, which
+    reads back bit for bit, and ints and strings as they are. A failed
+    write or rename removes the temp file and re-raises.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -44,7 +46,10 @@ def write_atomic(path, lines, meta=None, header=None):
                 fh.writelines(f"# {key}={meta[key]}\n" for key in sorted(meta))
             if header:
                 fh.write(",".join(header) + "\n")
-            fh.writelines(lines)
+            fh.writelines(
+                ",".join([repr(float(v)) if isinstance(v, float) else str(v) for v in row]) + "\n"
+                for row in rows
+            )
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -54,19 +59,17 @@ def write_atomic(path, lines, meta=None, header=None):
 
 @dataclass
 class SolverConfig:
-    """Run parameters; step and k_bound are derived when omitted.
+    """Run parameters: iteration count, method ("pgm" or "apgm"), step
+    and the iterations to record.
 
-    step defaults to the admissible step (K + beta)^(p-2) / (phi_sup^2
-    Lip(grad R)) and to 1.0 for linear objectives. k_bound is the a
-    priori L1 bound entering the step size; it defaults from the
-    regularizer (simplex: 1, tv_ball: K, TV weight lam > 0: F(f0)/lam)
-    or from the problem's recorded hint.
+    step, when omitted, is the admissible step that `resolve_step`
+    derives from the problem and the dgf. record defaults to the
+    geometric `record_schedule(iters)`.
     """
 
     iters: int
     method: str = "pgm"
     step: float = None
-    k_bound: float = None
     record: tuple = None  # iteration indices; default geometric
 
     def __post_init__(self):
@@ -74,10 +77,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.iters < 1:
             raise ValueError(f"need at least one iteration, got {self.iters}")
-        for name in ("step", "k_bound"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step}")
 
 
 @dataclass
@@ -106,13 +107,8 @@ class Trace:
 
     def write_csv(self, path):
         """Atomically write the trace: metadata preamble, header, rows."""
-        rows = (
-            f"{int(k)},{float(F)!r},{float(gap)!r},{float(l1)!r},{float(lm)!r},{float(t)!r}\n"
-            for k, F, gap, l1, lm, t in zip(
-                self.k, self.F, self.gap, self.l1, self.linf_mirror, self.time_s
-            )
-        )
-        write_atomic(path, rows, meta=self.meta, header=TRACE_COLUMNS)
+        columns = (getattr(self, name).tolist() for name in TRACE_COLUMNS)
+        write_atomic(path, zip(*columns), meta=self.meta, header=TRACE_COLUMNS)
 
     @classmethod
     def read_csv(cls, path):
@@ -173,36 +169,37 @@ def record_schedule(iters, per_decade=100):
     return tuple(np.concatenate([[0], ks]))
 
 
-def default_k_bound(problem, f0):
-    """A priori L1 bound on the iterates, from the regularizer if it
-    constrains the norm, else from a TV level set, else the problem hint."""
+def resolve_step(problem, dgf, config, f0):
+    """(step, k_bound) of a run from f0.
+
+    k_bound is the a-priori L1 bound K on the iterates: 1 on the
+    simplex, the radius on a TV ball, F(f0)/lam under a TV weight
+    lam > 0 (descent keeps lam ||f_k|| <= F(f0)), else the problem's
+    k_bound_hint. step is config.step or the admissible step
+    2 c(K) / (phi_sup^2 Lip(grad R)) = (K + beta)^(p-2) / (phi_sup^2
+    Lip(grad R)), with c(K) from `sc_constant` and phi_sup bounding the
+    feature norm; a linear objective admits any step and gets 1.0.
+    """
     reg = problem.reg
     if reg.kind == "simplex":
-        return 1.0
-    if reg.kind == "tv_ball":
-        return reg.radius
-    if reg.lam > 0:
-        return eval_F(problem, f0) / reg.lam
-    if problem.k_bound_hint is not None:
-        return problem.k_bound_hint
-    raise ValueError(
-        f"problem {problem.name} does not bound the iterate norm; "
-        f"pass an explicit k_bound in the solver config"
-    )
-
-
-def resolve_step(problem, dgf, config, f0):
-    """(step, k_bound) for a run, applying the documented defaults."""
-    k_bound = config.k_bound
-    if k_bound is None:
-        k_bound = default_k_bound(problem, f0)
+        k_bound = 1.0
+    elif reg.kind == "tv_ball":
+        k_bound = reg.radius
+    elif reg.lam > 0:
+        k_bound = eval_F(problem, f0) / reg.lam
+    elif problem.k_bound_hint is not None:
+        k_bound = problem.k_bound_hint
+    else:
+        raise ValueError(
+            f"problem {problem.name} does not bound the iterate norm; "
+            f"give it a k_bound_hint"
+        )
     step = config.step
     if step is None:
-        step = dgf_mod.step_size(
-            dgf, k_bound, problem.smooth.phi_sup, problem.smooth.lip_grad
-        )
-        if math.isinf(step):
-            step = 1.0  # linear objective: every step is admissible
+        smooth = problem.smooth
+        c, phi_sup, lip = sc_constant(dgf, k_bound), smooth.phi_sup, smooth.lip_grad
+        # A linear (or constant) smooth part admits every step.
+        step = 2.0 * c / (phi_sup**2 * lip) if phi_sup * lip > 0 else 1.0
     return float(step), float(k_bound)
 
 
@@ -230,7 +227,7 @@ def _run(problem, dgf, config, f0, accelerated):
             f"reach on nonnegative densities; use a signed dgf (hyp, p:<v>)"
         )
     grid = problem.grid
-    f0 = np.ones(grid.size) if f0 is None else density_values(problem, f0)
+    f0 = default_start(problem) if f0 is None else density_values(problem, f0)
     if problem.reg.violation(grid.weights, f0) > FEAS_TOL:
         raise ValueError("initial density is infeasible for the regularizer")
     step, k_bound = resolve_step(problem, dgf, config, f0)
@@ -310,14 +307,14 @@ def _run(problem, dgf, config, f0, accelerated):
 
 
 def run_pgm(problem, dgf, config, f0=None):
-    """Proximal gradient method from f0 (default uniform); see _run."""
+    """Proximal gradient method from f0 (default `default_start`); see _run."""
     if config.method != "pgm":
         raise ValueError(f"config.method is {config.method!r}, expected 'pgm'")
     return _run(problem, dgf, config, f0, accelerated=False)
 
 
 def run_apgm(problem, dgf, config, f0=None):
-    """Accelerated proximal gradient method from f0 = h0 (default uniform)."""
+    """Accelerated proximal gradient method from f0 = h0 (default `default_start`)."""
     if config.method != "apgm":
         raise ValueError(f"config.method is {config.method!r}, expected 'apgm'")
     return _run(problem, dgf, config, f0, accelerated=True)

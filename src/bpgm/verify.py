@@ -22,16 +22,13 @@ from .analysis import fit_loglog
 from .dgf import EntropyDgf, HyperbolicDgf, PowerDgf, sc_constant
 from .grid import torus_grid
 from .objective import (
-    Problem,
-    SmoothObjective,
-    SquaredResidual,
     build_problem,
     deconv_problem,
+    default_start,
     eval_G,
     lb_problem,
     nonneg_tv,
     simplex,
-    smoothed_square_dist,
     tv,
     tv_ball,
 )
@@ -163,7 +160,7 @@ def check_kkt_sweep(steps=1000, m=50, dgfs=None):
     for dgf in dgfs:
         for reg in (nonneg_tv(0.05), simplex(), tv(0.05), tv_ball(1.0)):
             problem = deconv_problem(grid, reg)
-            f0 = np.ones(grid.size)
+            f0 = default_start(problem)
             step, _ = resolve_step(problem, dgf, SolverConfig(iters=steps), f0)
             state = MirrorState.from_primal(dgf, grid, f0)
             measured = []
@@ -222,22 +219,6 @@ def check_pinsker(dgfs=None, m=100, n_samples=1000, seed=0):
     )
 
 
-def flow_test_problem(m=200):
-    """Unregularized smooth quadratic for the flow equivalences.
-
-    G(f) = (1/2) (integral of Phi~ f)^2 with the C^2 blended feature;
-    H is a TV term with weight 0, i.e. identically zero.
-    """
-    grid = torus_grid(1, m)
-    phi = smoothed_square_dist(grid, np.zeros(1))
-    smooth = SmoothObjective(
-        phi.reshape(1, -1),
-        SquaredResidual(np.zeros(1), scale=0.5),
-        phi_lip_class="gradient_lipschitz",
-    )
-    return Problem(name="flow-test", grid=grid, smooth=smooth, reg=tv(0.0))
-
-
 def _euler_gap(problem, step, horizon, variant):
     """Sup gap of the two Euler trajectories at the horizon; NaN on blow-up."""
     smooth, w = problem.smooth, problem.grid.weights
@@ -284,7 +265,10 @@ def check_mirror_flow(variant, horizon=1.0):
         raise ValueError(f"unknown variant {variant!r}")
     lo, hi, step = 1.5, 2.5, 1e-3
     name = f"mirror_flow_{variant}"
-    problem = flow_test_problem()
+    # The flows follow the smooth part of lb:II*, G(f) = (1/2) (integral
+    # of Phi~ f)^2 with the C^2 blended feature; _euler_gap never reads
+    # the regularizer.
+    problem = lb_problem(torus_grid(1, 200), "II*")
     values = {}
     for key, s in (("gap_step", step), ("gap_half", step / 2.0)):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,4 +1,5 @@
 import argparse
+import math
 import re
 import shlex
 import warnings
@@ -11,7 +12,8 @@ from bpgm import SolverConfig, build_problem, parse_dgf, run_apgm, run_pgm, solv
 from bpgm.analysis import EnvelopeCurve
 from bpgm.cli import _build_problem_from_args, build_parser, main
 from bpgm.objective import (
-    PROBLEM_TOKENS, eval_F, exact_optimum, grad_potential, minimizer_density,
+    PROBLEM_TOKENS, default_start, eval_F, exact_optimum, grad_potential, minimizer_density,
+    parse_regularizer,
 )
 from bpgm.solver import Trace
 from bpgm.verify import FD_GRID_SIZES, CheckResult
@@ -19,6 +21,21 @@ from bpgm.verify import FD_GRID_SIZES, CheckResult
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.mark.parametrize("reg", ("tv_ball:0.5", "tv_ball:0.25"))
+@pytest.mark.parametrize("dgf", ("p:2", "hyp"))
+def test_run_on_a_tv_ball_below_one_starts_feasible(tmp_path, capsys, reg, dgf):
+    out = tmp_path / "t.csv"
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--reg", reg, "--dgf", dgf, "--grid-size", "60",
+        "--iters", "300", "--out", str(out),
+    )
+    assert code == 0, capsys.readouterr().err
+    trace = Trace.read_csv(out)
+    assert trace.meta["reg"] == reg
+    assert np.all(trace.gap >= -1e-12)
+    assert trace.l1[0] == pytest.approx(float(reg.split(":")[1]))
 
 
 def test_run_writes_trace_and_reports_slope(tmp_path, capsys):
@@ -521,6 +538,22 @@ def test_psi_default_sweep_on_every_grid(tmp_path, token, n):
     out = tmp_path / "e.csv"
     assert run_cli("psi", "--problem", token, "--grid-size", str(n), "--out", str(out)) == 0
     assert out.exists()
+
+
+def test_psi_on_a_small_tv_ball_stays_below_the_start_gap(tmp_path):
+    # The envelope's f0 candidate bounds it by F(start) - inf, which is
+    # finite only because the start on tv_ball:0.5 is feasible.
+    out = tmp_path / "e.csv"
+    assert run_cli(
+        "psi", "--problem", "deconv1d", "--reg", "tv_ball:0.5", "--grid-size", "60",
+        "--out", str(out),
+    ) == 0
+    problem = build_problem("deconv1d", grid_size=60, reg=parse_regularizer("tv_ball:0.5"))
+    start_gap = eval_F(problem, default_start(problem)) - problem.inf_value
+    assert math.isfinite(start_gap)
+    psi_hat = [float(line.split(",")[1]) for line in out.read_text().splitlines()
+               if line[0].isdigit()]
+    assert len(psi_hat) == 25 and max(psi_hat) <= start_gap
 
 
 def test_psi_relu_uses_exact_optimum(tmp_path, capsys):

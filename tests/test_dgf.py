@@ -11,7 +11,6 @@ from bpgm import (
     PowerDgf,
     parse_dgf,
     sc_constant,
-    step_size,
     torus_grid,
 )
 
@@ -137,15 +136,6 @@ def test_sc_constant_values():
         sc_constant(PowerDgf(2.0), 0.0)
 
 
-def test_step_size_values():
-    # (K + beta)^(p-2) / (phi_sup^2 lip_grad)
-    assert step_size(PowerDgf(2.0), 3.0, 2.0, 2.0) == pytest.approx(1.0 / 8.0)
-    assert step_size(EntropyDgf(), 2.0, 1.0, 1.0) == pytest.approx(0.5)
-    assert math.isinf(step_size(PowerDgf(2.0), 1.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        step_size(PowerDgf(2.0), 1.0, -1.0, 1.0)
-
-
 def test_parse_dgf_tokens():
     assert parse_dgf("p:2").p == 2.0
     assert parse_dgf("ent").name == "ent"
@@ -154,3 +144,19 @@ def test_parse_dgf_tokens():
     for bad in ("q:2", "p:", "p:abc", "", "hyp:x"):
         with pytest.raises(ValueError):
             parse_dgf(bad)
+
+
+def test_dgf_names_keep_their_short_form():
+    names = [parse_dgf(t).name for t in ("p:2", "p:1.5", "hyp", "hyp:0.001", "ent")]
+    assert names == ["p:2", "p:1.5", "hyp:0.001", "hyp:0.001", "ent"]
+    assert parse_dgf("p:1.23456789").name == "p:1.23456789"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(1.0, 2.0, exclude_min=True),
+    beta=st.floats(1e-12, 1e6, allow_nan=False, allow_infinity=False),
+)
+def test_dgf_names_parse_back_to_the_same_parameters(p, beta):
+    assert parse_dgf(PowerDgf(p).name).p == p
+    assert parse_dgf(HyperbolicDgf(beta).name).beta == beta

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,15 @@ from bpgm import (
     tv_ball,
 )
 from bpgm.grid import dist_to_point
-from bpgm.objective import LinearForm, Problem, SmoothObjective, exact_optimum
-from bpgm.solver import default_k_bound, record_schedule, resolve_step, write_atomic
+from bpgm.objective import (
+    LinearForm,
+    Problem,
+    SmoothObjective,
+    SquaredResidual,
+    default_start,
+    exact_optimum,
+)
+from bpgm.solver import record_schedule, resolve_step, write_atomic
 
 
 def test_gamma_sequence_first_values():
@@ -66,23 +74,29 @@ def test_record_schedule_shape():
     assert list(record_schedule(3)) == [0, 1, 2, 3]
 
 
-def test_default_k_bound_paths():
+def _k_bound(problem, f0):
+    return resolve_step(problem, parse_dgf("p:2"), SolverConfig(iters=1), f0)[1]
+
+
+def test_resolve_step_k_bound_paths():
     g = torus_grid(1, 50)
     f0 = np.ones(50)
-    assert default_k_bound(deconv_problem(g, simplex()), f0) == 1.0
-    assert default_k_bound(deconv_problem(g, tv_ball(2.5)), f0) == 2.5
+    assert _k_bound(deconv_problem(g, simplex()), f0) == 1.0
+    assert _k_bound(deconv_problem(g, tv_ball(2.5)), f0) == 2.5
     p = deconv_problem(g, tv(0.5))
-    assert default_k_bound(p, f0) == pytest.approx(eval_F(p, f0) / 0.5)
+    assert _k_bound(p, f0) == pytest.approx(eval_F(p, f0) / 0.5)
     # lam = 0 falls back to the recorded hint 1 + sqrt(phi(0) - 1)
-    assert default_k_bound(deconv_problem(g, nonneg_tv(0.0)), f0) == pytest.approx(3.0)
+    assert _k_bound(deconv_problem(g, nonneg_tv(0.0)), f0) == pytest.approx(3.0)
     bare = Problem(
         name="bare",
         grid=g,
         smooth=deconv_problem(g, tv(0.0)).smooth,
         reg=tv(0.0),
     )
-    with pytest.raises(ValueError):
-        default_k_bound(bare, f0)
+    with pytest.raises(ValueError, match="give it a k_bound_hint"):
+        _k_bound(bare, f0)
+    # the hint is the one override of a problem's bound
+    assert _k_bound(replace(bare, k_bound_hint=7.0), f0) == 7.0
 
 
 def test_resolve_step_values():
@@ -99,8 +113,43 @@ def test_resolve_step_values():
 
     step, _ = resolve_step(lb_problem(g, "I"), parse_dgf("p:2"), SolverConfig(iters=1), f0)
     assert step == 1.0
-    explicit = SolverConfig(iters=1, step=0.25, k_bound=7.0)
-    assert resolve_step(p, parse_dgf("p:2"), explicit, f0) == (0.25, 7.0)
+    explicit = SolverConfig(iters=1, step=0.25)
+    assert resolve_step(p, parse_dgf("p:2"), explicit, f0) == (0.25, pytest.approx(3.0))
+
+
+def _scaled_problem(phi_sup, lip_grad, k_bound):
+    # one feature of constant value phi_sup, so ||Phi||_inf = phi_sup
+    g = torus_grid(1, 10)
+    outer = SquaredResidual(np.zeros(1), scale=lip_grad / 2.0)
+    smooth = SmoothObjective(np.full((1, 10), phi_sup), outer)
+    return Problem(name="scaled", grid=g, smooth=smooth, reg=tv(0.0), k_bound_hint=k_bound)
+
+
+def test_resolve_step_admissible_step_values():
+    # (K + beta)^(p-2) / (phi_sup^2 lip_grad)
+    f0 = np.ones(10)
+    config = SolverConfig(iters=1)
+    step, _ = resolve_step(_scaled_problem(2.0, 2.0, 3.0), parse_dgf("p:2"), config, f0)
+    assert step == pytest.approx(1.0 / 8.0)
+    step, _ = resolve_step(_scaled_problem(1.0, 1.0, 2.0), parse_dgf("ent"), config, f0)
+    assert step == pytest.approx(0.5)
+    step, _ = resolve_step(_scaled_problem(1.0, 0.0, 1.0), parse_dgf("p:2"), config, f0)
+    assert step == 1.0
+    with pytest.raises(ValueError, match="norm bound must be positive"):
+        resolve_step(_scaled_problem(1.0, 1.0, 0.0), parse_dgf("p:2"), config, f0)
+
+
+@pytest.mark.parametrize("reg, level", (
+    (nonneg_tv(0.0), 1.0), (simplex(), 1.0), (tv(0.05), 1.0), (tv_ball(2.5), 1.0),
+    (tv_ball(1.0), 1.0), (tv_ball(0.5), 0.5), (tv_ball(0.25), 0.25),
+))
+def test_default_start_is_feasible_on_every_row(reg, level):
+    problem = deconv_problem(torus_grid(1, 50), reg)
+    f0 = default_start(problem)
+    assert np.array_equal(f0, np.full(50, level))
+    assert math.isfinite(eval_F(problem, f0))
+    trace = run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=3))
+    assert trace.F[0] == eval_F(problem, f0)
 
 
 def test_solver_config_validation():
@@ -111,8 +160,6 @@ def test_solver_config_validation():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="step must be finite and positive"):
             SolverConfig(iters=10, step=bad)
-        with pytest.raises(ValueError, match="k_bound must be finite and positive"):
-            SolverConfig(iters=10, k_bound=bad)
     with pytest.raises(ValueError):
         SolverConfig(iters=10, step=-0.1)
 
@@ -171,8 +218,8 @@ def test_apgm_iterates_are_convex_combinations():
 
 
 def test_apgm_warns_when_norm_bound_fails():
-    problem = build_problem("deconv1d", grid_size=60)
-    config = SolverConfig(iters=200, method="apgm", step=0.05, k_bound=1e-3)
+    problem = replace(build_problem("deconv1d", grid_size=60), k_bound_hint=1e-3)
+    config = SolverConfig(iters=200, method="apgm", step=0.05)
     with pytest.warns(RuntimeWarning, match="norm bound"):
         trace = run_apgm(problem, parse_dgf("p:2"), config)
     assert "k_bound_exceeded_at" in trace.meta
@@ -185,12 +232,12 @@ def _blowup_problem(m=100):
     g = torus_grid(1, m)
     phi = dist_to_point(g, np.zeros(1))
     smooth = SmoothObjective(phi.reshape(1, -1), LinearForm(np.array([-1.0])))
-    return Problem(name="blowup", grid=g, smooth=smooth, reg=tv(0.0))
+    return Problem(name="blowup", grid=g, smooth=smooth, reg=tv(0.0), k_bound_hint=1.0)
 
 
 def test_run_aborts_on_nonfinite_objective():
     problem = _blowup_problem()
-    config = SolverConfig(iters=4000, step=1.0, k_bound=1.0)
+    config = SolverConfig(iters=4000, step=1.0)
     with warnings.catch_warnings():
         # the run is supposed to overflow; that is the point
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -298,16 +345,23 @@ def test_write_atomic_removes_temp_file_on_failure(tmp_path):
     target = tmp_path / "adir"
     target.mkdir()
     with pytest.raises(OSError):
-        write_atomic(target, ["1\n"])
+        write_atomic(target, [(1,)])
     assert [p.name for p in tmp_path.iterdir()] == ["adir"]
 
-    def lines():
-        yield "1\n"
+    def rows():
+        yield (1,)
         raise RuntimeError("disk full")
 
     with pytest.raises(RuntimeError, match="disk full"):
-        write_atomic(tmp_path / "t.csv", lines())
+        write_atomic(tmp_path / "t.csv", rows())
     assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
+def test_write_atomic_formats_value_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    write_atomic(path, [(3, "a:b", 0.1, np.float64(1e-300), math.nan)],
+                 meta={"z": "1", "a": "x"}, header=("k", "s", "v", "w", "n"))
+    assert path.read_text() == "# a=x\n# z=1\nk,s,v,w,n\n3,a:b,0.1,1e-300,nan\n"
 
 
 def test_trace_read_rejects_empty(tmp_path):

@@ -15,7 +15,6 @@ from bpgm.verify import (
     check_kkt_sweep,
     check_mirror_flow,
     check_pinsker,
-    flow_test_problem,
 )
 
 
@@ -113,24 +112,22 @@ def test_mirror_flow_unknown_variant():
 @pytest.mark.parametrize("variant", ["square", "diff"])
 def test_mirror_flow_blow_up_fails_the_check(variant, monkeypatch):
     # A 2e5-fold steeper quadratic: explicit Euler at step 1e-3 diverges.
-    problem = flow_test_problem()
-    sm = problem.smooth
-    steep = SmoothObjective(
-        sm.features, SquaredResidual(np.zeros(1), scale=1e5), phi_lip_class=sm.phi_lip_class
-    )
-    monkeypatch.setattr(verify, "flow_test_problem", lambda: replace(problem, smooth=steep))
+    lb_problem = verify.lb_problem
+
+    def steep_problem(grid, setting):
+        problem = lb_problem(grid, setting)
+        sm = problem.smooth
+        steep = SmoothObjective(
+            sm.features, SquaredResidual(np.zeros(1), scale=1e5), phi_lip_class=sm.phi_lip_class
+        )
+        return replace(problem, smooth=steep)
+
+    monkeypatch.setattr(verify, "lb_problem", steep_problem)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = check_mirror_flow(variant)
     assert not result.passed
     assert result.detail == "flow blow-up at step 0.001"
-
-
-def test_flow_test_problem_shape():
-    problem = flow_test_problem(m=50)
-    assert problem.grid.size == 50
-    assert problem.reg.lam == 0.0
-    assert problem.smooth.features.shape == (1, 50)
 
 
 def test_gamma_bound_check_short():
