@@ -40,7 +40,7 @@ from .objective import (
     tv,
     tv_ball,
 )
-from .prox import MirrorState, bregman_step, kkt_residual, soft_threshold, solve_kappa
+from .prox import MirrorState, bregman_step, kkt_residual, solve_kappa
 from .solver import SolverConfig, Trace, gamma_next, run, run_apgm, run_pgm
 from .verify import CheckResult, run_all_checks
 
@@ -54,7 +54,7 @@ __all__ = [
     "Problem", "Regularizer", "SmoothObjective", "build_problem",
     "deconv_problem", "eval_F", "eval_G", "grad_potential", "lb_problem",
     "nonneg_tv", "parse_regularizer", "relu_problem", "simplex", "tv", "tv_ball",
-    "MirrorState", "bregman_step", "kkt_residual", "soft_threshold", "solve_kappa",
+    "MirrorState", "bregman_step", "kkt_residual", "solve_kappa",
     "SolverConfig", "Trace", "gamma_next", "run", "run_apgm", "run_pgm",
     "CheckResult", "run_all_checks",
 ]

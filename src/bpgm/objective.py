@@ -49,7 +49,7 @@ class SquaredResidual:
         self.lip_grad = 2.0 * self.scale
 
     def value(self, z, omega):
-        return self.scale * float(np.sum(omega * (z - self.target) ** 2))
+        return self.scale * float((omega * (z - self.target) ** 2).sum())
 
     def grad(self, z):
         return 2.0 * self.scale * (z - self.target)
@@ -63,10 +63,10 @@ class LinearForm:
         self.lip_grad = 0.0
 
     def value(self, z, omega):
-        return float(np.sum(omega * self.coef * z))
+        return float((omega * self.coef * z).sum())
 
     def grad(self, z):
-        return np.broadcast_to(self.coef, z.shape)
+        return self.coef
 
 
 class SmoothObjective:
@@ -152,7 +152,7 @@ class SmoothObjective:
         """The potential G'[f] evaluated at every grid point, shape (m,)."""
         r = self.feature_weights * self.outer.grad(self.moments(weights, f))
         if self._matrix is not None:
-            return self._matrix.T @ r
+            return self._adjoints[0] @ r
         return _kron_matvec(self._adjoints, r)
 
 
@@ -213,20 +213,20 @@ class Regularizer:
     def violation(self, weights, f):
         """Distance to the feasible set (0 when feasible)."""
         if self.kind == "nonneg_tv":
-            return float(max(0.0, -np.min(f, initial=0.0)))
+            return float(max(0.0, -f.min(initial=0.0)))
         if self.kind == "simplex":
-            neg = max(0.0, -float(np.min(f, initial=0.0)))
-            mass_err = abs(float(np.sum(weights * f)) - 1.0)
+            neg = max(0.0, -float(f.min(initial=0.0)))
+            mass_err = abs(float((weights * f).sum()) - 1.0)
             return max(neg, mass_err)
         if self.kind == "tv_ball":
-            return max(0.0, float(np.sum(weights * np.abs(f))) - self.radius)
+            return max(0.0, float((weights * np.abs(f)).sum()) - self.radius)
         return 0.0  # tv: no constraint
 
     def value(self, weights, f):
         if self.violation(weights, f) > FEAS_TOL:
             return math.inf
         if self.kind in ("nonneg_tv", "tv") and self.lam > 0:
-            return self.lam * float(np.sum(weights * np.abs(f)))
+            return self.lam * float((weights * np.abs(f)).sum())
         return 0.0
 
 
@@ -352,19 +352,6 @@ def minimizer_density(problem):
 
 
 # -- deconvolution ----------------------------------------------------------
-
-def dirichlet_kernel(grid, theta):
-    """Order-2 real Dirichlet kernel phi at coordinate offsets theta.
-
-    phi(theta) = prod_i (1 + 2 cos(2 pi theta_i) + 2 cos(4 pi theta_i));
-    phi(0) = 5^d and integral(phi) = 1.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if grid.kind != "torus":
-        raise ValueError("Dirichlet kernel lives on the torus")
-    per_axis = 1.0 + 2.0 * np.cos(TWO_PI * theta) + 2.0 * np.cos(2.0 * TWO_PI * theta)
-    return np.prod(per_axis, axis=-1)
-
 
 def _fourier_rows(axis):
     """Real half spectrum of the order-2 kernel on one torus axis, (5, n).
@@ -556,6 +543,11 @@ def relu_problem(grid, n=10, lam=0.05, seed=0):
     return problem
 
 
+# Join knots this close (relative) to the next knot tie with it: a tied
+# column left out comes out up to 3e-12 above the new mu one knot later.
+_TIE_RTOL = 1e-12
+
+
 def exact_optimum(problem):
     """The problem with its exact optimum recorded, by the Lasso homotopy.
 
@@ -567,13 +559,15 @@ def exact_optimum(problem):
     coefficients solve B_A^T B_A g_A = B_A^T z - mu s_A, affine in mu;
     the next knot is the largest mu below the current one at which an
     inactive correlation reaches +-mu (join) or an active coefficient
-    reaches 0 (leave). The column that changed at a knot is barred from
-    the opposite event at the next one, else rounding makes the path
-    cycle. The atoms of mu_star are the pairs (grid point, g_j).
+    reaches 0 (leave). Inactive columns whose join knots tie the next
+    knot within rounding join with it; the columns that changed at a knot
+    are barred from the opposite event at the next one, else rounding
+    makes the path cycle. The atoms of mu_star are the pairs (grid point, g_j).
 
     Raises ValueError for another outer or regularizer or for lam = 0,
-    and RuntimeError when the path stalls (10 m knots short of lam) or
-    the active Gram matrix is singular.
+    and RuntimeError when the path stalls (10 m knots short of lam), the
+    active Gram matrix is singular or the end point misses the Lasso
+    bound max |B^T (z - B g)| <= lam (1 + 1e-9).
     """
     smooth, lam = problem.smooth, problem.reg.lam
     if not isinstance(smooth.outer, SquaredResidual) or problem.reg.kind != "tv" or lam <= 0:
@@ -584,7 +578,7 @@ def exact_optimum(problem):
     row_scale = np.sqrt(2.0 * smooth.outer.scale * smooth.feature_weights)
     B, z = row_scale[:, None] * smooth.features, row_scale * smooth.outer.target
     m = problem.grid.size
-    mu, active, signs, barred = math.inf, [], [], None
+    mu, active, signs, joined, left = math.inf, [], [], [], None
     for _ in range(10 * m):
         B_A = B[:, active]
         try:
@@ -596,10 +590,9 @@ def exact_optimum(problem):
         with np.errstate(divide="ignore", invalid="ignore"):
             join, leave = np.stack([p / (1.0 - q), -p / (1.0 + q)]), u / v
         join[:, active] = -np.inf
-        if barred in active:
-            leave[active.index(barred)] = -np.inf
-        elif barred is not None:
-            join[:, barred] = -np.inf
+        if left is not None:
+            join[:, left] = -np.inf
+        leave[[active.index(j) for j in joined]] = -np.inf
         knots = np.concatenate([join.ravel(), leave])
         knots[~(knots < mu)] = -np.inf
         k = int(np.argmax(knots))
@@ -607,16 +600,19 @@ def exact_optimum(problem):
             break
         mu = float(knots[k])
         if k < 2 * m:
-            side, barred = divmod(k, m)
-            active.append(barred)
-            signs.append(1.0 - 2.0 * side)
+            tied = np.flatnonzero(knots[: 2 * m] >= mu * (1.0 - _TIE_RTOL))
+            joined, left = [int(t) % m for t in tied], None
+            active += joined
+            signs += [1.0 - 2.0 * (int(t) // m) for t in tied]
         else:
-            barred = active.pop(k - 2 * m)
+            joined, left = [], active.pop(k - 2 * m)
             signs.pop(k - 2 * m)
     else:
         raise RuntimeError(f"Lasso homotopy stalled at mu = {mu!r} after {10 * m} knots")
     g = np.zeros(m)
     g[active] = u - lam * v
+    if not (worst := float(np.abs(B.T @ (z - B @ g)).max())) <= lam * (1.0 + 1e-9):
+        raise RuntimeError(f"Lasso homotopy end point has correlation {worst!r} > lam = {lam!r}")
     atoms = tuple((problem.grid.points[j], float(g[j])) for j in np.flatnonzero(g))
     return replace(problem, inf_value=eval_F(problem, g / problem.grid.weights), mu_star=atoms)
 

@@ -48,19 +48,13 @@ class MirrorState:
         f = np.asarray(f, dtype=float)
         return cls(grid, np.asarray(dgf.eta_prime(f)), f)
 
+    # Method-form reductions: the same ufunc reduce as np.sum / np.max,
+    # without the fromnumeric dispatch, on every record.
     def l1(self):
-        return float(np.sum(self.grid.weights * np.abs(self.primal)))
+        return float((self.grid.weights * np.abs(self.primal)).sum())
 
     def linf_mirror(self):
-        return float(np.max(np.abs(self.u)))
-
-
-def soft_threshold(a, kappa):
-    """Shrink toward zero: sign(a) * max(|a| - kappa, 0)."""
-    if np.any(np.asarray(kappa) < 0):
-        raise ValueError("threshold must be nonnegative")
-    a = np.asarray(a, dtype=float)
-    return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
+        return float(np.abs(self.u).max())
 
 
 def solve_kappa(dgf, weights, a, target, start=None, floor=-math.inf):
@@ -111,11 +105,11 @@ def solve_kappa(dgf, weights, a, target, start=None, floor=-math.inf):
     a = np.asarray(a, dtype=float)
     if dgf.domain == "nonnegative":
         # Zero densities sit at a = -inf and drop out of the sum.
-        c = float(np.max(a))
-        kappa = c + np.log(float(np.sum(weights * np.exp(a - c))) / target)
-    elif math.isfinite(lo := float(np.min(a))):
+        c = float(a.max())
+        kappa = c + np.log(float((weights * np.exp(a - c)).sum()) / target)
+    elif math.isfinite(lo := float(a.min())):
         # A -inf entry would drop out of the sum unnoticed, so it fails here.
-        top = int(np.argmax(a))
+        top = int(a.argmax())
         cold = max(lo - float(dgf.eta_prime(target)),
                    float(a[top] - dgf.eta_prime(target / weights[top])))
         hinted = start is not None and cold < start < math.inf
@@ -124,7 +118,7 @@ def solve_kappa(dgf, weights, a, target, start=None, floor=-math.inf):
             on = live > kappa
             live, w = live[on], w[on]
             h = dgf.eta_prime_inv(live - kappa)
-            excess = float(np.sum(w * h)) - target
+            excess = float((w * h).sum()) - target
             if hinted:
                 hinted = False
                 if excess < 0.0:
@@ -136,7 +130,7 @@ def solve_kappa(dgf, weights, a, target, start=None, floor=-math.inf):
             # At or past the root the update cannot increase kappa.
             if excess <= 0.0:
                 break
-            step = excess / float(np.sum(w / dgf.eta_second(h)))
+            step = excess / float((w / dgf.eta_second(h)).sum())
             if kappa + step <= kappa:
                 break
             kappa += step
@@ -150,19 +144,20 @@ def solve_kappa(dgf, weights, a, target, start=None, floor=-math.inf):
 def _support_bound(a, a_prev):
     """min_j (a_j - a_prev_j) over a_prev_j > 0: solve_kappa's warm start."""
     on = a_prev > 0
-    return float(np.min(a[on] - a_prev[on], initial=math.inf))
+    return float((a[on] - a_prev[on]).min(initial=math.inf))
 
 
 def bregman_step(dgf, reg, state, grad, s_eff):
     """One Bregman proximal step with effective step s_eff.
 
     For PGM s_eff is the step s; for APGM it is s / gamma_k (the prox
-    with divergence weight gamma_k / s). Returns the next MirrorState.
+    with divergence weight gamma_k / s). grad is a float array. Returns
+    the next MirrorState.
     """
     if s_eff <= 0:
         raise ValueError(f"effective step must be positive, got {s_eff}")
-    grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
+    # Not grad @ grad: finite entries above 1e154 would overflow it.
+    if not np.isfinite(grad).all():
         raise ValueError("gradient contains non-finite entries")
     w = state.grid.weights
     v = state.u - s_eff * grad
@@ -183,10 +178,11 @@ def bregman_step(dgf, reg, state, grad, s_eff):
     if not signed:
         u_next = v - kappa
     elif reg.kind in ("tv", "tv_ball"):
-        u_next = soft_threshold(v, kappa)
+        # Soft threshold; kappa >= 0 here (s * lam, or solve_kappa's floor 0).
+        u_next = np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
     else:
         u_next = np.maximum(v - kappa, 0.0)
-    return MirrorState(state.grid, u_next, np.asarray(dgf.eta_prime_inv(u_next)))
+    return MirrorState(state.grid, u_next, dgf.eta_prime_inv(u_next))
 
 
 @dataclass

@@ -237,6 +237,8 @@ def _run(problem, dgf, config, f0, accelerated):
     meta = _base_meta(problem, dgf, config, step, k_bound)
     inf_value = problem.inf_value
     smooth, reg, w = problem.smooth, problem.reg, grid.weights
+    # A linear smooth part (Lip(grad R) = 0) has the same potential at every f.
+    linear = smooth.lip_grad == 0
 
     state = MirrorState.from_primal(dgf, grid, f0)
     f = f0.copy()
@@ -251,7 +253,7 @@ def _run(problem, dgf, config, f0, accelerated):
         rows["k"].append(k)
         rows["F"].append(value)
         rows["gap"].append(value - inf_value if inf_value is not None else math.nan)
-        rows["l1"].append(float(np.sum(w * np.abs(f))))
+        rows["l1"].append(float((w * np.abs(f)).sum()))
         rows["linf_mirror"].append(state.linf_mirror())
         rows["time_s"].append(time.perf_counter() - t0)
         return math.isfinite(value)
@@ -261,13 +263,15 @@ def _run(problem, dgf, config, f0, accelerated):
     with np.errstate(all="ignore"):
         if 0 in record_set:
             record(0)
+        grad = smooth.gradient(w, f) if linear else None
         for k in range(config.iters):
-            g = (1.0 - gamma) * f + gamma * state.primal if accelerated else f
-            grad = smooth.gradient(w, g)
+            if not linear:
+                g = (1.0 - gamma) * f + gamma * state.primal if accelerated else f
+                grad = smooth.gradient(w, g)
             try:
                 state = bregman_step(dgf, reg, state, grad, step / gamma)
             except ValueError:
-                if np.all(np.isfinite(grad)):
+                if np.isfinite(grad).all():
                     raise
                 meta["aborted_at"], meta["abort_reason"] = str(k + 1), "gradient"
                 break

@@ -34,19 +34,26 @@ from bpgm.objective import (
     PROBLEM_TOKENS,
     LinearForm,
     SmoothObjective,
-    dirichlet_kernel,
+    SquaredResidual,
     exact_optimum,
     minimizer_density,
     smoothed_square_dist,
 )
 
 
+def _dirichlet_kernel(theta):
+    """Order-2 real Dirichlet kernel phi at coordinate offsets theta (last axis):
+    prod_i (1 + 2 cos(2 pi theta_i) + 2 cos(4 pi theta_i))."""
+    per_axis = 1.0 + 2.0 * np.cos(2.0 * np.pi * theta) + 2.0 * np.cos(4.0 * np.pi * theta)
+    return np.prod(per_axis, axis=-1)
+
+
 def test_dirichlet_kernel_peak_and_mass():
     for dim, n in ((1, 30), (2, 8)):
         g = torus_grid(dim, n)
-        assert dirichlet_kernel(g, np.zeros((1, dim)))[0] == pytest.approx(5.0**dim)
+        assert _dirichlet_kernel(np.zeros((1, dim)))[0] == pytest.approx(5.0**dim)
         # trigonometric polynomial of degree 2: the quadrature is exact
-        values = dirichlet_kernel(g, g.points)
+        values = _dirichlet_kernel(g.points)
         assert np.sum(g.weights * values) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -59,7 +66,7 @@ def test_deconv_objective_equals_direct_convolution():
     f = np.abs(rng.standard_normal(8))
     delta = dirac_density(g, np.zeros(1))
     offsets = g.points[:, None, :] - g.points[None, :, :]
-    kernel = dirichlet_kernel(g, offsets)  # kernel[i, j] = phi(x_i - x_j)
+    kernel = _dirichlet_kernel(offsets)  # kernel[i, j] = phi(x_i - x_j)
     conv = kernel @ (g.weights * (f - delta))
     direct = float(np.sum(g.weights * conv**2))
     assert eval_G(problem, f) == pytest.approx(direct, rel=1e-12)
@@ -309,6 +316,42 @@ def test_exact_optimum_matches_deconv_closed_form(dim, n, lam):
     solved = exact_optimum(replace(problem, inf_value=None, mu_star=None))
     assert solved.inf_value == pytest.approx(problem.inf_value, rel=1e-12)
     assert eval_F(solved, minimizer_density(solved)) == solved.inf_value
+
+
+def _midpoint_spike(n, lam=0.05):
+    """deconv1d under tv:lam whose target is the moments of delta at
+    x0 = h/2, which lies as far from grid point 0 as from grid point 1."""
+    base = deconv_problem(torus_grid(1, n), tv(lam))
+    a = np.pi / n  # 2 pi x0
+    target = np.array([1.0, np.cos(a), np.cos(2.0 * a), -np.sin(a), -np.sin(2.0 * a)])
+    smooth = SmoothObjective(
+        base.smooth.factors,
+        SquaredResidual(target),
+        feature_weights=(base.smooth.feature_weights,),
+        phi_lip_class=base.smooth.phi_lip_class,
+    )
+    return replace(base, smooth=smooth, inf_value=None, mu_star=None)
+
+
+@pytest.mark.parametrize("n", (100, 200, 400))
+def test_exact_optimum_splits_a_midpoint_spike_evenly(n):
+    # Columns 0 and 1 start with equal correlations. Joined one at a
+    # time, the path ended on atoms {0, 2} at n = 200 and 400, 0.11 % and
+    # 0.025 % over the Lasso bound.
+    lam = 0.05
+    solved = exact_optimum(_midpoint_spike(n, lam))
+    f = minimizer_density(solved)
+    assert np.flatnonzero(f).tolist() == [0, 1]
+    assert f[1] == pytest.approx(f[0], rel=1e-9)
+    assert np.max(np.abs(grad_potential(solved, f))) <= lam * (1.0 + 1e-9)
+    assert eval_F(solved, f) == solved.inf_value
+
+
+def test_exact_optimum_rejects_an_end_point_off_the_lasso_bound(monkeypatch):
+    # Without the tie rule the n = 800 path ends 0.006 % over the bound.
+    monkeypatch.setattr("bpgm.objective._TIE_RTOL", 0.0)
+    with pytest.raises(RuntimeError, match="correlation .* > lam"):
+        exact_optimum(_midpoint_spike(800))
 
 
 @pytest.mark.parametrize("m", (200, 2000))

@@ -1,3 +1,5 @@
+import warnings
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -16,7 +18,6 @@ from bpgm import (
     parse_regularizer,
     run_pgm,
     simplex,
-    soft_threshold,
     solve_kappa,
     torus_grid,
     tv,
@@ -32,11 +33,23 @@ REGS = {
 }
 
 
+def _soft_threshold(a, kappa):
+    """Shrink toward zero: sign(a) * max(|a| - kappa, 0), kappa >= 0."""
+    return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
+
+
 def test_soft_threshold_hand_values():
-    assert soft_threshold(np.array([0.5]), 0.2)[0] == pytest.approx(0.3)
-    assert soft_threshold(np.array([-0.5]), 0.2)[0] == pytest.approx(-0.3)
-    assert soft_threshold(np.array([-0.1]), 0.2)[0] == 0.0
-    assert soft_threshold(np.array([0.0]), 0.0)[0] == 0.0
+    assert _soft_threshold(np.array([0.5]), 0.2)[0] == pytest.approx(0.3)
+    assert _soft_threshold(np.array([-0.5]), 0.2)[0] == pytest.approx(-0.3)
+    assert _soft_threshold(np.array([-0.1]), 0.2)[0] == 0.0
+    assert _soft_threshold(np.array([0.0]), 0.0)[0] == 0.0
+    # The p:2 tv row shrinks v = u - s grad by kappa = s lam = 0.5 * 0.4.
+    grid = torus_grid(1, 4)
+    u = np.array([0.5, -0.5, -0.1, 0.0])
+    state = MirrorState(grid, u, u.copy())
+    nxt = bregman_step(parse_dgf("p:2"), tv(0.4), state, np.zeros(4), 0.5)
+    assert nxt.u == pytest.approx([0.3, -0.3, 0.0, 0.0])
+    assert np.array_equal(nxt.primal, nxt.u)
 
 
 def test_solve_kappa_mass_hand_case():
@@ -253,7 +266,7 @@ def _row_mass(dgf, weights, a, kappa):
 
 def _ball_l1(dgf, weights, v, kappa):
     """L1 norm of the TV-ball row's primal at dual shift kappa."""
-    thr = soft_threshold(v, kappa) if dgf.domain == "signed" else v - kappa
+    thr = _soft_threshold(v, kappa) if dgf.domain == "signed" else v - kappa
     return float(np.sum(weights * np.abs(dgf.eta_prime_inv(thr))))
 
 
@@ -529,3 +542,77 @@ def test_prox_step_meets_kkt_for_every_row(dgf, reg, inputs):
     state = MirrorState(grid, u, dgf.eta_prime_inv(u))
     nxt = bregman_step(dgf, reg, state, grad, s)
     assert kkt_residual(dgf, reg, state, nxt, grad, s).worst() <= 1e-8
+
+
+_STEP_REGS = list(REGS.values())
+
+
+@st.composite
+def _step_inputs(draw, grad_elements):
+    """A mirror point u in [-5, 5]^m (finite, so every dgf has its density
+    there) and a gradient of the same length."""
+    m = draw(st.integers(1, 30))
+    u = draw(hnp.arrays(float, m, elements=st.floats(-5.0, 5.0)))
+    return u, draw(hnp.arrays(float, m, elements=grad_elements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dgf=st.sampled_from(_KKT_DGFS),
+    reg=st.sampled_from(_STEP_REGS),
+    inputs=_step_inputs(st.floats(-1e3, 1e3)),
+    bad=st.sampled_from((np.nan, np.inf, -np.inf)),
+    data=st.data(),
+)
+def test_bregman_step_rejects_a_nonfinite_gradient_entry(dgf, reg, inputs, bad, data):
+    u, grad = inputs
+    grad[data.draw(st.integers(0, len(grad) - 1))] = bad
+    state = MirrorState(torus_grid(1, len(u)), u, dgf.eta_prime_inv(u))
+    with pytest.raises(ValueError, match="non-finite"):
+        bregman_step(dgf, reg, state, grad, 0.1)
+
+
+def _reference_step(dgf, reg, state, grad, s):
+    """(u, primal) of the prox step from the closed forms: the mirror
+    update v = u - s grad, one scalar kappa (s lam for the TV weight, the
+    dual shift for the constraints, warm-started on the support of the
+    previous point), then a shift, a clamp or a soft threshold by kappa."""
+    w = state.grid.weights
+    v = state.u - s * grad
+    signed = dgf.domain == "signed"
+    if reg.kind in ("nonneg_tv", "tv"):
+        kappa = s * reg.lam
+    else:
+        ball = reg.kind == "tv_ball"
+        a, a_prev = (np.abs(v), np.abs(state.u)) if ball and signed else (v, state.u)
+        start = np.min((a - a_prev)[a_prev > 0], initial=np.inf) if signed else None
+        target, floor = (reg.radius, 0.0) if ball else (1.0, -np.inf)
+        kappa = solve_kappa(dgf, w, a, target, start, floor=floor)
+    if not signed:
+        u = v - kappa
+    elif reg.kind in ("tv", "tv_ball"):
+        u = _soft_threshold(v, kappa)
+    else:
+        u = np.maximum(v - kappa, 0.0)
+    return u, dgf.eta_prime_inv(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dgf=st.sampled_from(_KKT_DGFS),
+    reg=st.sampled_from(_STEP_REGS),
+    inputs=_step_inputs(st.floats(-1e300, 1e300)),
+)
+def test_bregman_step_takes_huge_finite_gradients_without_warning(dgf, reg, inputs):
+    # The finite check must not square the gradient: entries above 1e154
+    # would overflow a dot product. s = 1e-299 keeps |s grad| <= 10, so
+    # the rest of the step is finite arithmetic.
+    u, grad = inputs
+    s = 1e-299
+    state = MirrorState(torus_grid(1, len(u)), u, dgf.eta_prime_inv(u))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nxt = bregman_step(dgf, reg, state, grad, s)
+    u_ref, primal_ref = _reference_step(dgf, reg, state, grad, s)
+    assert np.array_equal(nxt.u, u_ref)
+    assert np.array_equal(nxt.primal, primal_ref)

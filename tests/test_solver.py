@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from bpgm import (
+    MirrorState,
     SolverConfig,
     Trace,
+    bregman_step,
     build_problem,
     deconv_problem,
     eval_F,
@@ -15,6 +17,7 @@ from bpgm import (
     mollify,
     nonneg_tv,
     parse_dgf,
+    parse_regularizer,
     run,
     run_apgm,
     run_pgm,
@@ -279,6 +282,64 @@ def test_diverging_runs_end_labelled(token, reg, method):
         warnings.filterwarnings("ignore", "APGM prox sequence exceeded", RuntimeWarning)
         trace = run(problem, parse_dgf(token), config)
     assert not trace.aborted or trace.meta["abort_reason"] in ("gradient", "objective")
+
+
+def _reference_run(problem, dgf, config):
+    """PGM or APGM as a plain loop over public pieces: the smooth
+    gradient at every step, bregman_step, gamma_next and eval_F, with the
+    norms of each record point taken by np.sum and np.max."""
+    grid, w = problem.grid, problem.grid.weights
+    f0 = default_start(problem)
+    step, _ = resolve_step(problem, dgf, config, f0)
+    accelerated = config.method == "apgm"
+    state, f, gamma = MirrorState.from_primal(dgf, grid, f0), f0.copy(), 1.0
+    schedule = set(record_schedule(config.iters))
+    cols = {"F": [], "gap": [], "l1": [], "linf_mirror": []}
+
+    def record():
+        value = eval_F(problem, f)
+        cols["F"].append(value)
+        cols["gap"].append(value - problem.inf_value)
+        cols["l1"].append(float(np.sum(w * np.abs(f))))
+        cols["linf_mirror"].append(float(np.max(np.abs(state.u))))
+
+    record()
+    for k in range(config.iters):
+        g = (1.0 - gamma) * f + gamma * state.primal if accelerated else f
+        grad = problem.smooth.gradient(w, g)
+        state = bregman_step(dgf, problem.reg, state, grad, step / gamma)
+        if accelerated:
+            f = (1.0 - gamma) * f + gamma * state.primal
+            gamma = gamma_next(gamma)
+        else:
+            f = state.primal
+        if k + 1 in schedule:
+            record()
+    return f, state.u, cols
+
+
+@pytest.mark.parametrize("method", ("pgm", "apgm"))
+@pytest.mark.parametrize("token, reg, dgf_token", (
+    ("deconv1d", "nonneg_tv:0", "p:2"),
+    ("deconv1d", "nonneg_tv:0", "ent"),
+    ("deconv1d", "tv:0.05", "p:2"),
+    ("deconv1d", "tv:0.05", "hyp"),
+    ("deconv1d", "tv_ball:1", "p:1.5"),
+    ("lb:I", None, "p:2"),
+    ("lb:II*", None, "p:2"),
+))
+def test_run_equals_a_reference_loop_bit_for_bit(token, reg, dgf_token, method):
+    # The lb:I row has a linear smooth part, whose potential run takes once.
+    problem = build_problem(token, reg=parse_regularizer(reg) if reg else None)
+    dgf = parse_dgf(dgf_token)
+    config = SolverConfig(iters=300, method=method)
+    trace = run(problem, dgf, config)
+    f, u, cols = _reference_run(problem, dgf, config)
+    assert not trace.aborted
+    assert np.array_equal(trace.final_f, f)
+    assert np.array_equal(trace.final_mirror, u)
+    for name, column in cols.items():
+        assert np.array_equal(getattr(trace, name), column), name
 
 
 def test_entropy_is_rejected_on_a_signed_optimum():
