@@ -42,7 +42,6 @@ from .objective import (
 )
 from .prox import MirrorState, bregman_step, kkt_residual, solve_kappa
 from .solver import SolverConfig, Trace, gamma_next, run, run_apgm, run_pgm
-from .verify import CheckResult, run_all_checks
 
 __version__ = "0.1.0"
 
@@ -56,5 +55,4 @@ __all__ = [
     "nonneg_tv", "parse_regularizer", "relu_problem", "simplex", "tv", "tv_ball",
     "MirrorState", "bregman_step", "kkt_residual", "solve_kappa",
     "SolverConfig", "Trace", "gamma_next", "run", "run_apgm", "run_pgm",
-    "CheckResult", "run_all_checks",
 ]

@@ -91,29 +91,50 @@ def _noted(notes, label, fn, *args, **kwargs):
             notes.extend(f"note: {label}{w.message}" for w in caught)
 
 
+def _caveats(meta):
+    """What a trace's metadata says went wrong in its run, as sentences:
+    where it aborted, then where its APGM prox sequence left the norm bound."""
+    if "aborted_at" in meta:
+        yield f"aborted at iteration {meta['aborted_at']} (non-finite {meta['abort_reason']})"
+    if "k_bound_exceeded_at" in meta:
+        seen = float(meta.get("k_bound_exceeded_l1", "nan"))
+        yield (
+            f"APGM prox sequence exceeded the norm bound ({seen:.3g} > "
+            f"{float(meta['k_bound']):.3g}) at iteration {meta['k_bound_exceeded_at']}; "
+            f"the step-size guarantee is conditional on this bound"
+        )
+
+
+def _report(trace, source, window, label, notes):
+    """(slope, r2, model) of a trace read from `source`: its gap fitted
+    over `window` and the rate its metadata predicts. Every note of the
+    trace goes to `notes` as a line `note: <label><sentence>`: its
+    caveats, then the rows the fit dropped."""
+    model = _predicted_rate(trace.meta, source)
+    notes.extend(f"note: {label}{sentence}" for sentence in _caveats(trace.meta))
+    slope, r2 = _noted(notes, label, fit_loglog, trace.k, trace.gap, window=window)
+    return slope, r2, model
+
+
 def _run_one(problem, dgf, config, out, seed):
     """Solve `problem` under `dgf` and write the trace to `out`; returns
     the exit code (2 for an aborted run) and the report."""
-    notes = []
-    trace = _noted(notes, "", run_solver, problem, dgf, config)
+    trace = run_solver(problem, dgf, config)
     trace.meta["seed"] = str(seed)
     trace.write_csv(out)
 
     lines = [f"wrote {out}"]
     if trace.aborted:
-        lines.append(
-            f"aborted at iteration {trace.meta['aborted_at']} "
-            f"(non-finite {trace.meta['abort_reason']})"
-        )
-        return 2, "\n".join(lines + notes)
-    final_F, final_gap = float(trace.F[-1]), float(trace.gap[-1])
-    lines.append(f"final F = {final_F:.6e}, gap = {final_gap:.6e}")
-    model = _predicted_rate(trace.meta, out)
+        # An aborted run gets no fit; its abort is the status line.
+        abort, *caveats = _caveats(trace.meta)
+        return 2, "\n".join([*lines, abort, *(f"note: {c}" for c in caveats)])
+    lines.append(f"final F = {float(trace.F[-1]):.6e}, gap = {float(trace.gap[-1]):.6e}")
     window = (1e3, float(config.iters))
+    notes = []
     try:
         # Raw fit: a log(k) factor in the theory does not move the
         # asymptotic log-log slope, so the comparison stays direct.
-        slope, r2 = _noted(notes, "", fit_loglog, trace.k, trace.gap, window=window)
+        slope, r2, model = _report(trace, out, window, "", notes)
         lines.append(
             f"fitted slope {slope:+.3f} (r2 {r2:.4f}) over "
             f"k in [{window[0]:g}, {window[1]:g}]; theory {model.describe()}"
@@ -133,7 +154,10 @@ def cmd_run(args):
     if len(tokens) > 1 and "{dgf}" not in args.out:
         raise ValueError(f"--out {args.out} needs {{dgf}} to name the trace of each dgf token")
     jobs = [(parse_dgf(t), args.out.replace("{dgf}", t.replace(":", "-"))) for t in tokens]
-    for _, out in jobs:
+    outs = [out for _, out in jobs]
+    if len(set(outs)) < len(outs):
+        raise ValueError(f"--out {args.out} names one trace for two of the --dgf tokens")
+    for out in outs:
         if os.path.isdir(out):
             raise OSError(f"--out {out} is a directory")
         if not os.path.isdir(os.path.dirname(out) or "."):
@@ -150,38 +174,24 @@ def cmd_run(args):
 
 def cmd_rates(args):
     window = (args.fit_lo, args.fit_hi)
-    rows = []
-    notes = []
+    rows, notes = [], []
     for path in args.traces:
         trace = Trace.read_csv(path)
-        model = _predicted_rate(trace.meta, path)
-        label = f"{os.path.basename(path)}: "
-        if trace.meta.get("k_bound_exceeded_at"):
-            notes.append(
-                f"note: {label}APGM prox sequence exceeded the norm bound at "
-                f"iteration {trace.meta['k_bound_exceeded_at']}"
-            )
-        slope, r2 = _noted(notes, label, fit_loglog, trace.k, trace.gap, window=window)
-        rows.append((path, trace.meta, slope, r2, model))
+        slope, r2, model = _report(trace, path, window, f"{os.path.basename(path)}: ", notes)
+        meta, theory = trace.meta, model.exponent
+        rows.append((path, meta.get("problem", ""), meta.get("dgf", ""), meta.get("method", ""),
+                     slope, theory, slope - theory, r2))
     header = f"{'trace':<40} {'fitted':>8} {'theory':>8} {'diff':>7} {'r2':>7}"
     print(header)
     print("-" * len(header))
-    csv_rows = []
-    for path, meta, slope, r2, model in rows:
-        diff = slope - model.exponent
-        print(
-            f"{os.path.basename(path):<40} {slope:>+8.3f} {model.exponent:>+8.3f} "
-            f"{diff:>+7.3f} {r2:>7.4f}"
-        )
-        csv_rows.append(
-            (path, meta.get("problem", ""), meta.get("dgf", ""), meta.get("method", ""),
-             slope, model.exponent, diff, r2)
-        )
+    for path, *_, slope, theory, diff, r2 in rows:
+        name = os.path.basename(path)
+        print(f"{name:<40} {slope:>+8.3f} {theory:>+8.3f} {diff:>+7.3f} {r2:>7.4f}")
     for note in notes:
         print(note)
     if args.out:
         header = ("trace", "problem", "dgf", "method", "fitted", "theory", "diff", "r2")
-        write_atomic(args.out, csv_rows, header=header)
+        write_atomic(args.out, rows, header=header)
         print(f"wrote {args.out}")
     return 0
 

@@ -18,7 +18,6 @@ import contextlib
 import math
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,39 +112,26 @@ class Trace:
     @classmethod
     def read_csv(cls, path):
         """Read a file written by write_csv; anything else is a ValueError."""
-        meta, header, rows = {}, None, []
         with open(path) as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line.lstrip("# ").partition("=")
-                    meta[key] = value
-                    continue
-                fields = line.split(",")
-                if header is None:
-                    header = tuple(fields)
-                    if header != TRACE_COLUMNS:
-                        raise ValueError(
-                            f"{path} is not a trace file: header {line!r}, "
-                            f"expected {','.join(TRACE_COLUMNS)!r}"
-                        )
-                elif len(fields) != len(TRACE_COLUMNS):
-                    raise ValueError(
-                        f"trace file {path}, line {number}: {len(fields)} columns, "
-                        f"expected {len(TRACE_COLUMNS)}"
-                    )
-                else:
-                    try:
-                        rows.append([float(x) for x in fields])
-                    except ValueError:
-                        raise ValueError(
-                            f"trace file {path}, line {number}: non-numeric field in {line!r}"
-                        ) from None
-        if not rows:
+            lines = [line.strip() for line in fh if line.strip()]
+        meta = dict(line.lstrip("# ").partition("=")[::2] for line in lines if line[0] == "#")
+        body = [line for line in lines if line[0] != "#"]
+        if not body or tuple(body[0].split(",")) != TRACE_COLUMNS:
+            raise ValueError(
+                f"{path} is not a trace file: header {body[0] if body else ''!r}, "
+                f"expected {','.join(TRACE_COLUMNS)!r}"
+            )
+        # Checked here: loadtxt only warns on an empty input.
+        if len(body) == 1:
             raise ValueError(f"trace file {path} contains no data rows")
-        cols = np.array(rows).T
+        try:
+            cols = np.loadtxt(body[1:], delimiter=",", ndmin=2).T
+        except ValueError as exc:
+            raise ValueError(f"trace file {path}: {exc}") from None
+        if len(cols) != len(TRACE_COLUMNS):
+            raise ValueError(
+                f"trace file {path}: {len(cols)} columns, expected {len(TRACE_COLUMNS)}"
+            )
         return cls(meta, cols[0].astype(int), *cols[1:])
 
 
@@ -243,7 +229,6 @@ def _run(problem, dgf, config, f0, accelerated):
     state = MirrorState.from_primal(dgf, grid, f0)
     f = f0.copy()
     gamma = 1.0
-    warned = False
 
     rows = {name: [] for name in TRACE_COLUMNS}
     t0 = time.perf_counter()
@@ -268,12 +253,17 @@ def _run(problem, dgf, config, f0, accelerated):
             if not linear:
                 g = (1.0 - gamma) * f + gamma * state.primal if accelerated else f
                 grad = smooth.gradient(w, g)
+            s_eff = step / gamma
             try:
-                state = bregman_step(dgf, reg, state, grad, step / gamma)
+                state = bregman_step(dgf, reg, state, grad, s_eff)
             except ValueError:
-                if np.isfinite(grad).all():
+                if not np.isfinite(grad).all():
+                    reason = "gradient"
+                elif not np.isfinite(state.u - s_eff * grad).all():
+                    reason = "mirror"
+                else:
                     raise
-                meta["aborted_at"], meta["abort_reason"] = str(k + 1), "gradient"
+                meta["aborted_at"], meta["abort_reason"] = str(k + 1), reason
                 break
             if accelerated:
                 f = (1.0 - gamma) * f + gamma * state.primal
@@ -282,17 +272,12 @@ def _run(problem, dgf, config, f0, accelerated):
                 f = state.primal
             if k + 1 in record_set:
                 ok = record(k + 1)
-                if accelerated and not warned:
+                # The step-size guarantee of APGM assumes ||h_k||_L1 <= K.
+                if accelerated and "k_bound_exceeded_at" not in meta:
                     h_l1 = state.l1()
                     if h_l1 > k_bound * (1.0 + 1e-9):
-                        warnings.warn(
-                            f"APGM prox sequence exceeded the norm bound "
-                            f"({h_l1:.3g} > {k_bound:.3g}) at iteration {k + 1}; "
-                            f"the step-size guarantee is conditional on this bound",
-                            RuntimeWarning,
-                        )
                         meta["k_bound_exceeded_at"] = str(k + 1)
-                        warned = True
+                        meta["k_bound_exceeded_l1"] = repr(h_l1)
                 if not ok:
                     meta["aborted_at"], meta["abort_reason"] = str(k + 1), "objective"
                     break

@@ -328,6 +328,19 @@ def test_multi_dgf_needs_placeholder(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_multi_dgf_rejects_repeated_output_paths(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("bpgm.cli.run_solver", lambda *args: calls.append(args))
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--dgf", "p:2,ent,p:2", "--grid-size", "50",
+        "--iters", "30", "--out", str(tmp_path / "d_{dgf}.csv"),
+    )
+    assert code == 1
+    assert "names one trace for two of the --dgf tokens" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_multi_dgf_bad_token_runs_nothing(tmp_path):
     code = run_cli(
         "run", "--problem", "deconv1d", "--dgf", "p:2,p:3", "--grid-size", "50",
@@ -474,11 +487,14 @@ def _envelope_csv(path):
     lambda p: p.write_text("k,F,gap,l1,linf_mirror,time_s\n1,2,3,4,5,6\n2,2,3,4\n"),
     lambda p: p.write_text("k,F,gap,l1,linf_mirror,time_s\n1,2,x,4,5,6\n"),
     _envelope_csv,
-), ids=("short", "ragged", "non-numeric", "envelope"))
+    lambda p: p.write_text("# dim=1\nk,F,gap,l1,linf_mirror,time_s\n"),
+), ids=("short", "ragged", "non-numeric", "envelope", "header-only"))
 def test_rates_rejects_malformed_trace(tmp_path, capsys, write):
+    # Every warning is an error: the reader must fail with a ValueError
+    # that names the file, and nothing else.
     bad = tmp_path / "bad.csv"
     write(bad)
-    assert run_cli("rates", str(bad)) == 1
+    assert _run_quietly("rates", str(bad)) == 1
     assert str(bad) in capsys.readouterr().err
 
 
@@ -657,10 +673,54 @@ def test_rates_prints_notes_instead_of_warnings(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "note: exact.csv: dropping 7 rows with non-positive" in captured.out
     assert (
-        "note: overrun.csv: APGM prox sequence exceeded the norm bound at iteration 1"
-        in captured.out
+        "note: overrun.csv: APGM prox sequence exceeded the norm bound (8.64 > 3) at "
+        "iteration 1; the step-size guarantee is conditional on this bound" in captured.out
     )
     assert captured.err == ""
+
+
+def _sparse_schedule(iters):
+    """Records at k = 0..11 and at the end: a diverging run meets its
+    non-finite gradient between records, and rates still has rows to fit."""
+    return (*range(12), iters)
+
+
+# (run arguments, record schedule or None, rates arguments)
+_NOTED_RUNS = {
+    "overrun": (
+        ("--problem", "deconv1d", "--grid-size", "60", "--method", "apgm", "--dgf", "p:2",
+         "--step", "5", "--iters", "200"), None, ("--fit-lo", "1")),
+    "objective": (
+        ("--problem", "deconv1d", "--reg", "tv:0.05", "--dgf", "p:2", "--step", "1.5",
+         "--iters", "20000"), None, ("--fit-lo", "1")),
+    "gradient": (
+        ("--problem", "deconv1d", "--reg", "tv:0.05", "--dgf", "p:2", "--grid-size", "300",
+         "--step", "50", "--iters", "2000"), _sparse_schedule, ("--fit-lo", "1")),
+    "exact": (
+        ("--problem", "lb:I", "--grid-size", "200", "--dgf", "hyp", "--iters", "3000"),
+        None, ("--fit-lo", "1e3", "--fit-hi", "3000")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOTED_RUNS))
+def test_rates_prints_every_note_of_run(tmp_path, monkeypatch, capsys, case):
+    run_args, schedule, rates_args = _NOTED_RUNS[case]
+    if schedule is not None:
+        monkeypatch.setattr(solver, "record_schedule", schedule)
+    out = tmp_path / f"{case}.csv"
+    run_code = _run_quietly("run", *run_args, "--out", str(out))
+    said = [
+        line.removeprefix("note: ") for line in capsys.readouterr().out.splitlines()
+        if line.startswith(("note: ", "aborted at "))
+    ]
+    assert said
+    assert (run_code == 2) == (case in ("objective", "gradient"))
+    if run_code == 2:
+        assert said[0].endswith(f"(non-finite {case})")
+    assert _run_quietly("rates", str(out), *rates_args) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for sentence in said:
+        assert f"note: {case}.csv: {sentence}" in printed
 
 
 def test_psi_requires_out():

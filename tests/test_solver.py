@@ -2,8 +2,10 @@ import math
 import warnings
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bpgm import (
     MirrorState,
@@ -35,7 +37,7 @@ from bpgm.objective import (
     default_start,
     exact_optimum,
 )
-from bpgm.solver import record_schedule, resolve_step, write_atomic
+from bpgm.solver import TRACE_COLUMNS, record_schedule, resolve_step, write_atomic
 
 
 def test_gamma_sequence_first_values():
@@ -220,12 +222,15 @@ def test_apgm_iterates_are_convex_combinations():
     assert np.all(np.isfinite(trace.final_f))
 
 
-def test_apgm_warns_when_norm_bound_fails():
+def test_apgm_records_when_norm_bound_fails():
     problem = replace(build_problem("deconv1d", grid_size=60), k_bound_hint=1e-3)
     config = SolverConfig(iters=200, method="apgm", step=0.05)
-    with pytest.warns(RuntimeWarning, match="norm bound"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         trace = run_apgm(problem, parse_dgf("p:2"), config)
-    assert "k_bound_exceeded_at" in trace.meta
+    k = int(trace.meta["k_bound_exceeded_at"])
+    assert k in trace.k
+    assert float(trace.meta["k_bound_exceeded_l1"]) > float(trace.meta["k_bound"]) == 1e-3
     assert not trace.aborted
 
 
@@ -267,21 +272,28 @@ def test_run_aborts_on_nonfinite_gradient(method):
     assert list(trace.k) == [0]
 
 
-@pytest.mark.parametrize("method", ("pgm", "apgm"))
+@pytest.mark.parametrize("method, step", (
+    pytest.param("pgm", 1e4, id="pgm"),
+    pytest.param("apgm", 1e4, id="apgm"),
+    pytest.param("pgm", 1e308, id="pgm-1e308"),
+    pytest.param("apgm", 1e308, id="apgm-1e308"),
+))
 @pytest.mark.parametrize("reg", (nonneg_tv(0.0), tv(0.05), simplex(), tv_ball(1.0)),
                          ids=lambda reg: reg.token)
 @pytest.mark.parametrize("token", ("p:2", "p:1.5", "hyp", "ent"))
-def test_diverging_runs_end_labelled(token, reg, method):
-    # Step 1e4 is far past the admissible step; whichever way a row
-    # fails, the run must end as a labelled trace, not an exception or
-    # a stray numpy warning.
+def test_diverging_runs_end_labelled(token, reg, method, step, tmp_path):
+    # Steps 1e4 and 1e308 are far past the admissible step; whichever way
+    # a row fails, the run must end as a labelled trace that reads back,
+    # not an exception or a stray numpy warning.
     problem = deconv_problem(torus_grid(1, 60), reg)
-    config = SolverConfig(iters=200, method=method, step=1e4, record=(0, 200))
+    config = SolverConfig(iters=200, method=method, step=step, record=(0, 200))
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        warnings.filterwarnings("ignore", "APGM prox sequence exceeded", RuntimeWarning)
+        warnings.simplefilter("error")
         trace = run(problem, parse_dgf(token), config)
-    assert not trace.aborted or trace.meta["abort_reason"] in ("gradient", "objective")
+        trace.write_csv(tmp_path / "t.csv")
+        back = Trace.read_csv(tmp_path / "t.csv")
+    assert back.meta == trace.meta
+    assert not trace.aborted or trace.meta["abort_reason"] in ("gradient", "mirror", "objective")
 
 
 def _reference_run(problem, dgf, config):
@@ -400,6 +412,43 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.array_equal(back.F, trace.F)
     assert np.array_equal(back.gap, trace.gap)
     assert np.array_equal(back.linf_mirror, trace.linf_mirror)
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, except that every nan reads back as nan."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.uint64), b[~nan].view(np.uint64)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 2**53), *[_any_float] * (len(TRACE_COLUMNS) - 1)),
+        min_size=1, max_size=20,
+    ),
+    meta=st.dictionaries(
+        st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
+        _any_float.map(repr),
+        max_size=5,
+    ),
+)
+def test_trace_csv_round_trip_keeps_every_bit(tmp_path_factory, rows, meta):
+    cols = [np.array(col) for col in zip(*rows)]
+    trace = Trace(meta, cols[0].astype(int), *[col.astype(float) for col in cols[1:]])
+    path = tmp_path_factory.mktemp("trace") / "t.csv"
+    trace.write_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = Trace.read_csv(path)
+    assert back.meta == meta
+    assert np.array_equal(back.k, trace.k)
+    for name in TRACE_COLUMNS[1:]:
+        assert _same_bits(getattr(back, name), getattr(trace, name)), name
 
 
 def test_write_atomic_removes_temp_file_on_failure(tmp_path):

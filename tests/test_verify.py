@@ -1,3 +1,7 @@
+import ast
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -5,7 +9,7 @@ import numpy as np
 import pytest
 
 import bpgm
-from bpgm import EntropyDgf, HyperbolicDgf, PowerDgf, build_problem, run_all_checks
+from bpgm import EntropyDgf, HyperbolicDgf, PowerDgf, build_problem
 from bpgm import verify
 from bpgm.objective import SmoothObjective, SquaredResidual
 from bpgm.verify import (
@@ -15,6 +19,7 @@ from bpgm.verify import (
     check_kkt_sweep,
     check_mirror_flow,
     check_pinsker,
+    run_all_checks,
 )
 
 
@@ -170,3 +175,13 @@ def test_package_exports():
     }
     assert not raw & set(names)
     assert not any(hasattr(verify, name) for name in raw | {"EntropyCheck", "FlowCheck"})
+
+
+def test_import_bpgm_leaves_the_oracle_suite_and_cli_unloaded():
+    code = "import sys, bpgm; print(sorted(m for m in sys.modules if m.startswith('bpgm')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = ast.literal_eval(out)
+    assert "bpgm.solver" in loaded
+    assert "bpgm.verify" not in loaded and "bpgm.cli" not in loaded
