@@ -180,17 +180,18 @@ def cmd_rates(args):
         slope, r2, model = _report(trace, path, window, f"{os.path.basename(path)}: ", notes)
         meta, theory = trace.meta, model.exponent
         rows.append((path, meta.get("problem", ""), meta.get("dgf", ""), meta.get("method", ""),
-                     slope, theory, slope - theory, r2))
+                     slope, theory, slope - theory, r2, meta.get("aborted_at", "")))
     header = f"{'trace':<40} {'fitted':>8} {'theory':>8} {'diff':>7} {'r2':>7}"
     print(header)
     print("-" * len(header))
-    for path, *_, slope, theory, diff, r2 in rows:
+    for path, *_, slope, theory, diff, r2, _aborted in rows:
         name = os.path.basename(path)
         print(f"{name:<40} {slope:>+8.3f} {theory:>+8.3f} {diff:>+7.3f} {r2:>7.4f}")
     for note in notes:
         print(note)
     if args.out:
-        header = ("trace", "problem", "dgf", "method", "fitted", "theory", "diff", "r2")
+        header = ("trace", "problem", "dgf", "method", "fitted", "theory", "diff", "r2",
+                  "aborted_at")
         write_atomic(args.out, rows, header=header)
         print(f"wrote {args.out}")
     return 0

@@ -38,9 +38,9 @@ class Dgf:
 
     Subclasses set `name`, `domain` ("signed" or "nonnegative") and the
     relative-strong-convexity parameters `p` (exponent) and `beta`
-    (offset), and implement eta, eta_prime, eta_prime_inv, eta_second
-    as numpy ufunc-style maps. eta_second is the slope of the dual
-    equation in prox.solve_kappa: d/du eta'^{-1}(u) = 1 / eta''(eta'^{-1}(u)).
+    (offset), and implement eta, eta_prime, eta_prime_inv as numpy
+    ufunc-style maps. The signed families also implement mass_and_slope,
+    the two sums one Newton pass of prox.solve_kappa needs.
     """
 
     name = None
@@ -58,7 +58,8 @@ class Dgf:
         """Inverse of eta_prime (the mirror map back to densities)."""
         raise NotImplementedError
 
-    def eta_second(self, s):
+    def mass_and_slope(self, x):
+        """(sum eta'^{-1}(x), sum d/dx eta'^{-1}(x)) for shifts x > 0."""
         raise NotImplementedError
 
     def divergence_values(self, weights, f, g):
@@ -99,21 +100,22 @@ class PowerDgf(Dgf):
         s = np.asarray(s, dtype=float)
         return np.sign(s) * np.abs(s) ** (self.p - 1.0) / (self.p - 1.0)
 
-    # At p = 2 the mirror map is the identity and eta'' is 1; the closed
-    # forms equal the general formulas bit for bit on finite input
-    # (adding 0.0 turns -0.0 into 0.0, as sign(u) * |u| does).
+    # At p = 2 the mirror map is the identity; the closed form equals the
+    # general formula bit for bit on finite input (adding 0.0 turns -0.0
+    # into 0.0, as sign(u) * |u| does).
     def eta_prime_inv(self, u):
         if self.p == 2.0:
             return np.asarray(u, dtype=float) + 0.0
         u = np.asarray(u, dtype=float)
         return np.sign(u) * ((self.p - 1.0) * np.abs(u)) ** (1.0 / (self.p - 1.0))
 
-    def eta_second(self, s):
+    def mass_and_slope(self, x):
         if self.p == 2.0:
-            return np.ones_like(s, dtype=float)
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.abs(s) ** (self.p - 2.0)
+            return float(x.sum()), float(x.size)
+        # Powers of t = (p-1) x, never h / t: a subnormal x rounds t to 0.
+        t = (self.p - 1.0) * x
+        q = 1.0 / (self.p - 1.0)
+        return float((t**q).sum()), float((t ** (q - 1.0)).sum())
 
 
 class EntropyDgf(Dgf):
@@ -141,11 +143,6 @@ class EntropyDgf(Dgf):
 
     def eta_prime_inv(self, u):
         return np.exp(np.asarray(u, dtype=float))
-
-    def eta_second(self, s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            return 1.0 / s
 
     def divergence_values(self, weights, f, g):
         # f log(f/g) - f + g with 0 log 0 = 0; infinite when f > 0, g = 0.
@@ -189,9 +186,8 @@ class HyperbolicDgf(Dgf):
     def eta_prime_inv(self, u):
         return self.beta * np.sinh(np.asarray(u, dtype=float))
 
-    def eta_second(self, s):
-        s = np.asarray(s, dtype=float)
-        return 1.0 / np.sqrt(s**2 + self.beta**2)
+    def mass_and_slope(self, x):
+        return self.beta * float(np.sinh(x).sum()), self.beta * float(np.cosh(x).sum())
 
 
 def sc_constant(dgf, k_bound):

@@ -30,7 +30,8 @@ class Grid:
         Lattice coordinates. Torus coordinates live in [0, 1); circle
         points are angles in [0, 2*pi).
     weights : ndarray, shape (m,)
-        Quadrature weights of the normalized uniform measure (all 1/m).
+        Quadrature weights of the normalized uniform measure, all 1/m:
+        checked equal, so any entry is the one cell weight of the dual solve.
     spacing : float
         Lattice spacing along one axis.
     """
@@ -48,10 +49,11 @@ class Grid:
             raise ValueError("points must have shape (m, dim)")
         if self.weights.shape != (self.points.shape[0],):
             raise ValueError("weights must have shape (m,)")
-        if not np.all(self.weights > 0):
-            raise ValueError("quadrature weights must be positive")
+        # Equal weights summing to 1 are positive (and not NaN).
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("quadrature weights must sum to 1")
+        if not (self.weights == self.weights[0]).all():
+            raise ValueError("quadrature weights must be uniform")
         # Shared read-only state: grids are passed around freely.
         self.points.flags.writeable = False
         self.weights.flags.writeable = False

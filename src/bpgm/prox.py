@@ -13,8 +13,10 @@ shift clamped at eta'(0) = 0 (sign constraint) or a soft threshold
 constraints kappa is the dual shift of solve_kappa, closed form for
 entropy and found by a monotone Newton iteration for the signed dgfs,
 warm-started from the previous prox point and filtered to the entries
-still above kappa. At p = 2 the mirror map eta'^{-1} is the identity
-and eta'' is 1, and PowerDgf returns both in closed form.
+still above kappa. The grid's weights are all one cell weight w, so a
+Newton pass needs only two sums over the live shifts x, of eta'^{-1}(x)
+and of its derivative, which Dgf.mass_and_slope returns in one call
+(at p = 2: sum x and the count).
 
 All updates satisfy the first-order optimality condition
 
@@ -57,27 +59,29 @@ class MirrorState:
         return float(np.abs(self.u).max())
 
 
-def solve_kappa(dgf, weights, a, target, start=None, floor=-math.inf):
+def solve_kappa(dgf, weight, a, target, start=None, floor=-math.inf):
     """max(floor, kappa) for the dual shift kappa with
-    sum_j w_j eta'^{-1}((a_j - kappa)_+) = target.
+    w sum_j eta'^{-1}((a_j - kappa)_+) = target, where w = `weight` is
+    the grid's cell weight (every quadrature weight is 1/m).
 
     Both constrained prox rows reduce to this scalar equation: the
     simplex with a = v and target 1, the TV ball with a = |v| (signed
     dgfs, whose odd eta'^{-1} turns the L1 norm of the thresholded
     primal into this sum) or a = v (entropy) and target K, with floor 0
     (an inactive ball leaves v unshifted). For entropy the clamp is void and
-    kappa = log(sum_j w_j e^{a_j} / target) in closed form.
+    kappa = log(w sum_j e^{a_j} / target) in closed form.
 
     For the signed dgfs M(kappa), the sum above, is decreasing and
     convex, since eta'^{-1} is increasing and convex on [0, inf) with
     eta'^{-1}(0) = 0. So Newton's method, with slope
-    -sum_{a > kappa} w / eta''(eta'^{-1}(a - kappa)), climbs to the root
-    monotonically from any point left of it. The cold start is the
-    larger of two lower bounds: min a - eta'(target), where every term
-    is at least target (the weights sum to 1), and a_j - eta'(target / w_j)
-    at the largest a_j, where that term alone is target. It stops once
-    an update no longer increases kappa: the iterates are increasing
-    floats bounded by the root, so the loop needs no tolerance and no cap.
+    -w sum_{a > kappa} d/dx eta'^{-1}(a - kappa), climbs to the root
+    monotonically from any point left of it; one dgf.mass_and_slope call
+    per pass gives both sums. The cold start is the larger of two lower
+    bounds: min a - eta'(target), where every term is at least target
+    (m w = 1), and max a - eta'(target / w), where that term alone is
+    target. It stops once an update no longer increases kappa: the
+    iterates are increasing floats bounded by the root, so the loop
+    needs no tolerance and no cap.
 
     Each pass keeps only the entries with a_j > kappa (the filtering
     step of Michelot's algorithm, see Condat 2016, "Fast projection onto
@@ -106,31 +110,29 @@ def solve_kappa(dgf, weights, a, target, start=None, floor=-math.inf):
     if dgf.domain == "nonnegative":
         # Zero densities sit at a = -inf and drop out of the sum.
         c = float(a.max())
-        kappa = c + np.log(float((weights * np.exp(a - c)).sum()) / target)
+        kappa = c + np.log(weight * float(np.exp(a - c).sum()) / target)
     elif math.isfinite(lo := float(a.min())):
         # A -inf entry would drop out of the sum unnoticed, so it fails here.
-        top = int(a.argmax())
         cold = max(lo - float(dgf.eta_prime(target)),
-                   float(a[top] - dgf.eta_prime(target / weights[top])))
+                   float(a.max() - dgf.eta_prime(target / weight)))
         hinted = start is not None and cold < start < math.inf
-        kappa, live, w = (float(start) if hinted else cold), a, weights
+        kappa, live = (float(start) if hinted else cold), a
         while True:
-            on = live > kappa
-            live, w = live[on], w[on]
-            h = dgf.eta_prime_inv(live - kappa)
-            excess = float((w * h).sum()) - target
+            live = live[live > kappa]
+            mass, slope = dgf.mass_and_slope(live - kappa)
+            excess = weight * mass - target
             if hinted:
                 hinted = False
                 if excess < 0.0:
                     if kappa <= floor:  # the root lies below the floor
                         break
                     # Right of the root: the filter may have dropped live entries.
-                    kappa, live, w = max(cold, floor), a, weights
+                    kappa, live = max(cold, floor), a
                     continue
             # At or past the root the update cannot increase kappa.
             if excess <= 0.0:
                 break
-            step = excess / float((w / dgf.eta_second(h)).sum())
+            step = excess / (weight * slope)
             if kappa + step <= kappa:
                 break
             kappa += step
@@ -143,8 +145,7 @@ def solve_kappa(dgf, weights, a, target, start=None, floor=-math.inf):
 
 def _support_bound(a, a_prev):
     """min_j (a_j - a_prev_j) over a_prev_j > 0: solve_kappa's warm start."""
-    on = a_prev > 0
-    return float((a[on] - a_prev[on]).min(initial=math.inf))
+    return float((a - a_prev)[a_prev > 0].min(initial=math.inf))
 
 
 def bregman_step(dgf, reg, state, grad, s_eff):
@@ -159,27 +160,27 @@ def bregman_step(dgf, reg, state, grad, s_eff):
     # Not grad @ grad: finite entries above 1e154 would overflow it.
     if not np.isfinite(grad).all():
         raise ValueError("gradient contains non-finite entries")
-    w = state.grid.weights
     v = state.u - s_eff * grad
     signed = dgf.domain == "signed"
+    # Signed TV rows shrink |v|; the ball's dual solve reads the same |v|.
+    shrink = signed and reg.kind in ("tv", "tv_ball")
+    a = np.abs(v) if shrink else v
 
     if reg.kind in ("nonneg_tv", "tv"):
         kappa = s_eff * reg.lam
-    elif reg.kind == "simplex":
-        start = _support_bound(v, state.u) if signed else None
-        kappa = solve_kappa(dgf, w, v, 1.0, start)
-    else:  # tv_ball
-        a, start = v, None
-        if signed:
-            a = np.abs(v)
-            start = _support_bound(a, np.abs(state.u))
-        kappa = solve_kappa(dgf, w, a, reg.radius, start, floor=0.0)
+    else:
+        weight = float(state.grid.weights[0])  # uniform: Grid checks it
+        start = _support_bound(a, np.abs(state.u) if shrink else state.u) if signed else None
+        if reg.kind == "simplex":
+            kappa = solve_kappa(dgf, weight, a, 1.0, start)
+        else:  # tv_ball
+            kappa = solve_kappa(dgf, weight, a, reg.radius, start, floor=0.0)
 
     if not signed:
         u_next = v - kappa
-    elif reg.kind in ("tv", "tv_ball"):
+    elif shrink:
         # Soft threshold; kappa >= 0 here (s * lam, or solve_kappa's floor 0).
-        u_next = np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
+        u_next = np.sign(v) * np.maximum(a - kappa, 0.0)
     else:
         u_next = np.maximum(v - kappa, 0.0)
     return MirrorState(state.grid, u_next, dgf.eta_prime_inv(u_next))

@@ -396,8 +396,31 @@ def test_rates_table_and_report(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "fitted" in text and "theory" in text
     lines = report.read_text().splitlines()
-    assert lines[0] == "trace,problem,dgf,method,fitted,theory,diff,r2"
+    assert lines[0] == "trace,problem,dgf,method,fitted,theory,diff,r2,aborted_at"
     assert len(lines) == 3
+
+
+def test_rates_report_marks_an_aborted_trace(tmp_path, capsys):
+    # The step-1.5 tv:0.05 run diverges: its objective turns non-finite
+    # at iteration 514, and the fit over its records reads as a growth.
+    aborted, finished = tmp_path / "aborted.csv", tmp_path / "finished.csv"
+    codes = [
+        run_cli(
+            "run", "--problem", "deconv1d", "--reg", "tv:0.05", "--dgf", "p:2",
+            "--step", step, "--iters", "2000", "--out", str(out),
+        )
+        for out, step in ((aborted, "1.5"), (finished, "0.5"))
+    ]
+    assert codes == [2, 0]
+    capsys.readouterr()
+    report = tmp_path / "rates.csv"
+    assert run_cli(
+        "rates", str(aborted), str(finished), "--fit-lo", "1", "--out", str(report)
+    ) == 0
+    header, *rows = (line.split(",") for line in report.read_text().splitlines())
+    column = header.index("aborted_at")
+    assert [row[column] for row in rows] == ["514", ""]
+    assert float(rows[0][header.index("fitted")]) > 0
 
 
 def _theory_column(report):

@@ -1,9 +1,11 @@
 import math
+import warnings
 
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from bpgm import (
     EntropyDgf,
@@ -20,7 +22,7 @@ def test_power_p2_is_half_square():
     s = np.array([-2.0, 0.0, 3.0])
     assert np.allclose(d.eta(s), s**2 / 2.0)
     assert np.allclose(d.eta_prime(s), s)
-    assert np.allclose(d.eta_second(np.array([1.0, 5.0])), 1.0)
+    assert d.mass_and_slope(np.array([1.0, 5.0])) == (6.0, 2.0)
 
 
 def test_power_p15_hand_values():
@@ -67,28 +69,57 @@ def test_hyperbolic_values():
     assert d.eta_prime_inv(np.array([1.0]))[0] == pytest.approx(1.1752011936438014)
 
 
-def test_eta_second_positive():
+def test_mass_and_slope_positive():
     rng = np.random.default_rng(0)
-    s_signed = rng.uniform(-3.0, 3.0, 50)
+    x = rng.uniform(1e-6, 3.0, 50)
     for d in (PowerDgf(2.0), PowerDgf(1.5), HyperbolicDgf()):
-        assert np.all(d.eta_second(s_signed) > 0)
-    assert np.all(EntropyDgf().eta_second(np.abs(s_signed) + 1e-6) > 0)
+        mass, slope = d.mass_and_slope(x)
+        assert mass > 0 and slope > 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    token=st.sampled_from(["p:2", "p:1.5", "hyp:0.001", "hyp:0.5", "ent"]),
+    token=st.sampled_from(["p:2", "p:1.5", "hyp:0.001", "hyp:0.5"]),
     mag=st.floats(1e-2, 30.0),
-    negative=st.booleans(),
 )
-def test_eta_second_matches_central_difference(token, mag, negative):
-    """eta_second drives the Newton dual solve; check it against
-    eta_prime, to 1e-6 relative."""
+def test_mass_and_slope_matches_central_difference(token, mag):
+    """The slope drives the Newton dual solve; at one shift it is the
+    derivative of eta'^{-1}, checked against a central difference of
+    eta_prime_inv to 1e-6 relative."""
     d = parse_dgf(token)
-    s = -mag if negative and d.domain == "signed" else mag
     h = 1e-5 * mag
-    fd = (d.eta_prime(np.array([s + h])) - d.eta_prime(np.array([s - h])))[0] / (2.0 * h)
-    assert d.eta_second(np.array([s]))[0] == pytest.approx(fd, rel=1e-6)
+    fd = np.diff(d.eta_prime_inv(np.array([mag - h, mag + h])))[0] / (2 * h)
+    assert d.mass_and_slope(np.array([mag]))[1] == pytest.approx(fd, rel=1e-6)
+
+
+_TINY = np.finfo(float).smallest_subnormal
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    token=st.sampled_from(["p:2", "p:1.5", "p:1.2", "hyp"]),
+    x=hnp.arrays(float, st.integers(1, 40), elements=st.floats(
+        0.0, 30.0, exclude_min=True, allow_subnormal=True)),
+)
+@example(token="p:1.5", x=np.array([5e-324]))
+@example(token="p:1.2", x=np.array([5e-324]))
+@example(token="hyp", x=np.array([5e-324]))
+def test_mass_and_slope_matches_eta_prime_inv_sums(token, x):
+    """Oracle: the mass is sum eta'^{-1}(x) to rounding, and the slope a
+    central difference of that sum, on shifts in (0, 30] down to the
+    smallest subnormal, without a warning. Besides rounding relative to
+    the sums, each term may be off by one subnormal ulp, which the
+    difference divides by 2h."""
+    d = parse_dgf(token)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mass, slope = d.mass_and_slope(x)
+    assert math.isfinite(mass) and math.isfinite(slope)
+    n = x.size
+    assert mass == pytest.approx(np.sum(d.eta_prime_inv(x)), rel=1e-13, abs=n * _TINY)
+    h = 1e-8 * max(float(x.max()), 1e-300)
+    fd = (np.sum(d.eta_prime_inv(x + h)) - np.sum(d.eta_prime_inv(x - h))) / (2 * h)
+    assert slope == pytest.approx(fd, rel=1e-6, abs=2 * n * _TINY / h)
 
 
 def test_bregman_entropy_constant_densities():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bpgm import ball_mass, circle_grid, dirac_density, geodesic_dist, torus_grid
-from bpgm.grid import dist_to_point, nearest_index
+from bpgm.grid import Grid, dist_to_point, nearest_index
 
 
 def test_torus_grid_basic():
@@ -40,6 +40,21 @@ def test_grid_arrays_read_only():
         g.points[0] = 0.5
     with pytest.raises(ValueError):
         g.weights[0] = 0.0
+
+
+def test_grid_rejects_unequal_weights():
+    points = np.array([[0.0], [0.5]])
+    with pytest.raises(ValueError, match="uniform"):
+        Grid("torus", 1, points, np.array([0.25, 0.75]), 0.5)
+    # Equal weights that sum to 1 are positive, so no sign check is needed.
+    for bad in ([-1.0, 2.0], [0.0, 1.0], [np.nan, np.nan], [0.5 - 1e-13, 0.5 + 1e-13]):
+        with pytest.raises(ValueError):
+            Grid("torus", 1, points, np.array(bad), 0.5)
+    # The constructors build with their 1/m weights, at sizes whose
+    # weights do not sum to 1 exactly.
+    for g in (torus_grid(1, 7), torus_grid(2, 3), torus_grid(3, 11), circle_grid(999)):
+        assert np.all(g.weights == 1.0 / g.size)
+    assert Grid("torus", 1, points, np.array([0.5, 0.5]), 0.5).size == 2
 
 
 def test_geodesic_dist_wraps():

@@ -55,17 +55,15 @@ def test_soft_threshold_hand_values():
 def test_solve_kappa_mass_hand_case():
     # p=2: primal is max(v - kappa, 0); v = (2, 0), weights 1/2 each
     # already has mass 1 at kappa = 0
-    g = torus_grid(1, 2)
     d = parse_dgf("p:2")
-    kappa = solve_kappa(d, g.weights, np.array([2.0, 0.0]), 1.0)
+    kappa = solve_kappa(d, 1 / 2, np.array([2.0, 0.0]), 1.0)
     assert kappa == pytest.approx(0.0, abs=1e-10)
 
 
 def test_solve_kappa_mass_shifts():
-    g = torus_grid(1, 2)
     d = parse_dgf("p:2")
     # v = (4, 2): mass at kappa is ((4-k) + (2-k))/2 = 3 - k
-    kappa = solve_kappa(d, g.weights, np.array([4.0, 2.0]), 1.0)
+    kappa = solve_kappa(d, 1 / 2, np.array([4.0, 2.0]), 1.0)
     assert kappa == pytest.approx(2.0, abs=1e-9)
 
 
@@ -76,7 +74,7 @@ def test_solve_kappa_mass_property(token):
     rng = np.random.default_rng(4)
     for _ in range(20):
         v = rng.standard_normal(50) * 3.0
-        kappa = solve_kappa(d, g.weights, v, 1.0)
+        kappa = solve_kappa(d, 1 / 50, v, 1.0)
         assert _row_mass(d, g.weights, v, kappa) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -90,7 +88,7 @@ def test_solve_kappa_norm_bound(token):
         if d.domain == "nonnegative":
             v = np.abs(v)
         a = np.abs(v) if d.domain == "signed" else v
-        kappa = max(0.0, solve_kappa(d, g.weights, a, 0.5))
+        kappa = max(0.0, solve_kappa(d, 1 / 50, a, 0.5))
         assert _ball_l1(d, g.weights, v, kappa) <= 0.5 + 1e-8
 
 
@@ -113,25 +111,24 @@ def test_solve_kappa_entropy_closed_form():
     for _ in range(20):
         v = rng.standard_normal(50) * 10.0
         for target in (1.0, 0.5, 3.0):
-            kappa = solve_kappa(d, g.weights, v, target)
+            kappa = solve_kappa(d, 1 / 50, v, target)
             assert _row_mass(d, g.weights, v, kappa) == pytest.approx(target, abs=1e-12)
     # A zero density (mirror value -inf) drops out of the sum.
     v = np.array([-np.inf, 0.0, 1.0, 2.0])
-    kappa = solve_kappa(d, torus_grid(1, 4).weights, v, 1.0)
+    kappa = solve_kappa(d, 1 / 4, v, 1.0)
     assert kappa == pytest.approx(np.log((1.0 + np.e + np.e**2) / 4.0), abs=1e-15)
 
 
 def test_solve_kappa_input_validation():
     d = parse_dgf("p:2")
-    g = torus_grid(1, 4)
     for token, bad in (("p:2", np.inf), ("p:2", -np.inf), ("hyp", np.nan),
                        ("ent", np.inf), ("ent", np.nan)):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            solve_kappa(parse_dgf(token), g.weights, np.array([bad, 0, 0, 0]), 1.0)
+            solve_kappa(parse_dgf(token), 1 / 4, np.array([bad, 0, 0, 0]), 1.0)
     with pytest.raises(ValueError):
-        solve_kappa(d, g.weights, np.zeros(4), -1.0)
+        solve_kappa(d, 1 / 4, np.zeros(4), -1.0)
     with pytest.raises(ValueError):
-        solve_kappa(d, g.weights, np.zeros(4), 0.0)
+        solve_kappa(d, 1 / 4, np.zeros(4), 0.0)
 
 
 def _random_state(dgf, grid, rng):
@@ -295,7 +292,7 @@ _mirror_points = hnp.arrays(
 @given(v=_mirror_points, dgf=st.sampled_from(_SIGNED_DGFS))
 def test_solve_kappa_mass_meets_target(v, dgf):
     w = torus_grid(1, len(v)).weights
-    kappa = solve_kappa(dgf, w, v, 1.0)
+    kappa = solve_kappa(dgf, 1 / len(v), v, 1.0)
     assert _meets_target(lambda k: _row_mass(dgf, w, v, k), kappa, 1.0)
 
 
@@ -310,7 +307,8 @@ def test_solve_kappa_mass_meets_target(v, dgf):
 def test_solve_kappa_norm_meets_target(v, dgf, K):
     w = torus_grid(1, len(v)).weights
     l1 = lambda k: _ball_l1(dgf, w, v, k)  # noqa: E731
-    kappa = max(0.0, solve_kappa(dgf, w, np.abs(v) if dgf.domain == "signed" else v, K))
+    a = np.abs(v) if dgf.domain == "signed" else v
+    kappa = max(0.0, solve_kappa(dgf, 1 / len(v), a, K))
     if kappa == 0.0:
         assert l1(0.0) <= K + _KAPPA_TOL * max(1.0, K)
     else:
@@ -329,18 +327,23 @@ def test_solve_kappa_residual(v, dgf, ball, K):
     shapes, a = v with target 1 and a = |v| with target K."""
     a, target = (np.abs(v), K) if ball else (v, 1.0)
     w = torus_grid(1, len(v)).weights
-    kappa = solve_kappa(dgf, w, a, target)
+    kappa = solve_kappa(dgf, 1 / len(v), a, target)
     assert abs(_row_mass(dgf, w, a, kappa) - target) <= 1e-12 * max(1.0, target)
 
 
 def _counting(dgf):
-    """A copy of `dgf` that counts its eta_prime_inv calls in `calls`."""
+    """A copy of `dgf` that counts its dual passes (mass_and_slope calls)
+    and mirror maps (eta_prime_inv calls) in `calls`."""
     base = type(dgf)
 
     class Counting(base):
         def eta_prime_inv(self, u):
             self.calls += 1
             return base.eta_prime_inv(self, u)
+
+        def mass_and_slope(self, x):
+            self.calls += 1
+            return base.mass_and_slope(self, x)
 
     copy = Counting.__new__(Counting)
     copy.__dict__.update(dgf.__dict__)
@@ -369,28 +372,26 @@ def test_solve_kappa_step_count(dgf):
             v[rng.integers(0, m, 3)] = rng.uniform(-scale, 30.0, 3)
         else:
             v = np.round(rng.uniform(-scale, scale, m), 1)  # ties
-        w = torus_grid(1, m).weights
         ball = (i // 4) % 2 == 1
         a, target = (np.abs(v), rng.uniform(0.1, 50.0)) if ball else (v, 1.0)
         counted.calls = 0
-        solve_kappa(counted, w, a, target)
+        solve_kappa(counted, 1 / m, a, target)
         worst = max(worst, counted.calls)
     assert worst <= 25
 
 
-def _cold_kappa(dgf, weights, a, target):
+def _cold_kappa(dgf, weight, a, target):
     """The unfiltered, cold-started Newton loop that solve_kappa's
-    filtered and warm-started one must reproduce."""
-    top = int(np.argmax(a))
+    filtered and warm-started one must reproduce: each pass sums over
+    every entry above kappa, with the cell weight applied to the sums."""
     kappa = max(float(np.min(a)) - float(dgf.eta_prime(target)),
-                float(a[top] - dgf.eta_prime(target / weights[top])))
+                float(np.max(a) - dgf.eta_prime(target / weight)))
     while True:
-        on = a > kappa
-        w, h = weights[on], dgf.eta_prime_inv(a[on] - kappa)
-        excess = float(np.sum(w * h)) - target
+        mass, slope = dgf.mass_and_slope(a[a > kappa] - kappa)
+        excess = weight * mass - target
         if excess <= 0.0:
             break
-        step = excess / float(np.sum(w / dgf.eta_second(h)))
+        step = excess / (weight * slope)
         if kappa + step <= kappa:
             break
         kappa += step
@@ -405,7 +406,7 @@ def _hinted_rows(draw):
     dgf = draw(st.sampled_from(_SIGNED_DGFS))
     ball = draw(st.booleans())
     a, target = (np.abs(v), draw(st.floats(0.1, 50.0))) if ball else (v, 1.0)
-    w = torus_grid(1, len(v)).weights
+    w = 1 / len(v)  # the cell weight; _row_mass applies it term by term
     root = _cold_kappa(dgf, w, a, target)
     where = draw(st.sampled_from(("left", "right", "root", "far_left", "far_right", "odd")))
     offset = draw(st.floats(1e-12, 10.0))
@@ -449,7 +450,7 @@ def test_solve_kappa_floor_ends_an_inactive_solve_in_one_pass():
     # and at or below the floor ends the solve after its one pass; a hint
     # above the floor costs a second pass, at the floor.
     counted = _counting(parse_dgf("hyp"))
-    w = torus_grid(1, 4).weights
+    w = 1 / 4
     a = np.full(4, float(counted.eta_prime(0.5)))
     for hint in (-0.01, 0.0, 0.3):
         counted.calls = 0
@@ -476,11 +477,16 @@ def test_power_two_closed_forms_match_general_formula(u):
     d = PowerDgf(2)
     p = 2.0
     general_inv = np.sign(u) * ((p - 1.0) * np.abs(u)) ** (1.0 / (p - 1.0))
-    general_second = np.abs(u) ** (p - 2.0)
     out = d.eta_prime_inv(u)
     assert _same_bits(out, general_inv)
     assert out is not u and not np.shares_memory(out, u)
-    assert _same_bits(d.eta_second(u), general_second)
+    # The dual sums over positive shifts x: the sum of the general
+    # mirror map and of its slope ((p-1) x)^((2-p)/(p-1)) = 1.
+    x = np.abs(u[u != 0])
+    with np.errstate(over="ignore"):
+        want = (np.sum(((p - 1.0) * x) ** (1.0 / (p - 1.0))),
+                np.sum(((p - 1.0) * x) ** ((2.0 - p) / (p - 1.0))))
+        assert _same_bits(d.mass_and_slope(x), want)
 
 
 # Mirror-map calls per step over 2000 PGM iterations, and their bounds.
@@ -577,12 +583,12 @@ def _reference_step(dgf, reg, state, grad, s):
     update v = u - s grad, one scalar kappa (s lam for the TV weight, the
     dual shift for the constraints, warm-started on the support of the
     previous point), then a shift, a clamp or a soft threshold by kappa."""
-    w = state.grid.weights
     v = state.u - s * grad
     signed = dgf.domain == "signed"
     if reg.kind in ("nonneg_tv", "tv"):
         kappa = s * reg.lam
     else:
+        w = 1 / state.grid.size
         ball = reg.kind == "tv_ball"
         a, a_prev = (np.abs(v), np.abs(state.u)) if ball and signed else (v, state.u)
         start = np.min((a - a_prev)[a_prev > 0], initial=np.inf) if signed else None
