@@ -173,6 +173,9 @@ def cmd_run(args):
 
 
 def cmd_rates(args):
+    # Also catches nan, which would otherwise read as an empty window.
+    if not args.fit_lo < args.fit_hi:
+        raise ValueError(f"--fit-lo {args.fit_lo:g} must be below --fit-hi {args.fit_hi:g}")
     window = (args.fit_lo, args.fit_hi)
     rows, notes = [], []
     for path in args.traces:

@@ -1,7 +1,7 @@
 """Discretized periodic domains (flat torus, circle) and densities on them.
 
-A Grid carries the sample points of a uniform lattice together with the
-quadrature weights of the normalized reference measure, so that
+A Grid carries the sample points of a uniform lattice; the quadrature
+weights w of the normalized reference measure are all 1/m, so that
 sum(w * f) approximates (and for trigonometric polynomials equals)
 the integral of f. A density on a grid is its value array f, one float
 per lattice point: its mass is sum(w * f) and its total variation norm
@@ -9,6 +9,7 @@ sum(w * |f|).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +30,6 @@ class Grid:
     points : ndarray, shape (m, dim)
         Lattice coordinates. Torus coordinates live in [0, 1); circle
         points are angles in [0, 2*pi).
-    weights : ndarray, shape (m,)
-        Quadrature weights of the normalized uniform measure, all 1/m:
-        checked equal, so any entry is the one cell weight of the dual solve.
     spacing : float
         Lattice spacing along one axis.
     """
@@ -39,7 +37,6 @@ class Grid:
     kind: str
     dim: int
     points: np.ndarray
-    weights: np.ndarray
     spacing: float
 
     def __post_init__(self):
@@ -47,20 +44,22 @@ class Grid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.points.ndim != 2 or self.points.shape[1] != self.dim:
             raise ValueError("points must have shape (m, dim)")
-        if self.weights.shape != (self.points.shape[0],):
-            raise ValueError("weights must have shape (m,)")
-        # Equal weights summing to 1 are positive (and not NaN).
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("quadrature weights must sum to 1")
-        if not (self.weights == self.weights[0]).all():
-            raise ValueError("quadrature weights must be uniform")
+        if self.points.shape[0] == 0:
+            raise ValueError("a grid needs at least one point")
         # Shared read-only state: grids are passed around freely.
         self.points.flags.writeable = False
-        self.weights.flags.writeable = False
 
     @property
     def size(self):
         return self.points.shape[0]
+
+    @cached_property
+    def weights(self):
+        """Quadrature weights of the normalized uniform measure, all 1/m
+        (read-only)."""
+        weights = np.full(self.size, 1.0 / self.size)
+        weights.flags.writeable = False
+        return weights
 
     @property
     def period(self):
@@ -91,8 +90,7 @@ def torus_grid(dim, n):
     axis = np.arange(n) / n
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     points = np.stack([c.ravel() for c in mesh], axis=1)
-    m = n**dim
-    return Grid("torus", dim, points, np.full(m, 1.0 / m), 1.0 / n)
+    return Grid("torus", dim, points, 1.0 / n)
 
 
 def circle_grid(m):
@@ -100,7 +98,7 @@ def circle_grid(m):
     if m < 1:
         raise ValueError(f"need at least one point, got m={m}")
     points = (TWO_PI * np.arange(m) / m).reshape(-1, 1)
-    return Grid("circle", 1, points, np.full(m, 1.0 / m), TWO_PI / m)
+    return Grid("circle", 1, points, TWO_PI / m)
 
 
 def geodesic_dist(grid, x, y):

@@ -13,7 +13,7 @@ shift clamped at eta'(0) = 0 (sign constraint) or a soft threshold
 constraints kappa is the dual shift of solve_kappa, closed form for
 entropy and found by a monotone Newton iteration for the signed dgfs,
 warm-started from the previous prox point and filtered to the entries
-still above kappa. The grid's weights are all one cell weight w, so a
+still above kappa. The grid's weights are all one cell weight w = 1/m, so a
 Newton pass needs only two sums over the live shifts x, of eta'^{-1}(x)
 and of its derivative, which Dgf.mass_and_slope returns in one call
 (at p = 2: sum x and the count).
@@ -59,10 +59,10 @@ class MirrorState:
         return float(np.abs(self.u).max())
 
 
-def solve_kappa(dgf, weight, a, target, start=None, floor=-math.inf):
+def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
     """max(floor, kappa) for the dual shift kappa with
-    w sum_j eta'^{-1}((a_j - kappa)_+) = target, where w = `weight` is
-    the grid's cell weight (every quadrature weight is 1/m).
+    w sum_j eta'^{-1}((a_j - kappa)_+) = target, where a has one entry
+    per grid point and w = 1/a.size is the grid's cell weight.
 
     Both constrained prox rows reduce to this scalar equation: the
     simplex with a = v and target 1, the TV ball with a = |v| (signed
@@ -107,6 +107,9 @@ def solve_kappa(dgf, weight, a, target, start=None, floor=-math.inf):
     if target <= 0:
         raise ValueError(f"dual target must be positive, got {target}")
     a = np.asarray(a, dtype=float)
+    if not a.size:
+        raise ValueError("the dual search needs at least one entry")
+    weight = 1.0 / a.size
     if dgf.domain == "nonnegative":
         # Zero densities sit at a = -inf and drop out of the sum.
         c = float(a.max())
@@ -169,12 +172,11 @@ def bregman_step(dgf, reg, state, grad, s_eff):
     if reg.kind in ("nonneg_tv", "tv"):
         kappa = s_eff * reg.lam
     else:
-        weight = float(state.grid.weights[0])  # uniform: Grid checks it
         start = _support_bound(a, np.abs(state.u) if shrink else state.u) if signed else None
         if reg.kind == "simplex":
-            kappa = solve_kappa(dgf, weight, a, 1.0, start)
+            kappa = solve_kappa(dgf, a, 1.0, start)
         else:  # tv_ball
-            kappa = solve_kappa(dgf, weight, a, reg.radius, start, floor=0.0)
+            kappa = solve_kappa(dgf, a, reg.radius, start, floor=0.0)
 
     if not signed:
         u_next = v - kappa

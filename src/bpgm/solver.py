@@ -1,4 +1,4 @@
-"""PGM and APGM drivers over Bregman geometries, with iteration traces.
+"""The PGM and APGM run loop over Bregman geometries, with iteration traces.
 
 Both methods take forward gradient steps on the smooth part and Bregman
 proximal steps on the regularizer. The accelerated variant maintains
@@ -125,14 +125,21 @@ class Trace:
         if len(body) == 1:
             raise ValueError(f"trace file {path} contains no data rows")
         try:
-            cols = np.loadtxt(body[1:], delimiter=",", ndmin=2).T
+            rows = np.loadtxt(body[1:], delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"trace file {path}: {exc}") from None
-        if len(cols) != len(TRACE_COLUMNS):
+        if rows.shape[1] != len(TRACE_COLUMNS):
             raise ValueError(
-                f"trace file {path}: {len(cols)} columns, expected {len(TRACE_COLUMNS)}"
+                f"trace file {path}: {rows.shape[1]} columns, expected {len(TRACE_COLUMNS)}"
             )
-        return cls(meta, cols[0].astype(int), *cols[1:])
+        return cls.from_rows(meta, rows)
+
+    @classmethod
+    def from_rows(cls, meta, rows, **final):
+        """A trace from rows of values in TRACE_COLUMNS order, with k as
+        int; `final` passes final_f and final_mirror through."""
+        cols = np.asarray(rows, dtype=float).reshape(len(rows), len(TRACE_COLUMNS)).T
+        return cls(meta, cols[0].astype(int), *cols[1:], **final)
 
 
 def gamma_next(gamma):
@@ -146,11 +153,11 @@ def gamma_next(gamma):
     return 2.0 * gamma / (gamma + math.sqrt(gamma * gamma + 4.0))
 
 
-def record_schedule(iters, per_decade=100):
-    """Geometric iteration checkpoints: ~per_decade points per decade."""
+def record_schedule(iters):
+    """Geometric iteration checkpoints: about 100 points per decade."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    count = max(2, int(per_decade * math.log10(iters)) + 1)
+    count = max(2, int(100 * math.log10(iters)) + 1)
     ks = np.unique(np.rint(np.geomspace(1.0, float(iters), count)).astype(int))
     return tuple(np.concatenate([[0], ks]))
 
@@ -189,24 +196,9 @@ def resolve_step(problem, dgf, config, f0):
     return float(step), float(k_bound)
 
 
-def _base_meta(problem, dgf, config, step, k_bound):
-    return {
-        "problem": problem.name,
-        "reg": problem.reg.token,
-        "setting": problem.setting_tag or "",
-        "dim": str(problem.grid.dim),
-        "dgf": dgf.name,
-        "method": config.method,
-        "step": repr(step),
-        "iters": str(config.iters),
-        "k_bound": repr(k_bound),
-        "grid_kind": problem.grid.kind,
-        "grid_m": str(problem.grid.size),
-        "inf_value": repr(problem.inf_value) if problem.inf_value is not None else "",
-    }
-
-
-def _run(problem, dgf, config, f0, accelerated):
+def run(problem, dgf, config, f0=None):
+    """PGM, or APGM when config.method is "apgm", from f0 = h0 (default
+    `default_start`); returns the Trace of the run."""
     if dgf.domain == "nonnegative" and any(weight < 0 for _, weight in problem.mu_star or ()):
         raise ValueError(
             f"the optimum of {problem.name} has negative weight, which {dgf.name} cannot "
@@ -219,9 +211,23 @@ def _run(problem, dgf, config, f0, accelerated):
     step, k_bound = resolve_step(problem, dgf, config, f0)
     schedule = config.record if config.record is not None else record_schedule(config.iters)
     record_set = {int(k) for k in schedule}
+    accelerated = config.method == "apgm"
 
-    meta = _base_meta(problem, dgf, config, step, k_bound)
     inf_value = problem.inf_value
+    meta = {
+        "problem": problem.name,
+        "reg": problem.reg.token,
+        "setting": problem.setting_tag or "",
+        "dim": str(grid.dim),
+        "dgf": dgf.name,
+        "method": config.method,
+        "step": repr(step),
+        "iters": str(config.iters),
+        "k_bound": repr(k_bound),
+        "grid_kind": grid.kind,
+        "grid_m": str(grid.size),
+        "inf_value": repr(inf_value) if inf_value is not None else "",
+    }
     smooth, reg, w = problem.smooth, problem.reg, grid.weights
     # A linear smooth part (Lip(grad R) = 0) has the same potential at every f.
     linear = smooth.lip_grad == 0
@@ -230,17 +236,14 @@ def _run(problem, dgf, config, f0, accelerated):
     f = f0.copy()
     gamma = 1.0
 
-    rows = {name: [] for name in TRACE_COLUMNS}
+    rows = []
     t0 = time.perf_counter()
 
     def record(k):
         value = eval_F(problem, f)
-        rows["k"].append(k)
-        rows["F"].append(value)
-        rows["gap"].append(value - inf_value if inf_value is not None else math.nan)
-        rows["l1"].append(float((w * np.abs(f)).sum()))
-        rows["linf_mirror"].append(state.linf_mirror())
-        rows["time_s"].append(time.perf_counter() - t0)
+        gap = value - inf_value if inf_value is not None else math.nan
+        l1, linf = float((w * np.abs(f)).sum()), state.linf_mirror()
+        rows.append((k, value, gap, l1, linf, time.perf_counter() - t0))
         return math.isfinite(value)
 
     # A diverging run overflows; it is stopped and labelled below instead
@@ -282,35 +285,18 @@ def _run(problem, dgf, config, f0, accelerated):
                     meta["aborted_at"], meta["abort_reason"] = str(k + 1), "objective"
                     break
 
-    return Trace(
-        meta,
-        np.array(rows["k"], dtype=int),
-        np.array(rows["F"]),
-        np.array(rows["gap"]),
-        np.array(rows["l1"]),
-        np.array(rows["linf_mirror"]),
-        np.array(rows["time_s"]),
-        final_f=f,
-        final_mirror=state.u.copy(),
-    )
+    return Trace.from_rows(meta, rows, final_f=f, final_mirror=state.u.copy())
 
 
 def run_pgm(problem, dgf, config, f0=None):
-    """Proximal gradient method from f0 (default `default_start`); see _run."""
+    """`run` with config.method checked to be "pgm" (perfbench calls it)."""
     if config.method != "pgm":
         raise ValueError(f"config.method is {config.method!r}, expected 'pgm'")
-    return _run(problem, dgf, config, f0, accelerated=False)
+    return run(problem, dgf, config, f0)
 
 
 def run_apgm(problem, dgf, config, f0=None):
-    """Accelerated proximal gradient method from f0 = h0 (default `default_start`)."""
+    """`run` with config.method checked to be "apgm" (perfbench calls it)."""
     if config.method != "apgm":
         raise ValueError(f"config.method is {config.method!r}, expected 'apgm'")
-    return _run(problem, dgf, config, f0, accelerated=True)
-
-
-def run(problem, dgf, config, f0=None):
-    """Dispatch on config.method."""
-    if config.method == "apgm":
-        return run_apgm(problem, dgf, config, f0)
-    return run_pgm(problem, dgf, config, f0)
+    return run(problem, dgf, config, f0)

@@ -33,7 +33,7 @@ from .objective import (
     tv_ball,
 )
 from .prox import MirrorState, bregman_step, kkt_residual
-from .solver import SolverConfig, gamma_next, resolve_step, run_pgm
+from .solver import SolverConfig, gamma_next, resolve_step, run
 
 
 @dataclass
@@ -128,12 +128,12 @@ def check_entropy_closed_form(m=300, k_max=10_000):
     )
     devs = []
     for k in checkpoints:
-        trace = run_pgm(problem, dgf, SolverConfig(iters=k, step=s, record=(k,)))
+        trace = run(problem, dgf, SolverConfig(iters=k, step=s, record=(k,)))
         log_f = _log_normalized(grid.weights, trace.final_mirror)
         log_ref = _log_normalized(grid.weights, -k * s * phi)
         devs.append(float(np.max(np.abs(np.expm1(log_f - log_ref)))))
     dev = _fold(np.max, devs)
-    trace = run_pgm(problem, dgf, SolverConfig(iters=k_max, step=s))
+    trace = run(problem, dgf, SolverConfig(iters=k_max, step=s))
     slope, _ = fit_loglog(trace.k, trace.gap, window=(k_max / 10.0, float(k_max)))
     return CheckResult(
         "entropy_closed_form",

@@ -501,6 +501,17 @@ def test_rates_empty_trace_is_usage_error(tmp_path):
     assert run_cli("rates", str(bad)) == 1
 
 
+@pytest.mark.parametrize("lo, hi", (("2000", "100"), ("100", "100"), ("nan", "100")),
+                         ids=("above", "equal", "nan"))
+def test_rates_rejects_an_empty_fit_window(tmp_path, capsys, lo, hi):
+    # Checked before any trace is read: the missing file would exit 2.
+    code = run_cli("rates", str(tmp_path / "nope.csv"), "--fit-lo", lo, "--fit-hi", hi)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "--fit-lo" in captured.err and "--fit-hi" in captured.err
+    assert captured.out == ""
+
+
 def _envelope_csv(path):
     EnvelopeCurve(np.array([1e-3]), np.array([0.1]), np.array([np.inf]), {"dgf": "p:2"}).write_csv(path)
 

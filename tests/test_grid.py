@@ -42,19 +42,18 @@ def test_grid_arrays_read_only():
         g.weights[0] = 0.0
 
 
-def test_grid_rejects_unequal_weights():
-    points = np.array([[0.0], [0.5]])
-    with pytest.raises(ValueError, match="uniform"):
-        Grid("torus", 1, points, np.array([0.25, 0.75]), 0.5)
-    # Equal weights that sum to 1 are positive, so no sign check is needed.
-    for bad in ([-1.0, 2.0], [0.0, 1.0], [np.nan, np.nan], [0.5 - 1e-13, 0.5 + 1e-13]):
-        with pytest.raises(ValueError):
-            Grid("torus", 1, points, np.array(bad), 0.5)
-    # The constructors build with their 1/m weights, at sizes whose
-    # weights do not sum to 1 exactly.
+def test_grid_weights_are_one_over_the_size():
+    # The measure is uniform by construction: the weights derive from the
+    # size, once per grid, at sizes whose weights do not sum to 1 exactly.
     for g in (torus_grid(1, 7), torus_grid(2, 3), torus_grid(3, 11), circle_grid(999)):
         assert np.all(g.weights == 1.0 / g.size)
-    assert Grid("torus", 1, points, np.array([0.5, 0.5]), 0.5).size == 2
+        assert g.weights is g.weights
+    assert Grid("torus", 1, np.array([[0.0], [0.5]]), 0.5).weights.tolist() == [0.5, 0.5]
+
+
+def test_grid_rejects_empty_point_set():
+    with pytest.raises(ValueError, match="at least one point"):
+        Grid("torus", 1, np.empty((0, 1)), 1.0)
 
 
 def test_geodesic_dist_wraps():

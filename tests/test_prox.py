@@ -56,14 +56,14 @@ def test_solve_kappa_mass_hand_case():
     # p=2: primal is max(v - kappa, 0); v = (2, 0), weights 1/2 each
     # already has mass 1 at kappa = 0
     d = parse_dgf("p:2")
-    kappa = solve_kappa(d, 1 / 2, np.array([2.0, 0.0]), 1.0)
+    kappa = solve_kappa(d, np.array([2.0, 0.0]), 1.0)
     assert kappa == pytest.approx(0.0, abs=1e-10)
 
 
 def test_solve_kappa_mass_shifts():
     d = parse_dgf("p:2")
     # v = (4, 2): mass at kappa is ((4-k) + (2-k))/2 = 3 - k
-    kappa = solve_kappa(d, 1 / 2, np.array([4.0, 2.0]), 1.0)
+    kappa = solve_kappa(d, np.array([4.0, 2.0]), 1.0)
     assert kappa == pytest.approx(2.0, abs=1e-9)
 
 
@@ -74,7 +74,7 @@ def test_solve_kappa_mass_property(token):
     rng = np.random.default_rng(4)
     for _ in range(20):
         v = rng.standard_normal(50) * 3.0
-        kappa = solve_kappa(d, 1 / 50, v, 1.0)
+        kappa = solve_kappa(d, v, 1.0)
         assert _row_mass(d, g.weights, v, kappa) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -88,7 +88,7 @@ def test_solve_kappa_norm_bound(token):
         if d.domain == "nonnegative":
             v = np.abs(v)
         a = np.abs(v) if d.domain == "signed" else v
-        kappa = max(0.0, solve_kappa(d, 1 / 50, a, 0.5))
+        kappa = max(0.0, solve_kappa(d, a, 0.5))
         assert _ball_l1(d, g.weights, v, kappa) <= 0.5 + 1e-8
 
 
@@ -111,11 +111,11 @@ def test_solve_kappa_entropy_closed_form():
     for _ in range(20):
         v = rng.standard_normal(50) * 10.0
         for target in (1.0, 0.5, 3.0):
-            kappa = solve_kappa(d, 1 / 50, v, target)
+            kappa = solve_kappa(d, v, target)
             assert _row_mass(d, g.weights, v, kappa) == pytest.approx(target, abs=1e-12)
     # A zero density (mirror value -inf) drops out of the sum.
     v = np.array([-np.inf, 0.0, 1.0, 2.0])
-    kappa = solve_kappa(d, 1 / 4, v, 1.0)
+    kappa = solve_kappa(d, v, 1.0)
     assert kappa == pytest.approx(np.log((1.0 + np.e + np.e**2) / 4.0), abs=1e-15)
 
 
@@ -124,11 +124,13 @@ def test_solve_kappa_input_validation():
     for token, bad in (("p:2", np.inf), ("p:2", -np.inf), ("hyp", np.nan),
                        ("ent", np.inf), ("ent", np.nan)):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            solve_kappa(parse_dgf(token), 1 / 4, np.array([bad, 0, 0, 0]), 1.0)
+            solve_kappa(parse_dgf(token), np.array([bad, 0, 0, 0]), 1.0)
     with pytest.raises(ValueError):
-        solve_kappa(d, 1 / 4, np.zeros(4), -1.0)
+        solve_kappa(d, np.zeros(4), -1.0)
     with pytest.raises(ValueError):
-        solve_kappa(d, 1 / 4, np.zeros(4), 0.0)
+        solve_kappa(d, np.zeros(4), 0.0)
+    with pytest.raises(ValueError, match="at least one entry"):
+        solve_kappa(d, np.zeros(0), 1.0)
 
 
 def _random_state(dgf, grid, rng):
@@ -292,7 +294,7 @@ _mirror_points = hnp.arrays(
 @given(v=_mirror_points, dgf=st.sampled_from(_SIGNED_DGFS))
 def test_solve_kappa_mass_meets_target(v, dgf):
     w = torus_grid(1, len(v)).weights
-    kappa = solve_kappa(dgf, 1 / len(v), v, 1.0)
+    kappa = solve_kappa(dgf, v, 1.0)
     assert _meets_target(lambda k: _row_mass(dgf, w, v, k), kappa, 1.0)
 
 
@@ -308,7 +310,7 @@ def test_solve_kappa_norm_meets_target(v, dgf, K):
     w = torus_grid(1, len(v)).weights
     l1 = lambda k: _ball_l1(dgf, w, v, k)  # noqa: E731
     a = np.abs(v) if dgf.domain == "signed" else v
-    kappa = max(0.0, solve_kappa(dgf, 1 / len(v), a, K))
+    kappa = max(0.0, solve_kappa(dgf, a, K))
     if kappa == 0.0:
         assert l1(0.0) <= K + _KAPPA_TOL * max(1.0, K)
     else:
@@ -327,7 +329,7 @@ def test_solve_kappa_residual(v, dgf, ball, K):
     shapes, a = v with target 1 and a = |v| with target K."""
     a, target = (np.abs(v), K) if ball else (v, 1.0)
     w = torus_grid(1, len(v)).weights
-    kappa = solve_kappa(dgf, 1 / len(v), a, target)
+    kappa = solve_kappa(dgf, a, target)
     assert abs(_row_mass(dgf, w, a, kappa) - target) <= 1e-12 * max(1.0, target)
 
 
@@ -375,7 +377,7 @@ def test_solve_kappa_step_count(dgf):
         ball = (i // 4) % 2 == 1
         a, target = (np.abs(v), rng.uniform(0.1, 50.0)) if ball else (v, 1.0)
         counted.calls = 0
-        solve_kappa(counted, 1 / m, a, target)
+        solve_kappa(counted, a, target)
         worst = max(worst, counted.calls)
     assert worst <= 25
 
@@ -428,10 +430,10 @@ def test_solve_kappa_any_hint_meets_residual_and_cold_loop(row):
     matches the cold unfiltered loop to 1e-12; with no hint the filtered
     loop sums the same entries in the same order, so kappa is identical."""
     dgf, w, a, target, hint, root = row
-    kappa = solve_kappa(dgf, w, a, target, hint)
+    kappa = solve_kappa(dgf, a, target, hint)
     assert abs(_row_mass(dgf, w, a, kappa) - target) <= 1e-12 * max(1.0, target)
     assert abs(kappa - root) <= 1e-12 * max(1.0, abs(root))
-    assert solve_kappa(dgf, w, a, target) == root
+    assert solve_kappa(dgf, a, target) == root
 
 
 @settings(max_examples=300, deadline=None)
@@ -440,9 +442,9 @@ def test_solve_kappa_floor_is_max_of_floor_and_root(row):
     """With floor 0, as for the TV ball, kappa is max(0, root): to 1e-12
     from any hint, and to the bit with none, where the loop is the cold one."""
     dgf, w, a, target, hint, root = row
-    kappa = solve_kappa(dgf, w, a, target, hint, floor=0.0)
+    kappa = solve_kappa(dgf, a, target, hint, floor=0.0)
     assert abs(kappa - max(0.0, root)) <= 1e-12 * max(1.0, abs(root))
-    assert solve_kappa(dgf, w, a, target, floor=0.0) == max(0.0, root)
+    assert solve_kappa(dgf, a, target, floor=0.0) == max(0.0, root)
 
 
 def test_solve_kappa_floor_ends_an_inactive_solve_in_one_pass():
@@ -450,11 +452,10 @@ def test_solve_kappa_floor_ends_an_inactive_solve_in_one_pass():
     # and at or below the floor ends the solve after its one pass; a hint
     # above the floor costs a second pass, at the floor.
     counted = _counting(parse_dgf("hyp"))
-    w = 1 / 4
     a = np.full(4, float(counted.eta_prime(0.5)))
     for hint in (-0.01, 0.0, 0.3):
         counted.calls = 0
-        assert solve_kappa(counted, w, a, 1.0, hint, floor=0.0) == 0.0
+        assert solve_kappa(counted, a, 1.0, hint, floor=0.0) == 0.0
         assert counted.calls == (1 if hint <= 0.0 else 2)
 
 
@@ -588,12 +589,11 @@ def _reference_step(dgf, reg, state, grad, s):
     if reg.kind in ("nonneg_tv", "tv"):
         kappa = s * reg.lam
     else:
-        w = 1 / state.grid.size
         ball = reg.kind == "tv_ball"
         a, a_prev = (np.abs(v), np.abs(state.u)) if ball and signed else (v, state.u)
         start = np.min((a - a_prev)[a_prev > 0], initial=np.inf) if signed else None
         target, floor = (reg.radius, 0.0) if ball else (1.0, -np.inf)
-        kappa = solve_kappa(dgf, w, a, target, start, floor=floor)
+        kappa = solve_kappa(dgf, a, target, start, floor=floor)
     if not signed:
         u = v - kappa
     elif reg.kind in ("tv", "tv_ball"):

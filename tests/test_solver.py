@@ -400,6 +400,32 @@ def test_run_dispatch():
         run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=5), f0=-np.ones(50))
 
 
+@pytest.mark.parametrize("reg", ("tv_ball:1", "tv:0.05"), ids=("constrained", "unconstrained"))
+@pytest.mark.parametrize("method, alias", (("pgm", run_pgm), ("apgm", run_apgm)))
+def test_run_and_its_checked_aliases_give_one_trace(reg, method, alias):
+    problem = build_problem("deconv1d", grid_size=60, reg=parse_regularizer(reg))
+    config = SolverConfig(iters=200, method=method)
+    a, b = run(problem, parse_dgf("hyp"), config), alias(problem, parse_dgf("hyp"), config)
+    assert a.meta == b.meta and a.meta["method"] == method
+    for name in (*TRACE_COLUMNS[:-1], "final_f", "final_mirror"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_run_that_records_nothing_has_empty_columns(tmp_path):
+    # Step 1e308 overflows the first mirror point, before record point 10.
+    problem = build_problem("deconv1d", grid_size=60, reg=simplex())
+    config = SolverConfig(iters=20, step=1e308, record=(10,))
+    trace = run(problem, parse_dgf("p:2"), config)
+    assert trace.meta["aborted_at"] == "1" and trace.meta["abort_reason"] == "mirror"
+    for name in TRACE_COLUMNS:
+        assert getattr(trace, name).shape == (0,), name
+    assert trace.k.dtype.kind == "i"
+    path = tmp_path / "t.csv"
+    trace.write_csv(path)
+    with pytest.raises(ValueError, match="no data rows"):
+        Trace.read_csv(path)
+
+
 def test_trace_csv_round_trip(tmp_path):
     problem = build_problem("deconv1d", grid_size=50)
     trace = run_pgm(problem, parse_dgf("hyp"), SolverConfig(iters=50))
@@ -438,8 +464,11 @@ def _same_bits(a, b):
     ),
 )
 def test_trace_csv_round_trip_keeps_every_bit(tmp_path_factory, rows, meta):
-    cols = [np.array(col) for col in zip(*rows)]
-    trace = Trace(meta, cols[0].astype(int), *[col.astype(float) for col in cols[1:]])
+    # from_rows is the constructor both run and read_csv use.
+    trace = Trace.from_rows(meta, rows)
+    assert trace.k.dtype.kind == "i" and trace.k.tolist() == [row[0] for row in rows]
+    for i, name in enumerate(TRACE_COLUMNS[1:], 1):
+        assert _same_bits(getattr(trace, name), np.array([row[i] for row in rows])), name
     path = tmp_path_factory.mktemp("trace") / "t.csv"
     trace.write_csv(path)
     with warnings.catch_warnings():
