@@ -68,12 +68,12 @@ def _build_problem_from_args(args):
     return problem if problem.inf_value is not None else exact_optimum(problem)
 
 
-def _predicted_rate(meta, source):
+def _predicted_rate(meta):
     """Rate model of a trace from its `method`, `dgf`, `setting` and `dim` metadata."""
     missing = [key for key in ("setting", "dim") if not meta.get(key)]
     if missing:
         raise ValueError(
-            f"trace {source} has no {' or '.join(missing)} metadata; "
+            f"trace has no {' or '.join(missing)} metadata; "
             f"rates needs the problem's setting tag and dimension"
         )
     dgf = parse_dgf(meta["dgf"])
@@ -105,12 +105,12 @@ def _caveats(meta):
         )
 
 
-def _report(trace, source, window, label, notes):
-    """(slope, r2, model) of a trace read from `source`: its gap fitted
-    over `window` and the rate its metadata predicts. Every note of the
-    trace goes to `notes` as a line `note: <label><sentence>`: its
-    caveats, then the rows the fit dropped."""
-    model = _predicted_rate(trace.meta, source)
+def _report(trace, window, label, notes):
+    """(slope, r2, model) of a trace: its gap fitted over `window` and
+    the rate its metadata predicts. Every note of the trace goes to
+    `notes` as a line `note: <label><sentence>`: its caveats, then the
+    rows the fit dropped."""
+    model = _predicted_rate(trace.meta)
     notes.extend(f"note: {label}{sentence}" for sentence in _caveats(trace.meta))
     slope, r2 = _noted(notes, label, fit_loglog, trace.k, trace.gap, window=window)
     return slope, r2, model
@@ -134,7 +134,7 @@ def _run_one(problem, dgf, config, out, seed):
     try:
         # Raw fit: a log(k) factor in the theory does not move the
         # asymptotic log-log slope, so the comparison stays direct.
-        slope, r2, model = _report(trace, out, window, "", notes)
+        slope, r2, model = _report(trace, window, "", notes)
         lines.append(
             f"fitted slope {slope:+.3f} (r2 {r2:.4f}) over "
             f"k in [{window[0]:g}, {window[1]:g}]; theory {model.describe()}"
@@ -180,7 +180,11 @@ def cmd_rates(args):
     rows, notes = [], []
     for path in args.traces:
         trace = Trace.read_csv(path)
-        slope, r2, model = _report(trace, path, window, f"{os.path.basename(path)}: ", notes)
+        try:
+            slope, r2, model = _report(trace, window, f"{os.path.basename(path)}: ", notes)
+        except ValueError as exc:
+            # The caveats say why: an aborted run may leave no rows to fit.
+            raise ValueError(f"{path}: " + "; ".join([*_caveats(trace.meta), str(exc)])) from None
         meta, theory = trace.meta, model.exponent
         rows.append((path, meta.get("problem", ""), meta.get("dgf", ""), meta.get("method", ""),
                      slope, theory, slope - theory, r2, meta.get("aborted_at", "")))

@@ -338,19 +338,6 @@ def grad_potential(problem, f):
     return problem.smooth.gradient(problem.grid.weights, density_values(problem, f))
 
 
-def minimizer_density(problem):
-    """Value array of the known sparse minimizer mu_star on the grid, if any.
-
-    An empty mu_star records the zero density.
-    """
-    if problem.mu_star is None:
-        raise ValueError(f"problem {problem.name} has no recorded minimizer")
-    return sum(
-        (dirac_density(problem.grid, point, weight) for point, weight in problem.mu_star),
-        np.zeros(problem.grid.size),
-    )
-
-
 # -- deconvolution ----------------------------------------------------------
 
 def _fourier_rows(axis):

@@ -1,9 +1,9 @@
 """Acceptance suite: the headline numerical claims at fixed tolerances.
 
 Each test prints exactly one `criterion NN PASS/FAIL` line (run with
-`pytest tests/test_acceptance.py -v -s` to see them live). The rate
-reproductions dominate the runtime; the whole suite takes a few
-minutes on one core.
+`pytest tests/test_acceptance.py -v -s` to see them live). Criteria
+1-3 and 11 read the 15 rate traces of one table, `RATES`, each run once
+and lazily by `_trace`: about 60 s of the module's 65 s on two cores.
 
 Slope conventions: fits are raw least-squares slopes of log gap vs
 log k over k in [1e3, 1e5]. For the entropy-family geometries the
@@ -13,25 +13,24 @@ is taken against an exact optimum: a closed form, or for ReLU
 regression the Lasso homotopy of `bpgm.objective.exact_optimum`.
 """
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
-import pytest
 
 from bpgm import (
     SolverConfig,
     build_problem,
     eval_F,
     fit_rate,
-    mollify,
     parse_dgf,
     psi_envelope,
-    run_apgm,
-    run_pgm,
+    run,
     torus_grid,
     tv,
 )
 from bpgm.analysis import fit_loglog
-from bpgm.objective import deconv_problem, exact_optimum, lb_problem, nonneg_tv
-from bpgm.solver import Trace
+from bpgm.objective import exact_optimum, lb_problem
 from bpgm.verify import (
     check_entropy_closed_form,
     check_fd_gradient,
@@ -45,86 +44,97 @@ FIT_WINDOW = (1e3, 1e5)
 TRACE_BUDGET_S = 300.0
 
 
+class Rate(NamedTuple):
+    """One acceptance trace: the slope of its gap over FIT_WINDOW is
+    target +- tol, unless its final gap reached `floor` early."""
+
+    criterion: int
+    problem: str
+    method: str
+    dgf: str
+    target: float
+    tol: float
+    step: float = None
+    floor: float = None
+
+
+RATES = (
+    # 1: deconv1d at m = 300, exact recovery target.
+    Rate(1, "deconv1d", "pgm", "p:2", -0.80, 0.10),
+    Rate(1, "deconv1d", "pgm", "p:1.5", -0.89, 0.10),
+    Rate(1, "deconv1d", "pgm", "ent", -1.0, 0.10),
+    Rate(1, "deconv1d", "apgm", "p:2", -1.60, 0.15),
+    # Accelerated entropy: a small step keeps the fit window asymptotic.
+    # Larger steps enter a terminal superlinear phase (exact support
+    # identification) before 1e5 iterations; that floor also counts.
+    Rate(1, "deconv1d", "apgm", "ent", -2.0, 0.25, step=0.003, floor=1e-9),
+    # 2: signed deconv1d under tv(0.05).
+    Rate(2, "deconv1d/tv", "pgm", "p:2", -2.0 / 3.0, 0.10),
+    Rate(2, "deconv1d/tv", "pgm", "hyp", -1.0, 0.15),
+    # 3: the structured lower-bound family on the simplex at m = 2000.
+    Rate(3, "lb:I", "pgm", "p:2", -0.5, 0.05),
+    Rate(3, "lb:II", "pgm", "p:2", -2.0 / 3.0, 0.05),
+    Rate(3, "lb:I*", "pgm", "p:2", -2.0 / 3.0, 0.07),
+    Rate(3, "lb:II*", "pgm", "p:2", -0.8, 0.07),
+    # Accelerated run on the distance cone: q = 1, d = 1, so the
+    # doubled exponent is -2q/(d+q) = -1. A small step keeps the
+    # iterates off the late collapse onto the single optimal cell.
+    Rate(3, "lb:I", "apgm", "p:2", -1.0, 0.07, step=1e-3),
+    # 11: soft, seed-0 targets. The slopes beat the worst-case q = 1
+    # prediction: the data is better behaved than the bound assumes.
+    Rate(11, "relu", "pgm", "hyp", -1.00, 0.15),
+    Rate(11, "relu", "pgm", "p:1.5", -0.72, 0.15),
+    Rate(11, "relu", "pgm", "p:2", -0.58, 0.15),
+)
+
+
+@functools.cache
+def _problem(key):
+    """The problem of a RATES key, built once: a `build_problem` token,
+    deconv1d under tv(0.05), or relu at its exact optimum."""
+    if key == "relu":
+        return exact_optimum(build_problem("relu", seed=0))
+    return build_problem("deconv1d", reg=tv(0.05)) if key == "deconv1d/tv" else build_problem(key)
+
+
+@functools.cache
+def _trace(rate):
+    """The trace of one RATES row, run when a test first asks for it and
+    shared by every later reader, so no reader may mutate it."""
+    config = SolverConfig(iters=100_000, method=rate.method, step=rate.step)
+    return run(_problem(rate.problem), parse_dgf(rate.dgf), config)
+
+
 def _report(number, ok, detail):
     print(f"criterion {number:02d} {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
     assert ok, detail
 
 
-def _slope(trace):
-    s, _ = fit_rate(trace, window=FIT_WINDOW)
-    return s
+def _check_rates(number, prefix=""):
+    """Fit every RATES row of criterion `number` and report them on one line."""
+    parts, ok = [], True
+    for rate in (r for r in RATES if r.criterion == number):
+        trace = _trace(rate)
+        slope, _ = fit_rate(trace, window=FIT_WINDOW)
+        early = rate.floor is not None and trace.gap[-1] <= rate.floor
+        in_time = trace.time_s[-1] <= TRACE_BUDGET_S
+        ok &= (abs(slope - rate.target) <= rate.tol or early) and in_time
+        note = ", reached reference precision early" if early else ""
+        label = f"{rate.method}/{rate.dgf} on {rate.problem}"
+        parts.append(f"{label} {slope:+.3f} (want {rate.target:+.3f}+-{rate.tol}{note})")
+    _report(number, ok, prefix + "; ".join(parts))
 
 
 def test_rates_deconv1d_nonneg():
-    problem = build_problem("deconv1d")  # m = 300, exact recovery target
-    rows = []
-    ok = True
-
-    for token, target, tol in (("p:2", -0.80, 0.10), ("p:1.5", -0.89, 0.10), ("ent", -1.0, 0.10)):
-        trace = run_pgm(problem, parse_dgf(token), SolverConfig(iters=100_000))
-        s = _slope(trace)
-        good = abs(s - target) <= tol and trace.time_s[-1] <= TRACE_BUDGET_S
-        ok &= good
-        rows.append(f"pgm/{token} {s:+.3f} (want {target:+.2f}+-{tol})")
-
-    trace = run_apgm(problem, parse_dgf("p:2"), SolverConfig(iters=100_000, method="apgm"))
-    s = _slope(trace)
-    ok &= abs(s + 1.60) <= 0.15 and trace.time_s[-1] <= TRACE_BUDGET_S
-    rows.append(f"apgm/p:2 {s:+.3f} (want -1.60+-0.15)")
-
-    # Accelerated entropy: a small admissible step keeps the whole fit
-    # window in the asymptotic regime. At larger steps the run enters a
-    # terminal superlinear phase (exact support identification) before
-    # 1e5 iterations; reaching that near-exact floor also counts.
-    trace = run_apgm(
-        problem, parse_dgf("ent"), SolverConfig(iters=100_000, method="apgm", step=0.003)
-    )
-    s = _slope(trace)
-    converged_early = trace.gap[-1] <= 1e-9
-    good = (abs(s + 2.0) <= 0.25 or converged_early) and trace.time_s[-1] <= TRACE_BUDGET_S
-    ok &= good
-    note = ", reached reference precision early" if converged_early else ""
-    rows.append(f"apgm/ent {s:+.3f} (want -2.0+-0.25{note})")
-
-    _report(1, ok, "; ".join(rows))
+    _check_rates(1)
 
 
 def test_rates_deconv1d_signed():
-    problem = deconv_problem(torus_grid(1, 300), tv(0.05))
-    rows, ok = [], True
-    for token, target, tol in (("p:2", -2.0 / 3.0, 0.10), ("hyp", -1.0, 0.15)):
-        trace = run_pgm(problem, parse_dgf(token), SolverConfig(iters=100_000))
-        s = _slope(trace)
-        ok &= abs(s - target) <= tol
-        rows.append(f"pgm/{token} {s:+.3f} (want {target:+.3f}+-{tol})")
-    _report(2, ok, "; ".join(rows))
+    _check_rates(2)
 
 
 def test_rates_structured_family():
-    rows, ok = [], True
-    grid = torus_grid(1, 2000)
-    dgf = parse_dgf("p:2")
-    for tag, target, tol in (
-        ("I", -0.5, 0.05),
-        ("II", -2.0 / 3.0, 0.05),
-        ("I*", -2.0 / 3.0, 0.07),
-        ("II*", -0.8, 0.07),
-    ):
-        trace = run_pgm(lb_problem(grid, tag), dgf, SolverConfig(iters=100_000))
-        s = _slope(trace)
-        ok &= abs(s - target) <= tol
-        rows.append(f"pgm/lb:{tag} {s:+.3f} (want {target:+.3f}+-{tol})")
-
-    # Accelerated run on the distance cone: q = 1, d = 1, so the
-    # doubled exponent is -2q/(d+q) = -1. A small step keeps the
-    # iterates off the late collapse onto the single optimal cell.
-    trace = run_apgm(
-        lb_problem(grid, "I"), dgf, SolverConfig(iters=100_000, method="apgm", step=1e-3)
-    )
-    s = _slope(trace)
-    ok &= abs(s + 1.0) <= 0.07
-    rows.append(f"apgm/lb:I {s:+.3f} (want -1.000+-0.07)")
-    _report(3, ok, "; ".join(rows))
+    _check_rates(3)
 
 
 def test_entropy_closed_form():
@@ -188,18 +198,7 @@ def test_mirror_flow_equivalence():
 
 
 def test_relu_rates():
-    # Soft, seed-dependent criterion: the measured slopes exceed the
-    # worst-case q = 1 prediction because the data is better behaved
-    # than the bound assumes; the target values are for seed 0. The gap
-    # is taken against the exact optimum of the Lasso homotopy.
-    problem = exact_optimum(build_problem("relu", seed=0))
-    rows, ok = [], True
-    for token, target in (("hyp", -1.00), ("p:1.5", -0.72), ("p:2", -0.58)):
-        trace = run_pgm(problem, parse_dgf(token), SolverConfig(iters=100_000))
-        s = _slope(trace)
-        ok &= abs(s - target) <= 0.15
-        rows.append(f"pgm/{token} {s:+.3f} (want {target:+.2f}+-0.15)")
-    _report(11, ok, f"exact inf {problem.inf_value:.6f}; " + "; ".join(rows))
+    _check_rates(11, f"exact inf {_problem('relu').inf_value:.6f}; ")
 
 
 def test_determinism(tmp_path):
@@ -216,7 +215,7 @@ def test_determinism(tmp_path):
     texts = []
     for name in ("first.csv", "second.csv"):
         problem = build_problem("deconv1d", grid_size=60)
-        trace = run_pgm(problem, parse_dgf("ent"), SolverConfig(iters=2000))
+        trace = run(problem, parse_dgf("ent"), SolverConfig(iters=2000))
         path = tmp_path / name
         trace.write_csv(path)
         texts.append(path.read_text())

@@ -12,7 +12,7 @@ from bpgm import (
     mollify,
     parse_dgf,
     psi_envelope,
-    run_pgm,
+    run,
     theoretical_exponent,
     torus_grid,
 )
@@ -206,7 +206,7 @@ def test_fit_loglog_needs_enough_rows():
 
 def test_fit_rate_on_synthetic_trace():
     problem = build_problem("deconv1d", grid_size=60)
-    trace = run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=3000))
+    trace = run(problem, parse_dgf("p:2"), SolverConfig(iters=3000))
     slope, r2 = fit_rate(trace, window=(100.0, None))
     assert -1.2 < slope < -0.4
     assert r2 > 0.9

@@ -8,15 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpgm import SolverConfig, build_problem, parse_dgf, run_apgm, run_pgm, solver
+from bpgm import SolverConfig, build_problem, parse_dgf, run, solver
 from bpgm.analysis import EnvelopeCurve
 from bpgm.cli import _build_problem_from_args, build_parser, main
 from bpgm.objective import (
-    PROBLEM_TOKENS, default_start, eval_F, exact_optimum, grad_potential, minimizer_density,
-    parse_regularizer,
+    PROBLEM_TOKENS, default_start, eval_F, exact_optimum, grad_potential, parse_regularizer,
 )
 from bpgm.solver import Trace
 from bpgm.verify import FD_GRID_SIZES, CheckResult
+from test_objective import minimizer_density
 
 
 def run_cli(*argv):
@@ -423,6 +423,20 @@ def test_rates_report_marks_an_aborted_trace(tmp_path, capsys):
     assert float(rows[0][header.index("fitted")]) > 0
 
 
+def test_rates_states_why_a_trace_cannot_be_fitted(tmp_path, capsys):
+    # The run aborts at iteration 514, so the default window from 1e3 is empty.
+    out = tmp_path / "ab.csv"
+    assert run_cli(
+        "run", "--problem", "deconv1d", "--reg", "tv:0.05", "--dgf", "p:2", "--step", "1.5",
+        "--iters", "2000", "--out", str(out),
+    ) == 2
+    capsys.readouterr()
+    assert run_cli("rates", str(out)) == 1
+    assert capsys.readouterr().err.startswith(
+        f"bpgm: {out}: aborted at iteration 514 (non-finite objective); need at least 10 "
+    )
+
+
 def _theory_column(report):
     lines = report.read_text().splitlines()
     header = lines[0].split(",")
@@ -436,7 +450,7 @@ def test_rates_same_theory_for_library_and_cli_traces(tmp_path):
         "--iters", "3000", "--out", str(cli_out),
     ) == 0
     problem = build_problem("deconv1d", grid_size=60)
-    run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=3000)).write_csv(lib_out)
+    run(problem, parse_dgf("p:2"), SolverConfig(iters=3000)).write_csv(lib_out)
     report = tmp_path / "rates.csv"
     assert run_cli(
         "rates", str(lib_out), str(cli_out), "--fit-lo", "100", "--out", str(report)
@@ -447,7 +461,7 @@ def test_rates_same_theory_for_library_and_cli_traces(tmp_path):
 def test_rates_reads_dimension_from_trace(tmp_path):
     out = tmp_path / "d2.csv"
     problem = build_problem("deconv2d", grid_size=10)
-    run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=300)).write_csv(out)
+    run(problem, parse_dgf("p:2"), SolverConfig(iters=300)).write_csv(out)
     report = tmp_path / "rates.csv"
     assert run_cli("rates", str(out), "--fit-lo", "10", "--out", str(report)) == 0
     # q = 4 (nonnegative, no TV weight) and d = 2: -q / ((p-1) d + q)
@@ -456,8 +470,8 @@ def test_rates_reads_dimension_from_trace(tmp_path):
 
 def test_rates_rejects_trace_without_setting(tmp_path, capsys):
     out = tmp_path / "old.csv"
-    trace = run_pgm(build_problem("deconv1d", grid_size=60), parse_dgf("p:2"),
-                    SolverConfig(iters=3000))
+    trace = run(build_problem("deconv1d", grid_size=60), parse_dgf("p:2"),
+                SolverConfig(iters=3000))
     trace.meta.pop("setting", None)  # as in files written before the key existed
     trace.write_csv(out)
     assert run_cli("rates", str(out), "--fit-lo", "100") == 1
@@ -466,8 +480,8 @@ def test_rates_rejects_trace_without_setting(tmp_path, capsys):
 
 def test_rates_reads_config(tmp_path):
     trace = tmp_path / "t.csv"
-    run_pgm(build_problem("deconv1d", grid_size=60), parse_dgf("p:2"),
-            SolverConfig(iters=3000)).write_csv(trace)
+    run(build_problem("deconv1d", grid_size=60), parse_dgf("p:2"),
+        SolverConfig(iters=3000)).write_csv(trace)
     by_flag, by_config, default = (tmp_path / n for n in ("flag.csv", "cfg.csv", "default.csv"))
     assert run_cli(
         "rates", str(trace), "--fit-lo", "2000", "--fit-hi", "2900", "--out", str(by_flag)
@@ -650,7 +664,7 @@ def test_every_registered_problem_knows_its_optimum(token):
     assert eval_F(problem, minimizer_density(problem)) == pytest.approx(
         problem.inf_value, rel=1e-14, abs=0.0
     )
-    trace = run_apgm(problem, parse_dgf("p:2"), SolverConfig(iters=300, method="apgm"))
+    trace = run(problem, parse_dgf("p:2"), SolverConfig(iters=300, method="apgm"))
     assert np.min(trace.F) >= problem.inf_value - 1e-12
 
 

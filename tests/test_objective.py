@@ -22,7 +22,7 @@ from bpgm import (
     parse_dgf,
     parse_regularizer,
     relu_problem,
-    run_apgm,
+    run,
     simplex,
     torus_grid,
     tv,
@@ -36,9 +36,21 @@ from bpgm.objective import (
     SmoothObjective,
     SquaredResidual,
     exact_optimum,
-    minimizer_density,
     smoothed_square_dist,
 )
+
+
+def minimizer_density(problem):
+    """Value array of the known sparse minimizer mu_star on the grid, if any.
+
+    An empty mu_star records the zero density.
+    """
+    if problem.mu_star is None:
+        raise ValueError(f"problem {problem.name} has no recorded minimizer")
+    return sum(
+        (dirac_density(problem.grid, point, weight) for point, weight in problem.mu_star),
+        np.zeros(problem.grid.size),
+    )
 
 
 def _dirichlet_kernel(theta):
@@ -100,7 +112,7 @@ def test_deconv_heavy_tv_weight_optimum_is_zero(kind, lam):
     assert amplitude == 0.0
     assert problem.inf_value == 5.0
     assert eval_F(problem, minimizer_density(problem)) == problem.inf_value
-    trace = run_apgm(problem, parse_dgf("p:2"), SolverConfig(iters=500, method="apgm"))
+    trace = run(problem, parse_dgf("p:2"), SolverConfig(iters=500, method="apgm"))
     assert not trace.aborted
     assert np.min(trace.F) >= problem.inf_value - 1e-12
 
@@ -120,7 +132,7 @@ def test_deconv_constrained_rows_know_their_optimum(dim, n, reg):
     assert np.sum(problem.grid.weights * mu) == pytest.approx(a)
     assert eval_F(problem, mu) == pytest.approx(problem.inf_value, rel=1e-12, abs=1e-14)
     f0 = np.full(problem.grid.size, a)
-    trace = run_apgm(problem, parse_dgf("p:2"), SolverConfig(iters=300, method="apgm"), f0=f0)
+    trace = run(problem, parse_dgf("p:2"), SolverConfig(iters=300, method="apgm"), f0=f0)
     assert not trace.aborted
     assert np.min(trace.F) >= problem.inf_value - 1e-12
     assert trace.gap[-1] < trace.gap[0]
@@ -378,7 +390,7 @@ def test_exact_optimum_relu_seed0_value():
 
 def test_exact_optimum_is_below_apgm():
     problem = exact_optimum(relu_problem(circle_grid(200), seed=0))
-    trace = run_apgm(problem, parse_dgf("hyp"), SolverConfig(iters=3000, method="apgm"))
+    trace = run(problem, parse_dgf("hyp"), SolverConfig(iters=3000, method="apgm"))
     assert not trace.aborted
     assert np.min(trace.F) >= problem.inf_value - 1e-12
 

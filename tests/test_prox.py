@@ -16,7 +16,7 @@ from bpgm import (
     nonneg_tv,
     parse_dgf,
     parse_regularizer,
-    run_pgm,
+    run,
     simplex,
     solve_kappa,
     torus_grid,
@@ -509,7 +509,7 @@ def test_dual_solve_pass_count(token, grid_size, reg, dgf_token, bound):
         token, grid_size=grid_size, reg=parse_regularizer(reg) if reg else None
     )
     counted = _counting(parse_dgf(dgf_token))
-    run_pgm(problem, counted, SolverConfig(iters=2000))
+    run(problem, counted, SolverConfig(iters=2000))
     assert counted.calls / 2000 <= bound
 
 

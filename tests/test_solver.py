@@ -153,7 +153,7 @@ def test_default_start_is_feasible_on_every_row(reg, level):
     f0 = default_start(problem)
     assert np.array_equal(f0, np.full(50, level))
     assert math.isfinite(eval_F(problem, f0))
-    trace = run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=3))
+    trace = run(problem, parse_dgf("p:2"), SolverConfig(iters=3))
     assert trace.F[0] == eval_F(problem, f0)
 
 
@@ -171,7 +171,7 @@ def test_solver_config_validation():
 
 def test_pgm_descends_monotonically():
     problem = build_problem("deconv1d", grid_size=60)
-    trace = run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=500))
+    trace = run(problem, parse_dgf("p:2"), SolverConfig(iters=500))
     assert np.all(np.diff(trace.F) <= 1e-12)
     assert trace.gap[-1] < trace.gap[0]
 
@@ -179,10 +179,10 @@ def test_pgm_descends_monotonically():
 def test_iterates_stay_feasible():
     problem = build_problem("deconv1d", grid_size=60)
     for token in ("p:2", "ent"):
-        trace = run_pgm(problem, parse_dgf(token), SolverConfig(iters=200))
+        trace = run(problem, parse_dgf(token), SolverConfig(iters=200))
         assert np.all(trace.final_f >= -1e-12)
     problem = deconv_problem(torus_grid(1, 60), simplex())
-    trace = run_pgm(problem, parse_dgf("ent"), SolverConfig(iters=200))
+    trace = run(problem, parse_dgf("ent"), SolverConfig(iters=200))
     assert float(np.sum(problem.grid.weights * trace.final_f)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -192,7 +192,7 @@ def test_pgm_guarantee_against_mollified_reference():
     problem = build_problem("deconv1d", grid_size=300)
     dgf = parse_dgf("p:2")
     config = SolverConfig(iters=2000)
-    trace = run_pgm(problem, dgf, config)
+    trace = run(problem, dgf, config)
     s = float(trace.meta["step"])
     f0 = np.ones(problem.grid.size)
     for eps in (0.02, 0.1):
@@ -208,8 +208,8 @@ def test_pgm_guarantee_against_mollified_reference():
 def test_apgm_beats_pgm_on_smooth_problem():
     problem = build_problem("deconv1d", grid_size=300)
     dgf = parse_dgf("p:2")
-    pgm = run_pgm(problem, dgf, SolverConfig(iters=1000))
-    apgm = run_apgm(problem, dgf, SolverConfig(iters=1000, method="apgm"))
+    pgm = run(problem, dgf, SolverConfig(iters=1000))
+    apgm = run(problem, dgf, SolverConfig(iters=1000, method="apgm"))
     assert apgm.gap[-1] < pgm.gap[-1] / 10.0
 
 
@@ -217,7 +217,7 @@ def test_apgm_iterates_are_convex_combinations():
     # the reported sequence f_k mixes prox points with nonnegative
     # weights, so it inherits their sign constraint
     problem = build_problem("deconv1d", grid_size=80)
-    trace = run_apgm(problem, parse_dgf("p:1.5"), SolverConfig(iters=300, method="apgm"))
+    trace = run(problem, parse_dgf("p:1.5"), SolverConfig(iters=300, method="apgm"))
     assert np.all(trace.final_f >= -1e-12)
     assert np.all(np.isfinite(trace.final_f))
 
@@ -227,7 +227,7 @@ def test_apgm_records_when_norm_bound_fails():
     config = SolverConfig(iters=200, method="apgm", step=0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = run_apgm(problem, parse_dgf("p:2"), config)
+        trace = run(problem, parse_dgf("p:2"), config)
     k = int(trace.meta["k_bound_exceeded_at"])
     assert k in trace.k
     assert float(trace.meta["k_bound_exceeded_l1"]) > float(trace.meta["k_bound"]) == 1e-3
@@ -249,7 +249,7 @@ def test_run_aborts_on_nonfinite_objective():
     with warnings.catch_warnings():
         # the run is supposed to overflow; that is the point
         warnings.simplefilter("ignore", RuntimeWarning)
-        trace = run_pgm(problem, parse_dgf("ent"), config)
+        trace = run(problem, parse_dgf("ent"), config)
     assert trace.aborted and trace.meta["abort_reason"] == "objective"
     k_abort = int(trace.meta["aborted_at"])
     assert 0 < k_abort <= 4000
@@ -358,18 +358,18 @@ def test_entropy_is_rejected_on_a_signed_optimum():
     problem = exact_optimum(build_problem("relu", grid_size=200))
     assert min(weight for _, weight in problem.mu_star) < 0
     with pytest.raises(ValueError, match="signed dgf"):
-        run_pgm(problem, parse_dgf("ent"), SolverConfig(iters=10))
+        run(problem, parse_dgf("ent"), SolverConfig(iters=10))
 
 
 def test_start_density_of_wrong_shape_is_rejected():
     problem = build_problem("relu", grid_size=50)
     f0 = np.ones(49)
     with pytest.raises(ValueError, match="does not match grid size 50"):
-        run_pgm(problem, parse_dgf("hyp"), SolverConfig(iters=5), f0=f0)
+        run(problem, parse_dgf("hyp"), SolverConfig(iters=5), f0=f0)
 
 
 def test_trace_meta_records_setting():
-    trace = run_pgm(build_problem("deconv2d", grid_size=6), parse_dgf("p:2"), SolverConfig(iters=2))
+    trace = run(build_problem("deconv2d", grid_size=6), parse_dgf("p:2"), SolverConfig(iters=2))
     assert (trace.meta["reg"], trace.meta["setting"], trace.meta["dim"]) == (
         "nonneg_tv:0", "II*", "2",
     )
@@ -377,7 +377,7 @@ def test_trace_meta_records_setting():
 
 def test_tiny_step_barely_moves():
     problem = build_problem("deconv1d", grid_size=50)
-    trace = run_pgm(
+    trace = run(
         problem, parse_dgf("p:2"), SolverConfig(iters=2, step=1e-9, record=(1, 2))
     )
     assert np.max(np.abs(trace.final_f - 1.0)) < 1e-6
@@ -385,7 +385,7 @@ def test_tiny_step_barely_moves():
 
 def test_custom_record_schedule():
     problem = build_problem("deconv1d", grid_size=50)
-    trace = run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=10, record=(0, 3, 10)))
+    trace = run(problem, parse_dgf("p:2"), SolverConfig(iters=10, record=(0, 3, 10)))
     assert list(trace.k) == [0, 3, 10]
     assert trace.F[0] == pytest.approx(eval_F(problem, np.ones(50)))
 
@@ -397,7 +397,7 @@ def test_run_dispatch():
     with pytest.raises(ValueError):
         run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=5, method="apgm"))
     with pytest.raises(ValueError):
-        run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=5), f0=-np.ones(50))
+        run(problem, parse_dgf("p:2"), SolverConfig(iters=5), f0=-np.ones(50))
 
 
 @pytest.mark.parametrize("reg", ("tv_ball:1", "tv:0.05"), ids=("constrained", "unconstrained"))
@@ -428,7 +428,7 @@ def test_run_that_records_nothing_has_empty_columns(tmp_path):
 
 def test_trace_csv_round_trip(tmp_path):
     problem = build_problem("deconv1d", grid_size=50)
-    trace = run_pgm(problem, parse_dgf("hyp"), SolverConfig(iters=50))
+    trace = run(problem, parse_dgf("hyp"), SolverConfig(iters=50))
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     back = Trace.read_csv(path)
@@ -525,7 +525,7 @@ def test_repeated_runs_identical_up_to_wall_clock(tmp_path):
     config = SolverConfig(iters=300)
     paths = []
     for name in ("a.csv", "b.csv"):
-        trace = run_pgm(problem, parse_dgf("ent"), config)
+        trace = run(problem, parse_dgf("ent"), config)
         p = tmp_path / name
         trace.write_csv(p)
         paths.append(p)
@@ -536,6 +536,6 @@ def test_repeated_runs_identical_up_to_wall_clock(tmp_path):
 def test_density_initial_point():
     problem = build_problem("deconv1d", grid_size=50)
     f0 = np.full(50, 0.5)
-    trace = run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=5, record=(0,)))
-    trace2 = run_pgm(problem, parse_dgf("p:2"), SolverConfig(iters=5, record=(0,)), f0=f0)
+    trace = run(problem, parse_dgf("p:2"), SolverConfig(iters=5, record=(0,)))
+    trace2 = run(problem, parse_dgf("p:2"), SolverConfig(iters=5, record=(0,)), f0=f0)
     assert trace.F[0] != trace2.F[0]
