@@ -111,11 +111,11 @@ class PowerDgf(Dgf):
 
     def mass_and_slope(self, x):
         if self.p == 2.0:
-            return float(x.sum()), float(x.size)
+            return float(np.add.reduce(x)), float(x.size)
         # Powers of t = (p-1) x, never h / t: a subnormal x rounds t to 0.
         t = (self.p - 1.0) * x
         q = 1.0 / (self.p - 1.0)
-        return float((t**q).sum()), float((t ** (q - 1.0)).sum())
+        return float(np.add.reduce(t**q)), float(np.add.reduce(t ** (q - 1.0)))
 
 
 class EntropyDgf(Dgf):
@@ -187,7 +187,8 @@ class HyperbolicDgf(Dgf):
         return self.beta * np.sinh(np.asarray(u, dtype=float))
 
     def mass_and_slope(self, x):
-        return self.beta * float(np.sinh(x).sum()), self.beta * float(np.cosh(x).sum())
+        sinh, cosh = np.add.reduce(np.sinh(x)), np.add.reduce(np.cosh(x))
+        return self.beta * float(sinh), self.beta * float(cosh)
 
 
 def sc_constant(dgf, k_bound):

@@ -26,6 +26,7 @@ up to rounding; kkt_residual reconstructs phi and measures the
 violation, which doubles as a solver self-check.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,13 +51,21 @@ class MirrorState:
         f = np.asarray(f, dtype=float)
         return cls(grid, np.asarray(dgf.eta_prime(f)), f)
 
-    # Method-form reductions: the same ufunc reduce as np.sum / np.max,
-    # without the fromnumeric dispatch, on every record.
+    # Direct ufunc reductions: the same reduce as np.sum / np.max, without
+    # the Python dispatch wrappers, on every record.
     def l1(self):
-        return float((self.grid.weights * np.abs(self.primal)).sum())
+        return float(np.add.reduce(self.grid.weights * np.abs(self.primal)))
 
     def linf_mirror(self):
-        return float(np.abs(self.u).max())
+        return float(np.maximum.reduce(np.abs(self.u)))
+
+
+@functools.lru_cache(maxsize=64)
+def _cold_shifts(dgf, target, size):
+    """(eta'(target), eta'(target / w)) with w = 1 / size: the run-invariant
+    part of solve_kappa's cold start, computed once per (dgf, target, size).
+    Dgfs are never changed after construction, so identity is a safe key."""
+    return float(dgf.eta_prime(target)), float(dgf.eta_prime(target / (1.0 / size)))
 
 
 def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
@@ -104,20 +113,20 @@ def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
     previous point lies inside it, the solve takes one pass, or two when
     the hint lies above 0, instead of a Newton solve to a negative root.
     """
-    if target <= 0:
-        raise ValueError(f"dual target must be positive, got {target}")
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"dual target must be finite and positive, got {target}")
     a = np.asarray(a, dtype=float)
     if not a.size:
         raise ValueError("the dual search needs at least one entry")
     weight = 1.0 / a.size
     if dgf.domain == "nonnegative":
         # Zero densities sit at a = -inf and drop out of the sum.
-        c = float(a.max())
-        kappa = c + np.log(weight * float(np.exp(a - c).sum()) / target)
-    elif math.isfinite(lo := float(a.min())):
+        c = float(np.maximum.reduce(a))
+        kappa = c + np.log(weight * float(np.add.reduce(np.exp(a - c))) / target)
+    elif math.isfinite(lo := float(np.minimum.reduce(a))):
         # A -inf entry would drop out of the sum unnoticed, so it fails here.
-        cold = max(lo - float(dgf.eta_prime(target)),
-                   float(a.max() - dgf.eta_prime(target / weight)))
+        near, far = _cold_shifts(dgf, target, a.size)
+        cold = max(lo - near, float(np.maximum.reduce(a)) - far)
         hinted = start is not None and cold < start < math.inf
         kappa, live = (float(start) if hinted else cold), a
         while True:
@@ -148,7 +157,7 @@ def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
 
 def _support_bound(a, a_prev):
     """min_j (a_j - a_prev_j) over a_prev_j > 0: solve_kappa's warm start."""
-    return float((a - a_prev)[a_prev > 0].min(initial=math.inf))
+    return float(np.minimum.reduce((a - a_prev)[a_prev > 0], initial=math.inf))
 
 
 def bregman_step(dgf, reg, state, grad, s_eff):

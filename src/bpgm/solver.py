@@ -15,6 +15,7 @@ schedule and serialize to CSV with a '#' metadata preamble.
 """
 
 import contextlib
+import functools
 import math
 import os
 import time
@@ -74,8 +75,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("pgm", "apgm"):
             raise ValueError(f"unknown method {self.method!r}")
+        if isinstance(self.iters, bool) or not isinstance(self.iters, (int, np.integer)):
+            raise ValueError(f"iters must be an integer, got {self.iters!r}")
         if self.iters < 1:
             raise ValueError(f"need at least one iteration, got {self.iters}")
+        if self.record is not None and not all(0 <= k <= self.iters and k == int(k)
+                                               for k in self.record):
+            raise ValueError(f"record must hold integers in [0, {self.iters}], got {self.record}")
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step}")
 
@@ -153,8 +159,10 @@ def gamma_next(gamma):
     return 2.0 * gamma / (gamma + math.sqrt(gamma * gamma + 4.0))
 
 
+@functools.lru_cache(maxsize=16)
 def record_schedule(iters):
-    """Geometric iteration checkpoints: about 100 points per decade."""
+    """Geometric iteration checkpoints: about 100 points per decade,
+    computed once per iters (the tuple is immutable)."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     count = max(2, int(100 * math.log10(iters)) + 1)
@@ -242,7 +250,7 @@ def run(problem, dgf, config, f0=None):
     def record(k):
         value = eval_F(problem, f)
         gap = value - inf_value if inf_value is not None else math.nan
-        l1, linf = float((w * np.abs(f)).sum()), state.linf_mirror()
+        l1, linf = float(np.add.reduce(w * np.abs(f))), state.linf_mirror()
         rows.append((k, value, gap, l1, linf, time.perf_counter() - t0))
         return math.isfinite(value)
 

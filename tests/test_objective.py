@@ -251,6 +251,28 @@ def test_factored_fourier_operator_matches_its_matrix(dim, n, seed):
     assert smooth.phi_sup == pytest.approx(5.0 ** (dim / 2), rel=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    M=st.integers(1, 12),
+    m=st.integers(1, 500),
+    order=st.sampled_from("CF"),
+    linear=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_factor_gradient_is_the_adjoint_matvec_bit_for_bit(M, m, order, linear, seed):
+    """A one-factor gradient, computed as r @ A, has the bits of
+    A.T @ (fw * outer.grad(A @ (w * f))) in either memory layout."""
+    rng = np.random.default_rng(seed)
+    A = np.asarray(rng.standard_normal((M, m)), order=order)
+    fw = rng.uniform(0.5, 2.0, M)
+    y = rng.standard_normal(M)
+    outer = LinearForm(y) if linear else SquaredResidual(y, scale=rng.uniform(0.1, 2.0))
+    w, f = np.full(m, 1.0 / m), rng.standard_normal(m)
+    want = A.T @ (fw * outer.grad(A @ (w * f)))
+    got = SmoothObjective(A, outer, feature_weights=fw).gradient(w, f)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_deconv3d_builds_without_the_dense_matrix():
     # The dense 250 x 64000 feature matrix alone took 128 MB.
     tracemalloc.start()

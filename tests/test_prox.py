@@ -125,10 +125,10 @@ def test_solve_kappa_input_validation():
                        ("ent", np.inf), ("ent", np.nan)):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             solve_kappa(parse_dgf(token), np.array([bad, 0, 0, 0]), 1.0)
-    with pytest.raises(ValueError):
-        solve_kappa(d, np.zeros(4), -1.0)
-    with pytest.raises(ValueError):
-        solve_kappa(d, np.zeros(4), 0.0)
+    for target in (-1.0, 0.0, np.nan, np.inf):
+        for token in ("p:2", "hyp", "ent"):
+            with pytest.raises(ValueError, match="finite and positive, got"):
+                solve_kappa(parse_dgf(token), np.zeros(4), target)
     with pytest.raises(ValueError, match="at least one entry"):
         solve_kappa(d, np.zeros(0), 1.0)
 
@@ -457,6 +457,27 @@ def test_solve_kappa_floor_ends_an_inactive_solve_in_one_pass():
         counted.calls = 0
         assert solve_kappa(counted, a, 1.0, hint, floor=0.0) == 0.0
         assert counted.calls == (1 if hint <= 0.0 else 2)
+
+
+@pytest.mark.parametrize("token", ("p:2", "p:1.5", "hyp"))
+def test_solve_kappa_cold_start_is_computed_once_per_dgf_target_and_size(token):
+    """The two eta' values of the cold start depend on (dgf, target, m)
+    alone: repeated solves make at most two eta_prime calls for each."""
+    base = type(parse_dgf(token))
+
+    class Counting(base):
+        def eta_prime(self, s):
+            self.calls += 1
+            return base.eta_prime(self, s)
+
+    dgf = Counting.__new__(Counting)
+    dgf.__dict__.update(parse_dgf(token).__dict__)
+    dgf.calls = 0
+    rng = np.random.default_rng(17)
+    for seen, (target, m) in enumerate(((1.0, 300), (0.5, 300), (1.0, 40)), start=1):
+        for hint in (None, -1e3, None, 0.0):
+            solve_kappa(dgf, rng.standard_normal(m), target, hint)
+        assert dgf.calls <= 2 * seen
 
 
 _finite_arrays = hnp.arrays(

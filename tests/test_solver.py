@@ -167,6 +167,14 @@ def test_solver_config_validation():
             SolverConfig(iters=10, step=bad)
     with pytest.raises(ValueError):
         SolverConfig(iters=10, step=-0.1)
+    for bad in (100.0, np.float64(100), "100", True):
+        with pytest.raises(ValueError, match="iters must be an integer"):
+            SolverConfig(iters=bad)
+    for bad in ((0, 10, 1000), (-1, 5), (51,), (0, math.nan), (0, 2.5)):
+        with pytest.raises(ValueError, match=r"record must hold integers in \[0, 50\]"):
+            SolverConfig(iters=50, record=bad)
+    for iters in (50, np.int64(50), np.int32(50)):
+        assert SolverConfig(iters=iters, record=(0, 10, 50)).iters == 50
 
 
 def test_pgm_descends_monotonically():
