@@ -101,13 +101,15 @@ class PowerDgf(Dgf):
         return np.sign(s) * np.abs(s) ** (self.p - 1.0) / (self.p - 1.0)
 
     # At p = 2 the mirror map is the identity; the closed form equals the
-    # general formula bit for bit on finite input (adding 0.0 turns -0.0
-    # into 0.0, as sign(u) * |u| does).
+    # general formula sign(u) ((p-1)|u|)^(1/(p-1)) bit for bit on finite
+    # input (adding 0.0 turns -0.0 into 0.0, as sign(u) * |u| does). For
+    # p < 2 copysign gives that formula's bits in one pass fewer, up to
+    # the sign of a zero.
     def eta_prime_inv(self, u):
         if self.p == 2.0:
             return np.asarray(u, dtype=float) + 0.0
         u = np.asarray(u, dtype=float)
-        return np.sign(u) * ((self.p - 1.0) * np.abs(u)) ** (1.0 / (self.p - 1.0))
+        return np.copysign(((self.p - 1.0) * np.abs(u)) ** (1.0 / (self.p - 1.0)), u)
 
     def mass_and_slope(self, x):
         if self.p == 2.0:

@@ -78,8 +78,11 @@ class SmoothObjective:
     A_1 x ... x A_d it is, on a grid whose m = n_1 ... n_d points are
     ordered with the first axis slowest (as `torus_grid` orders them).
     A whole matrix costs one matvec each way; a factored one is applied
-    one axis at a time, (A_i @ x.reshape(n_i, -1)).T per axis, and is
-    never formed: `features` materializes it on first read.
+    one axis at a time, (A_i X).T per axis with X = x.reshape(n_i, -1)
+    (X^T A_i for the adjoint, X with M_i rows), and is never formed:
+    `features` materializes it on first read. `weights` may be the
+    grid's weight array or its one cell weight 1/m: the same bits with
+    one input stream fewer.
 
     Parameters
     ----------
@@ -118,13 +121,13 @@ class SmoothObjective:
         self.outer = outer
         self.phi_lip_class = phi_lip_class
         self.feature_weights = functools.reduce(np.kron, axis_weights)
-        # One factor stays a plain matvec: through _kron_matvec it gives
+        # One factor stays a plain matvec: through the axis loops it gives
         # bit-identical results but costs 0.4-1.8 us more per call, which
         # took 4-10 % off the deconv_small benchmark's iterations per
-        # second on a 2-core x86 VM. Its adjoint is r @ A: the bits of
-        # A.T @ r, with less call overhead at M = 1 (the lb:* problems).
+        # second on a 2-core x86 VM. Both directions go through np.dot:
+        # the BLAS call of @, without matmul's dispatch (1.2 against
+        # 6.9 us for the adjoint r A at M = 1, m = 2000, the lb:* shape).
         self._matrix = factors[0] if len(factors) == 1 else None
-        self._adjoints = tuple(a.T for a in factors)
         # sup_j ||Phi(theta_j)|| in the weighted norm; the squared column
         # norms of a Kronecker product are the products of the per-axis ones.
         self.phi_sup = math.prod(
@@ -144,8 +147,12 @@ class SmoothObjective:
     def moments(self, weights, f):
         x = weights * f
         if self._matrix is not None:
-            return self._matrix @ x
-        return _kron_matvec(self.factors, x)
+            return np.dot(self._matrix, x)
+        # Each pass contracts the leading axis and moves the result to the
+        # back, so after all d the axes are back in order.
+        for a in self.factors:
+            x = np.dot(a, x.reshape(a.shape[1], -1)).T
+        return x.ravel()
 
     def value(self, weights, f):
         return self.outer.value(self.moments(weights, f), self.feature_weights)
@@ -154,19 +161,12 @@ class SmoothObjective:
         """The potential G'[f] evaluated at every grid point, shape (m,)."""
         r = self.feature_weights * self.outer.grad(self.moments(weights, f))
         if self._matrix is not None:
-            return r @ self._matrix
-        return _kron_matvec(self._adjoints, r)
-
-
-def _kron_matvec(factors, x):
-    """(A_1 x ... x A_d) x, contracting one axis per factor.
-
-    Each pass contracts the leading axis and moves the result to the
-    back, so after all d the axes are back in order.
-    """
-    for a in factors:
-        x = (a @ x.reshape(a.shape[1], -1)).T
-    return x.ravel()
+            return np.dot(r, self._matrix)
+        # X^T A_i writes C order, so no pass copies and ravel is free. For
+        # the deconvolution factors (M_i = 5) it has the bits of (A_i^T X).T.
+        for a in self.factors:
+            r = np.dot(r.reshape(a.shape[0], -1).T, a)
+        return r.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +327,15 @@ def eval_G(problem, f):
 
 
 def eval_F(problem, f):
-    """Full objective F(f) = G(f) + H(f); inf when f is infeasible."""
-    values = density_values(problem, f)
-    h = problem.reg.value(problem.grid.weights, values)
+    """Full objective F(f) = G(f) + H(f); inf when f is infeasible.
+
+    Every grid weight is 1/m, so that scalar stands in for the array.
+    """
+    values, w = density_values(problem, f), 1.0 / problem.grid.size
+    h = problem.reg.value(w, values)
     if math.isinf(h):
         return math.inf
-    return problem.smooth.value(problem.grid.weights, values) + h
+    return problem.smooth.value(w, values) + h
 
 
 def grad_potential(problem, f):

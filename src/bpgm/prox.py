@@ -167,33 +167,36 @@ def bregman_step(dgf, reg, state, grad, s_eff):
     with divergence weight gamma_k / s). grad is a float array. Returns
     the next MirrorState.
     """
-    if s_eff <= 0:
+    if not s_eff > 0:
         raise ValueError(f"effective step must be positive, got {s_eff}")
     # Not grad @ grad: finite entries above 1e154 would overflow it.
-    if not np.isfinite(grad).all():
+    if not np.logical_and.reduce(np.isfinite(grad)):
         raise ValueError("gradient contains non-finite entries")
-    v = state.u - s_eff * grad
+    v = s_eff * grad
+    np.subtract(state.u, v, out=v)
     signed = dgf.domain == "signed"
-    # Signed TV rows shrink |v|; the ball's dual solve reads the same |v|.
-    shrink = signed and reg.kind in ("tv", "tv_ball")
-    a = np.abs(v) if shrink else v
 
     if reg.kind in ("nonneg_tv", "tv"):
         kappa = s_eff * reg.lam
     else:
-        start = _support_bound(a, np.abs(state.u) if shrink else state.u) if signed else None
-        if reg.kind == "simplex":
-            kappa = solve_kappa(dgf, a, 1.0, start)
-        else:  # tv_ball
-            kappa = solve_kappa(dgf, a, reg.radius, start, floor=0.0)
+        # On a signed dgf the ball's dual solve reads |v|.
+        ball = reg.kind == "tv_ball"
+        a, a_prev = (np.abs(v), np.abs(state.u)) if ball and signed else (v, state.u)
+        start = _support_bound(a, a_prev) if signed else None
+        target, floor = (reg.radius, 0.0) if ball else (1.0, -math.inf)
+        kappa = solve_kappa(dgf, a, target, start, floor=floor)
 
-    if not signed:
-        u_next = v - kappa
-    elif shrink:
-        # Soft threshold; kappa >= 0 here (s * lam, or solve_kappa's floor 0).
-        u_next = np.sign(v) * np.maximum(a - kappa, 0.0)
+    if signed and reg.kind in ("tv", "tv_ball"):
+        # Soft threshold v - clip(v, -kappa, kappa), kappa >= 0 (s * lam or
+        # solve_kappa's floor 0): the values of sign(v) max(|v| - kappa, 0)
+        # in three passes, with +0.0 in the dead zone when kappa > 0.
+        u_next = np.maximum(v, -kappa)
+        np.minimum(u_next, kappa, out=u_next)
+        np.subtract(v, u_next, out=u_next)
     else:
-        u_next = np.maximum(v - kappa, 0.0)
+        if kappa:  # v - 0.0 is v, bit for bit
+            np.subtract(v, kappa, out=v)
+        u_next = np.maximum(v, 0.0, out=v) if signed else v
     return MirrorState(state.grid, u_next, dgf.eta_prime_inv(u_next))
 
 

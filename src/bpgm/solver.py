@@ -214,6 +214,9 @@ def run(problem, dgf, config, f0=None):
         )
     grid = problem.grid
     f0 = default_start(problem) if f0 is None else density_values(problem, f0)
+    # Checked here: max(0.0, nan) is 0.0, so violation passes a nan.
+    if not np.isfinite(f0).all():
+        raise ValueError("initial density must be finite")
     if problem.reg.violation(grid.weights, f0) > FEAS_TOL:
         raise ValueError("initial density is infeasible for the regularizer")
     step, k_bound = resolve_step(problem, dgf, config, f0)
@@ -236,7 +239,8 @@ def run(problem, dgf, config, f0=None):
         "grid_m": str(grid.size),
         "inf_value": repr(inf_value) if inf_value is not None else "",
     }
-    smooth, reg, w = problem.smooth, problem.reg, grid.weights
+    # Every grid weight is 1/m: the scalar gives the array's products.
+    smooth, reg, w = problem.smooth, problem.reg, 1.0 / grid.size
     # A linear smooth part (Lip(grad R) = 0) has the same potential at every f.
     linear = smooth.lip_grad == 0
 
@@ -261,9 +265,10 @@ def run(problem, dgf, config, f0=None):
             record(0)
         grad = smooth.gradient(w, f) if linear else None
         for k in range(config.iters):
+            if accelerated:
+                fade = (1.0 - gamma) * f
             if not linear:
-                g = (1.0 - gamma) * f + gamma * state.primal if accelerated else f
-                grad = smooth.gradient(w, g)
+                grad = smooth.gradient(w, fade + gamma * state.primal if accelerated else f)
             s_eff = step / gamma
             try:
                 state = bregman_step(dgf, reg, state, grad, s_eff)
@@ -277,8 +282,8 @@ def run(problem, dgf, config, f0=None):
                 meta["aborted_at"], meta["abort_reason"] = str(k + 1), reason
                 break
             if accelerated:
-                f = (1.0 - gamma) * f + gamma * state.primal
-                gamma = gamma_next(gamma)
+                fade += gamma * state.primal
+                f, gamma = fade, gamma_next(gamma)
             else:
                 f = state.primal
             if k + 1 in record_set:

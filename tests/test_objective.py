@@ -260,7 +260,7 @@ def test_factored_fourier_operator_matches_its_matrix(dim, n, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_one_factor_gradient_is_the_adjoint_matvec_bit_for_bit(M, m, order, linear, seed):
-    """A one-factor gradient, computed as r @ A, has the bits of
+    """A one-factor gradient, computed as np.dot(r, A), has the bits of
     A.T @ (fw * outer.grad(A @ (w * f))) in either memory layout."""
     rng = np.random.default_rng(seed)
     A = np.asarray(rng.standard_normal((M, m)), order=order)
@@ -271,6 +271,48 @@ def test_one_factor_gradient_is_the_adjoint_matvec_bit_for_bit(M, m, order, line
     want = A.T @ (fw * outer.grad(A @ (w * f)))
     got = SmoothObjective(A, outer, feature_weights=fw).gradient(w, f)
     assert got.tobytes() == want.tobytes()
+
+
+def _contract_by_matmul(factors, x):
+    """The contraction the smooth part used before np.dot and the C-order
+    adjoint, kept as an oracle: one factor is a plain a @ x; more go axis
+    by axis as (A_i @ X).T, then a copying ravel."""
+    if len(factors) == 1:
+        return factors[0] @ x
+    for a in factors:
+        x = (a @ x.reshape(a.shape[1], -1)).T
+    return x.ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1))
+def test_kronecker_adjoint_keeps_the_bits_of_the_matmul_contraction(dim, n, seed):
+    """On the deconvolution factors (M_i = 5) the moments and the gradient
+    are the oracle's contractions by A_i and by A_i^T, bit for bit."""
+    smooth = deconv_problem(torus_grid(dim, n), nonneg_tv(0.0)).smooth
+    w, f = 1.0 / n**dim, np.random.default_rng(seed).standard_normal(n**dim)
+    z = _contract_by_matmul(smooth.factors, w * f)
+    r = smooth.feature_weights * smooth.outer.grad(z)
+    want = _contract_by_matmul(tuple(a.T for a in smooth.factors), r)
+    assert smooth.moments(w, f).tobytes() == z.tobytes()
+    assert smooth.gradient(w, f).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 12)), min_size=2, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kronecker_adjoint_matches_the_matmul_contraction(shape, seed):
+    """On other factor shapes the adjoint agrees with the oracle to 1e-12
+    relative: BLAS may sum a product of two other layouts differently."""
+    rng = np.random.default_rng(seed)
+    factors = tuple(rng.standard_normal(mn) for mn in shape)
+    r = rng.standard_normal(math.prod(m for m, _ in shape))
+    f = np.ones(math.prod(n for _, n in shape))
+    got = SmoothObjective(factors, LinearForm(r)).gradient(1.0, f)
+    want = _contract_by_matmul(tuple(a.T for a in factors), r)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=1.0)
 
 
 def test_deconv3d_builds_without_the_dense_matrix():

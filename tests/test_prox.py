@@ -214,6 +214,39 @@ def test_bregman_step_validation():
         bregman_step(dgf, tv(0.1), state, np.zeros(8), 0.0)
     with pytest.raises(ValueError):
         bregman_step(dgf, tv(0.1), state, np.full(8, np.nan), 0.1)
+    # nan <= 0 is False: a nan step must fail the positivity check too.
+    with pytest.raises(ValueError, match="effective step must be positive, got nan"):
+        bregman_step(dgf, tv(0.1), state, np.zeros(8), np.nan)
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=hnp.arrays(float, st.integers(1, 40), elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        st.sampled_from(_EDGE_FLOATS),
+    )),
+    kappa=st.one_of(st.sampled_from((0.0, 5e-324, 1.0, 1.7976931348623157e308)),
+                    st.floats(0.0, 1e300, allow_subnormal=True)),
+)
+def test_soft_threshold_of_the_tv_row_equals_the_sign_form(v, kappa):
+    """The tv row thresholds as v - clip(v, -kappa, kappa): in value the
+    sign(v) max(|v| - kappa, 0) of _soft_threshold, with no floating-point
+    warning. For kappa > 0 the dead zone |v| <= kappa comes out +0.0; at
+    kappa = 0 the threshold is the identity, bit for bit. u = v, grad = 0
+    and s = 1 make the row's mirror point v and its threshold kappa = lam."""
+    state = MirrorState(torus_grid(1, len(v)), v, v.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = bregman_step(parse_dgf("p:2"), tv(kappa), state, np.zeros(len(v)), 1.0).u
+    assert np.array_equal(u, _soft_threshold(v, kappa))
+    if kappa > 0:
+        assert np.all(u[np.abs(v) <= kappa].view(np.int64) == 0)
+    else:
+        assert _same_bits(u, v)
 
 
 @pytest.mark.parametrize("token", DGF_TOKENS)
@@ -509,6 +542,19 @@ def test_power_two_closed_forms_match_general_formula(u):
         want = (np.sum(((p - 1.0) * x) ** (1.0 / (p - 1.0))),
                 np.sum(((p - 1.0) * x) ** ((2.0 - p) / (p - 1.0))))
         assert _same_bits(d.mass_and_slope(x), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=_finite_arrays, p=st.sampled_from((1.2, 1.5, 1.8)))
+@example(u=np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.0]), p=1.2)
+def test_power_mirror_inverse_matches_the_sign_formula(u, p):
+    # copysign in place of sign(u) * ...: the same bits at every nonzero u,
+    # and the same value (up to the sign of a zero) elsewhere.
+    with np.errstate(over="ignore"):
+        want = np.sign(u) * ((p - 1.0) * np.abs(u)) ** (1.0 / (p - 1.0))
+        out = PowerDgf(p).eta_prime_inv(u)
+    assert _same_bits(out[u != 0], want[u != 0])
+    assert np.array_equal(out, want)
 
 
 # Mirror-map calls per step over 2000 PGM iterations, and their bounds.

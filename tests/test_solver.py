@@ -306,20 +306,26 @@ def test_diverging_runs_end_labelled(token, reg, method, step, tmp_path):
 
 def _reference_run(problem, dgf, config):
     """PGM or APGM as a plain loop over public pieces: the smooth
-    gradient at every step, bregman_step, gamma_next and eval_F, with the
-    norms of each record point taken by np.sum and np.max."""
+    gradient at every step, bregman_step and gamma_next, with the
+    objective (smooth.value + reg.value) and the norms of each record
+    point taken on the grid's weight array, by np.sum and np.max. The gap
+    is compared only when the problem knows its optimal value."""
     grid, w = problem.grid, problem.grid.weights
     f0 = default_start(problem)
     step, _ = resolve_step(problem, dgf, config, f0)
     accelerated = config.method == "apgm"
     state, f, gamma = MirrorState.from_primal(dgf, grid, f0), f0.copy(), 1.0
     schedule = set(record_schedule(config.iters))
-    cols = {"F": [], "gap": [], "l1": [], "linf_mirror": []}
+    cols = {"F": [], "l1": [], "linf_mirror": []}
+    if problem.inf_value is not None:
+        cols["gap"] = []
 
     def record():
-        value = eval_F(problem, f)
+        value = problem.smooth.value(w, f) + problem.reg.value(w, f)
+        assert value == eval_F(problem, f)
         cols["F"].append(value)
-        cols["gap"].append(value - problem.inf_value)
+        if "gap" in cols:
+            cols["gap"].append(value - problem.inf_value)
         cols["l1"].append(float(np.sum(w * np.abs(f))))
         cols["linf_mirror"].append(float(np.max(np.abs(state.u))))
 
@@ -347,6 +353,8 @@ def _reference_run(problem, dgf, config):
     ("deconv1d", "tv_ball:1", "p:1.5"),
     ("lb:I", None, "p:2"),
     ("lb:II*", None, "p:2"),
+    ("deconv2d", None, "p:1.5"),
+    ("relu", None, "p:1.5"),
 ))
 def test_run_equals_a_reference_loop_bit_for_bit(token, reg, dgf_token, method):
     # The lb:I row has a linear smooth part, whose potential run takes once.
@@ -360,6 +368,17 @@ def test_run_equals_a_reference_loop_bit_for_bit(token, reg, dgf_token, method):
     assert np.array_equal(trace.final_mirror, u)
     for name, column in cols.items():
         assert np.array_equal(getattr(trace, name), column), name
+
+
+@pytest.mark.parametrize("reg", ("nonneg_tv:0", "simplex", "tv:0.05", "tv_ball:1"))
+def test_nonfinite_start_density_is_rejected(reg):
+    # max(0.0, nan) is 0.0, so the feasibility check alone lets a nan through.
+    problem = build_problem("deconv1d", grid_size=50, reg=parse_regularizer(reg))
+    for bad in (np.nan, np.inf):
+        f0 = default_start(problem)
+        f0[7] = bad
+        with pytest.raises(ValueError, match="initial density must be finite"):
+            run(problem, parse_dgf("p:2"), SolverConfig(iters=5), f0=f0)
 
 
 def test_entropy_is_rejected_on_a_signed_optimum():
