@@ -13,7 +13,10 @@ so both sides see the same host state.
 Per operation it prints the median and minimum microseconds per
 iteration of each side, the rounds the working tree won, and whether
 the two traces agree bit for bit (k, F, gap, l1, linf_mirror, final
-iterate and mirror; zeros compare equal whatever their sign). The last
+iterate and mirror; zeros compare equal whatever their sign). When
+they do not, it also prints the largest relative |dF| and |dgap| over
+the recorded points, which tells a change at rounding level (1e-13)
+apart from a wrong one. The last
 line is the ratio rev / work of the summed median op times, which
 weights each operation by its iterations; above 1 the working tree is
 faster.
@@ -31,6 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import importlib.util
 import io
+import math
 import statistics
 import subprocess
 import sys
@@ -101,6 +105,19 @@ def same_trace(a, b):
     ) and np.array_equal(a.final_f, b.final_f) and np.array_equal(a.final_mirror, b.final_mirror)
 
 
+def max_rel_diff(a, b):
+    """max |a - b| / |b| over the entries where both are finite (0.0 when
+    none are); inf when a and b are finite at different entries."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    finite = np.isfinite(a)
+    if a.shape != b.shape or not np.array_equal(finite, np.isfinite(b)):
+        return math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(a[finite] - b[finite]) / np.abs(b[finite])
+    # 0 / 0 is an agreement at zero; x / 0 is inf.
+    return float(np.max(np.nan_to_num(rel, nan=0.0), initial=0.0))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(bw.WORKLOADS))
@@ -116,6 +133,7 @@ def main(argv=None):
         work = Side("work", import_package("bpgm_work", ROOT / "src" / "bpgm"), workload)
         times = {(side.name, i): [] for side in (rev, work) for i in range(len(workload.ops))}
         same = [True] * len(workload.ops)
+        drift = [(0.0, 0.0)] * len(workload.ops)
         for r in range(args.rounds):
             order = (rev, work) if r % 2 == 0 else (work, rev)
             for i, op in enumerate(workload.ops):
@@ -124,7 +142,10 @@ def main(argv=None):
                 for side in order:
                     seconds, traces[side.name] = side.solve(op, iters)
                     times[side.name, i].append(1e6 * seconds / iters)
-                same[i] = same[i] and same_trace(traces["rev"], traces["work"])
+                rev_t, work_t = traces["rev"], traces["work"]
+                same[i] = same[i] and same_trace(rev_t, work_t)
+                drift[i] = tuple(max(d, max_rel_diff(getattr(work_t, col), getattr(rev_t, col)))
+                                 for d, col in zip(drift[i], ("F", "gap")))
 
     print(f"{'op':<34}{'rev med':>9}{'min':>8}{'work med':>10}{'min':>8}{'won':>7}  same")
     totals = {"rev": 0.0, "work": 0.0}
@@ -135,7 +156,8 @@ def main(argv=None):
         for name, us in (("rev", a), ("work", b)):
             totals[name] += statistics.median(us) * iters
         print(f"{op.label(iters):<34}{statistics.median(a):9.1f}{min(a):8.1f}"
-              f"{statistics.median(b):10.1f}{min(b):8.1f}{won:>4}/{args.rounds:<2}  {same[i]}")
+              f"{statistics.median(b):10.1f}{min(b):8.1f}{won:>4}/{args.rounds:<2}  {same[i]}"
+              + ("" if same[i] else "  max rel |dF| {:.1e}, |dgap| {:.1e}".format(*drift[i])))
     print(f"ratio {args.rev} / work, by iterations: {totals['rev'] / totals['work']:.3f}")
 
 

@@ -213,19 +213,24 @@ class Regularizer:
         return f"{self.kind}:{number_token(self.lam)}"
 
     def violation(self, weights, f):
-        """Distance to the feasible set (0 when feasible)."""
+        """Distance to the feasible set (0 when feasible), nan when a nan
+        entry makes it undefined; so callers test `not violation <= tol`.
+        tv has no constraint: its violation is always 0, and its value,
+        so F, is nan at a nan density."""
+        # The nan of a nan entry propagates: max(x, 0.0) returns x when x
+        # is nan, and 0.0 - min(f, 0.0) is >= 0 without a max.
         if self.kind == "nonneg_tv":
-            return float(max(0.0, -np.minimum.reduce(f, initial=0.0)))
+            return 0.0 - float(np.minimum.reduce(f, initial=0.0))
         if self.kind == "simplex":
-            neg = max(0.0, -float(np.minimum.reduce(f, initial=0.0)))
+            neg = 0.0 - float(np.minimum.reduce(f, initial=0.0))
             mass_err = abs(float(np.add.reduce(weights * f)) - 1.0)
-            return max(neg, mass_err)
+            return max(mass_err, neg)
         if self.kind == "tv_ball":
-            return max(0.0, float(np.add.reduce(weights * np.abs(f))) - self.radius)
+            return max(float(np.add.reduce(weights * np.abs(f))) - self.radius, 0.0)
         return 0.0  # tv: no constraint
 
     def value(self, weights, f):
-        if self.violation(weights, f) > FEAS_TOL:
+        if not self.violation(weights, f) <= FEAS_TOL:
             return math.inf
         if self.kind in ("nonneg_tv", "tv") and self.lam > 0:
             return self.lam * float(np.add.reduce(weights * np.abs(f)))

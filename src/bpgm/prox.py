@@ -12,7 +12,7 @@ shift clamped at eta'(0) = 0 (sign constraint) or a soft threshold
 (TV). For the TV weight kappa = s * lam; for the mass and norm
 constraints kappa is the dual shift of solve_kappa, closed form for
 entropy and found by a monotone Newton iteration for the signed dgfs,
-warm-started from the previous prox point and filtered to the entries
+warm-started from the previous step's shift and filtered to the entries
 still above kappa. The grid's weights are all one cell weight w = 1/m, so a
 Newton pass needs only two sums over the live shifts x, of eta'^{-1}(x)
 and of its derivative, which Dgf.mass_and_slope returns in one call
@@ -39,12 +39,16 @@ class MirrorState:
 
     u holds eta'(h) per grid point; primal is the materialized density.
     Finite mirror values certify the iterate (clamped points store
-    eta'(0) = 0 for signed dgfs).
+    eta'(0) = 0 for signed dgfs). kappa is the scalar shift of the
+    bregman_step that produced the state (s lam for the TV weight, the
+    dual shift for the constraints), which the next constrained step
+    starts its dual solve from; -inf on a state not made by a step.
     """
 
     grid: object
     u: np.ndarray
     primal: np.ndarray
+    kappa: float = -math.inf
 
     @classmethod
     def from_primal(cls, dgf, grid, f):
@@ -99,19 +103,22 @@ def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
     order, so every sum, and kappa, is the one the unfiltered loop gets.
 
     `start` is an optional warm start. bregman_step passes
-    min_j (a_j - a_prev_j) over the support of the previous prox point
-    h_prev, with a_prev = eta'(h_prev) (its absolute value for the
-    ball). When the mass of h_prev is the target, each support term at
-    that kappa is at least h_prev_j, so M >= target and the hint lies
-    left of the root. The hint is used only when it is finite, above
-    the cold start and its first pass finds M >= target. Otherwise, as
-    for a hint right of the root, whose filter may have dropped live
-    entries, the loop restarts on the full arrays from the cold start,
-    or from the floor when that is larger: a bad hint costs one pass and
-    never gives a wrong kappa. A hint right of the root and at or below
-    the floor ends the solve at the floor. So on an inactive ball, whose
-    previous point lies inside it, the solve takes one pass, or two when
-    the hint lies above 0, instead of a Newton solve to a negative root.
+    max(kappa_prev, floor), with kappa_prev the shift of the previous
+    step, which moves little from one step to the next (Condat's
+    warm-started filter). The hint is used only when it is finite and
+    above the cold start; that guard keeps a far-left hint, which the
+    cold start already beats, from costing precision or overflowing
+    eta'^{-1}. A hint whose first pass finds M >= target lies left of
+    the root, and Newton climbs from it as from the cold start. A hint
+    with M < target lies right of the root, where the filter may have
+    dropped live entries: the loop restarts on the full array from one
+    tangent step, kappa = hint + excess / (w slope), raised to the cold
+    start and the floor. M is convex, so its tangent at the hint lies
+    below it and crosses target at or left of the root. With no live
+    entry (slope 0) the restart is from max(cold, floor). A bad hint so
+    costs one pass and never gives a wrong kappa. A hint right of the
+    root and at or below the floor ends the solve at the floor: on an
+    inactive ball, where the previous shift was 0, each solve is one pass.
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"dual target must be finite and positive, got {target}")
@@ -138,8 +145,10 @@ def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
                 if excess < 0.0:
                     if kappa <= floor:  # the root lies below the floor
                         break
-                    # Right of the root: the filter may have dropped live entries.
-                    kappa, live = max(cold, floor), a
+                    # Right of the root: restart on the full array from the
+                    # tangent's zero, which lies at or left of the root.
+                    tangent = kappa + excess / (weight * slope) if slope else -math.inf
+                    kappa, live = max(tangent, cold, floor), a
                     continue
             # At or past the root the update cannot increase kappa.
             if excess <= 0.0:
@@ -155,17 +164,12 @@ def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
     return max(kappa, floor)
 
 
-def _support_bound(a, a_prev):
-    """min_j (a_j - a_prev_j) over a_prev_j > 0: solve_kappa's warm start."""
-    return float(np.minimum.reduce((a - a_prev)[a_prev > 0], initial=math.inf))
-
-
 def bregman_step(dgf, reg, state, grad, s_eff):
     """One Bregman proximal step with effective step s_eff.
 
     For PGM s_eff is the step s; for APGM it is s / gamma_k (the prox
     with divergence weight gamma_k / s). grad is a float array. Returns
-    the next MirrorState.
+    the next MirrorState, which keeps the shift kappa of this step.
     """
     if not s_eff > 0:
         raise ValueError(f"effective step must be positive, got {s_eff}")
@@ -181,9 +185,9 @@ def bregman_step(dgf, reg, state, grad, s_eff):
     else:
         # On a signed dgf the ball's dual solve reads |v|.
         ball = reg.kind == "tv_ball"
-        a, a_prev = (np.abs(v), np.abs(state.u)) if ball and signed else (v, state.u)
-        start = _support_bound(a, a_prev) if signed else None
+        a = np.abs(v) if ball and signed else v
         target, floor = (reg.radius, 0.0) if ball else (1.0, -math.inf)
+        start = max(state.kappa, floor) if signed else None
         kappa = solve_kappa(dgf, a, target, start, floor=floor)
 
     if signed and reg.kind in ("tv", "tv_ball"):
@@ -197,7 +201,7 @@ def bregman_step(dgf, reg, state, grad, s_eff):
         if kappa:  # v - 0.0 is v, bit for bit
             np.subtract(v, kappa, out=v)
         u_next = np.maximum(v, 0.0, out=v) if signed else v
-    return MirrorState(state.grid, u_next, dgf.eta_prime_inv(u_next))
+    return MirrorState(state.grid, u_next, dgf.eta_prime_inv(u_next), kappa)
 
 
 @dataclass

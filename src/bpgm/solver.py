@@ -214,10 +214,11 @@ def run(problem, dgf, config, f0=None):
         )
     grid = problem.grid
     f0 = default_start(problem) if f0 is None else density_values(problem, f0)
-    # Checked here: max(0.0, nan) is 0.0, so violation passes a nan.
+    # Checked here: violation reads a nan as feasible on tv, which has no
+    # constraint, and a +inf entry as feasible on nonneg_tv and tv.
     if not np.isfinite(f0).all():
         raise ValueError("initial density must be finite")
-    if problem.reg.violation(grid.weights, f0) > FEAS_TOL:
+    if not problem.reg.violation(grid.weights, f0) <= FEAS_TOL:
         raise ValueError("initial density is infeasible for the regularizer")
     step, k_bound = resolve_step(problem, dgf, config, f0)
     schedule = config.record if config.record is not None else record_schedule(config.iters)

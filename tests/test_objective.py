@@ -31,10 +31,12 @@ from bpgm import (
 from bpgm.grid import geodesic_dist
 from bpgm.solver import resolve_step
 from bpgm.objective import (
+    FEAS_TOL,
     PROBLEM_TOKENS,
     LinearForm,
     SmoothObjective,
     SquaredResidual,
+    default_start,
     exact_optimum,
     smoothed_square_dist,
 )
@@ -491,6 +493,26 @@ def test_regularizer_violation_and_value():
     assert tv(2.0).value(w, -np.ones(10)) == pytest.approx(2.0)
     assert tv_ball(1.0).violation(w, f) == pytest.approx(1.0)
     assert tv_ball(3.0).violation(w, f) == 0.0
+
+
+@pytest.mark.parametrize("reg", ("nonneg_tv:0", "nonneg_tv:0.1", "simplex", "tv_ball:1"))
+def test_a_nan_density_is_infeasible_on_constrained_rows(reg):
+    # Python's max(0.0, nan) is 0.0: a violation clamped that way calls the
+    # density feasible, and F comes out nan instead of inf.
+    problem = build_problem("deconv1d", grid_size=20, reg=parse_regularizer(reg))
+    f = default_start(problem)
+    f[7] = math.nan
+    assert not problem.reg.violation(problem.grid.weights, f) <= FEAS_TOL
+    assert problem.reg.value(problem.grid.weights, f) == math.inf
+    assert eval_F(problem, f) == math.inf
+
+
+def test_a_nan_density_has_nan_F_on_the_unconstrained_tv_row():
+    problem = build_problem("deconv1d", grid_size=20, reg=parse_regularizer("tv:0.1"))
+    f = default_start(problem)
+    f[7] = math.nan
+    assert problem.reg.violation(problem.grid.weights, f) == 0.0
+    assert math.isnan(eval_F(problem, f))
 
 
 def test_eval_F_infeasible_is_infinite():

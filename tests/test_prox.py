@@ -4,7 +4,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from bpgm import (
     MirrorState,
@@ -23,6 +23,7 @@ from bpgm import (
     tv,
     tv_ball,
 )
+from bpgm import solver
 
 DGF_TOKENS = ("p:2", "ent", "hyp")
 REGS = {
@@ -492,6 +493,43 @@ def test_solve_kappa_floor_ends_an_inactive_solve_in_one_pass():
         assert counted.calls == (1 if hint <= 0.0 else 2)
 
 
+@st.composite
+def _right_hints(draw):
+    """A signed dgf, a row (a, target) of either shape, its root, and a
+    hint right of the root with at least one entry above it."""
+    v = draw(_mirror_points)
+    dgf = draw(st.sampled_from([parse_dgf(t) for t in ("p:2", "p:1.5", "p:1.2", "hyp")]))
+    ball = draw(st.booleans())
+    a, target = (np.abs(v), draw(st.floats(0.1, 50.0))) if ball else (v, 1.0)
+    w = 1 / len(v)
+    root = _cold_kappa(dgf, w, a, target)
+    top = float(np.max(a))
+    hint = root + draw(st.floats(1e-9, 1.0, exclude_max=True)) * (top - root)
+    assume(root < hint < top)
+    return dgf, w, a, target, hint
+
+
+@settings(max_examples=400, deadline=None)
+@given(row=_right_hints())
+def test_tangent_from_a_hint_right_of_the_root_lands_left_of_it(row):
+    """M is convex and decreasing, so the zero of its tangent at a hint
+    right of the root has M >= target (to rounding): it lies at or left
+    of the root. So does solve_kappa's restart point, the larger of the
+    tangent's zero and the cold start; the raw zero may lie so far left
+    that M overflows there, which the cold start guards against."""
+    dgf, w, a, target, hint = row
+    mass, slope = dgf.mass_and_slope(a[a > hint] - hint)
+    excess = w * mass - target
+    assert excess < 0.0 < slope
+    tangent = hint + excess / (w * slope)
+    cold = max(float(np.min(a)) - float(dgf.eta_prime(target)),
+               float(np.max(a) - dgf.eta_prime(target / w)))
+    slack = _KAPPA_TOL * max(1.0, target)
+    with np.errstate(over="ignore"):
+        assert _row_mass(dgf, w, a, tangent) >= target - slack
+    assert _row_mass(dgf, w, a, max(tangent, cold)) >= target - slack
+
+
 @pytest.mark.parametrize("token", ("p:2", "p:1.5", "hyp"))
 def test_solve_kappa_cold_start_is_computed_once_per_dgf_target_and_size(token):
     """The two eta' values of the cold start depend on (dgf, target, m)
@@ -558,15 +596,17 @@ def test_power_mirror_inverse_matches_the_sign_formula(u, p):
 
 
 # Mirror-map calls per step over 2000 PGM iterations, and their bounds.
-# The counts are deterministic; an unfiltered cold-started dual solve
-# makes 7.53, 10.75 and 8.29 calls on the first three rows. The radius-50
-# ball is never active: its hint lies at or below the floor kappa = 0, so
-# each step is one dual pass and the final mirror map, 2 calls, where a
-# Newton solve to the negative root and a clip made 4.01, 11.53 and 7.18.
+# The counts are deterministic: 2.973, 4.790 and 4.230 on the first three
+# rows, where a start from the support bound of the previous prox point
+# made 3.354, 5.803 and 5.237 and an unfiltered cold-started dual solve
+# 7.53, 10.75 and 8.29. The radius-50 ball is never active: every shift
+# is 0, so the hint lies at the floor and each step is one dual pass and
+# the final mirror map, 2 calls, where a Newton solve to the negative root
+# and a clip made 4.01, 11.53 and 7.18.
 @pytest.mark.parametrize("token, grid_size, reg, dgf_token, bound", (
-    ("lb:I", 2000, None, "p:2", 4.0),
-    ("deconv1d", 300, "tv_ball:1", "hyp", 7.0),
-    ("deconv1d", 300, "tv_ball:1", "p:1.5", 6.5),
+    ("lb:I", 2000, None, "p:2", 3.2),
+    ("deconv1d", 300, "tv_ball:1", "hyp", 5.3),
+    ("deconv1d", 300, "tv_ball:1", "p:1.5", 4.7),
     ("deconv1d", 300, "tv_ball:50", "p:2", 2.0),
     ("deconv1d", 300, "tv_ball:50", "hyp", 2.0),
     ("deconv1d", 300, "tv_ball:50", "p:1.5", 2.0),
@@ -578,6 +618,32 @@ def test_dual_solve_pass_count(token, grid_size, reg, dgf_token, bound):
     counted = _counting(parse_dgf(dgf_token))
     run(problem, counted, SolverConfig(iters=2000))
     assert counted.calls / 2000 <= bound
+
+
+@pytest.mark.parametrize("token, reg, dgf_token, method, step", (
+    ("lb:I", None, "p:2", "pgm", None),
+    ("lb:II*", None, "p:2", "pgm", None),
+    ("lb:I", None, "p:2", "apgm", 1e-3),
+    ("deconv1d", "tv_ball:1", "p:1.5", "pgm", None),
+    ("deconv1d", "tv_ball:1", "hyp", "pgm", None),
+    ("deconv1d", "tv_ball:0.5", "hyp", "apgm", None),
+))
+def test_warm_started_run_matches_cold_solves(monkeypatch, token, reg, dgf_token, method, step):
+    """Starting each dual solve from the previous shift moves F only at
+    rounding level: a reference run whose every step gets its state
+    rebuilt without kappa, so every solve starts cold, agrees to 1e-10."""
+    problem = build_problem(token, reg=parse_regularizer(reg) if reg else None)
+    dgf = parse_dgf(dgf_token)
+    config = SolverConfig(iters=2000, method=method, step=step)
+    warm = run(problem, dgf, config)
+
+    def cold_step(dgf, reg, state, grad, s_eff):
+        return bregman_step(dgf, reg, MirrorState(state.grid, state.u, state.primal), grad, s_eff)
+
+    monkeypatch.setattr(solver, "bregman_step", cold_step)
+    cold = run(problem, dgf, config)
+    assert np.array_equal(warm.k, cold.k)
+    assert np.all(np.abs(warm.F - cold.F) <= 1e-10 * np.abs(cold.F))
 
 
 _KKT_DGFS = [parse_dgf(t) for t in ("p:2", "p:1.5", "ent", "hyp")]
@@ -649,17 +715,18 @@ def test_bregman_step_rejects_a_nonfinite_gradient_entry(dgf, reg, inputs, bad, 
 def _reference_step(dgf, reg, state, grad, s):
     """(u, primal) of the prox step from the closed forms: the mirror
     update v = u - s grad, one scalar kappa (s lam for the TV weight, the
-    dual shift for the constraints, warm-started on the support of the
-    previous point), then a shift, a clamp or a soft threshold by kappa."""
+    dual shift for the constraints, started from max(state.kappa, floor),
+    the previous step's shift), then a shift, a clamp or a soft threshold
+    by kappa."""
     v = state.u - s * grad
     signed = dgf.domain == "signed"
     if reg.kind in ("nonneg_tv", "tv"):
         kappa = s * reg.lam
     else:
         ball = reg.kind == "tv_ball"
-        a, a_prev = (np.abs(v), np.abs(state.u)) if ball and signed else (v, state.u)
-        start = np.min((a - a_prev)[a_prev > 0], initial=np.inf) if signed else None
+        a = np.abs(v) if ball and signed else v
         target, floor = (reg.radius, 0.0) if ball else (1.0, -np.inf)
+        start = max(state.kappa, floor) if signed else None
         kappa = solve_kappa(dgf, a, target, start, floor=floor)
     if not signed:
         u = v - kappa

@@ -372,7 +372,8 @@ def test_run_equals_a_reference_loop_bit_for_bit(token, reg, dgf_token, method):
 
 @pytest.mark.parametrize("reg", ("nonneg_tv:0", "simplex", "tv:0.05", "tv_ball:1"))
 def test_nonfinite_start_density_is_rejected(reg):
-    # max(0.0, nan) is 0.0, so the feasibility check alone lets a nan through.
+    # The feasibility check alone lets a nan through on tv, which has no
+    # constraint, and a +inf through on nonneg_tv and tv.
     problem = build_problem("deconv1d", grid_size=50, reg=parse_regularizer(reg))
     for bad in (np.nan, np.inf):
         f0 = default_start(problem)
