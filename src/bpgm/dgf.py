@@ -40,7 +40,9 @@ class Dgf:
     relative-strong-convexity parameters `p` (exponent) and `beta`
     (offset), and implement eta, eta_prime, eta_prime_inv as numpy
     ufunc-style maps. The signed families also implement mass_and_slope,
-    the two sums one Newton pass of prox.solve_kappa needs.
+    the two sums one Newton pass of prox.solve_kappa needs, and p:2,
+    p:1.5 and hyp give the same pass's live-set root in closed form
+    (live_root).
     """
 
     name = None
@@ -61,6 +63,16 @@ class Dgf:
     def mass_and_slope(self, x):
         """(sum eta'^{-1}(x), sum d/dx eta'^{-1}(x)) for shifts x > 0."""
         raise NotImplementedError
+
+    def live_root(self, x, level):
+        """The delta with sum_j eta'^{-1}(x_j - delta) = level, taken as if
+        every x_j > delta, in closed form; None where the family has none.
+
+        x is a nonempty array of shifts x > 0 and level > 0 is finite.
+        The caller checks that every x_j > delta holds, which makes delta
+        the exact root of the clamped sum on the support x.
+        """
+        return None
 
     def divergence_values(self, weights, f, g):
         """Bregman divergence between raw value arrays on shared weights."""
@@ -118,6 +130,23 @@ class PowerDgf(Dgf):
         t = (self.p - 1.0) * x
         q = 1.0 / (self.p - 1.0)
         return float(np.add.reduce(t**q)), float(np.add.reduce(t ** (q - 1.0)))
+
+    def live_root(self, x, level):
+        if self.p == 2.0:
+            # sum (x_j - delta) = level.
+            return (float(np.add.reduce(x)) - level) / x.size
+        if self.p != 1.5:
+            return None
+        # sum ((x_j - delta) / 2)^2 = level is n e^2 - 2 T e + Q - level = 0 in
+        # e = delta / 2, with T and Q the sums of t = x / 2 and of t^2. The
+        # smaller root, the one below every t_j, in the form without
+        # cancellation (T > 0): e = (Q - level) / (T + sqrt(T^2 - n (Q - level))).
+        t = 0.5 * x
+        total, excess = float(np.add.reduce(t)), float(np.dot(t, t)) - level
+        disc = total * total - x.size * excess
+        if not disc >= 0.0:  # the unclamped sum stays above level
+            return None
+        return 2.0 * excess / (total + math.sqrt(disc))
 
 
 class EntropyDgf(Dgf):
@@ -191,6 +220,20 @@ class HyperbolicDgf(Dgf):
     def mass_and_slope(self, x):
         sinh, cosh = np.add.reduce(np.sinh(x)), np.add.reduce(np.cosh(x))
         return self.beta * float(sinh), self.beta * float(cosh)
+
+    def live_root(self, x, level):
+        # sum sinh(x_j - delta) = c with c = level / beta is, in z = e^delta,
+        # N z^2 + 2 c z - P = 0 with P = sum e^x and N = sum e^-x: two sums of
+        # positive terms (from sinh and cosh sums N would cancel). The
+        # positive root is z = P / (c + sqrt(c^2 + N P)). In prox.solve_kappa
+        # every x is at most eta'(level) = asinh(c), so e^x <= 2 c + 1; the
+        # bound on c keeps P, N P and c^2 finite for any feasible size.
+        c = level / self.beta
+        if not c <= 1e150:
+            return None
+        e = np.exp(x)
+        pos, neg = float(np.add.reduce(e)), float(np.add.reduce(np.divide(1.0, e, out=e)))
+        return math.log(pos / (c + math.sqrt(c * c + neg * pos)))
 
 
 def sc_constant(dgf, k_bound):

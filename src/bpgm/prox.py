@@ -11,12 +11,14 @@ back: a plain shift (entropy, whose domain is already nonnegative), a
 shift clamped at eta'(0) = 0 (sign constraint) or a soft threshold
 (TV). For the TV weight kappa = s * lam; for the mass and norm
 constraints kappa is the dual shift of solve_kappa, closed form for
-entropy and found by a monotone Newton iteration for the signed dgfs,
-warm-started from the previous step's shift and filtered to the entries
-still above kappa. The grid's weights are all one cell weight w = 1/m, so a
-Newton pass needs only two sums over the live shifts x, of eta'^{-1}(x)
-and of its derivative, which Dgf.mass_and_slope returns in one call
-(at p = 2: sum x and the count).
+entropy; for the signed dgfs it is warm-started from the previous step's
+shift and filtered to the entries still above kappa, then found in
+closed form on that live set (p:2, p:1.5, hyp: Dgf.live_root) when the
+live set is the support of the root, and by monotone Newton otherwise.
+The grid's weights are all one cell weight w = 1/m, so a pass needs only
+a few sums over the live shifts x: a Newton pass the sums of
+eta'^{-1}(x) and of its derivative, which Dgf.mass_and_slope returns in
+one call (at p = 2: sum x and the count).
 
 All updates satisfy the first-order optimality condition
 
@@ -84,6 +86,20 @@ def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
     (an inactive ball leaves v unshifted). For entropy the clamp is void and
     kappa = log(w sum_j e^{a_j} / target) in closed form.
 
+    For the signed dgfs each pass first tries a closed form. Its live set
+    is the entries a_j > kappa, with shifts x = a_live - kappa; where every
+    term stays positive, sum_live eta'^{-1}(x_j - delta) = target / w is
+    solved in closed form by dgf.live_root (p:2, p:1.5 and hyp; None for
+    other powers). kappa + delta is the root exactly when the entries of
+    a above it are the live ones: min x > delta when delta >= 0, and no
+    further entry of a above kappa + delta when delta < 0. The pass then
+    ends the solve, whatever the hint; from the previous step's shift the
+    live set is almost always the final support, so a warm-started solve
+    is one pass. A negative delta with kappa at or below the floor ends
+    it too: the root lies left of kappa, so the floor is the answer.
+    Otherwise, and for the powers without a closed form, the pass is a
+    Newton pass as below.
+
     For the signed dgfs M(kappa), the sum above, is decreasing and
     convex, since eta'^{-1} is increasing and convex on [0, inf) with
     eta'^{-1}(0) = 0. So Newton's method, with slope
@@ -136,9 +152,23 @@ def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
         cold = max(lo - near, float(np.maximum.reduce(a)) - far)
         hinted = start is not None and cold < start < math.inf
         kappa, live = (float(start) if hinted else cold), a
+        level = target / weight
         while True:
             live = live[live > kappa]
-            mass, slope = dgf.mass_and_slope(live - kappa)
+            x = live - kappa
+            shift = dgf.live_root(x, level) if live.size else None
+            if shift is not None:
+                # kappa + shift is the root when the entries of a above it
+                # are the live ones. A negative shift at or below the floor
+                # puts the root below the floor, whatever the support.
+                if shift >= 0.0:
+                    exact = np.minimum.reduce(x) > shift
+                else:
+                    exact = kappa <= floor or np.count_nonzero(a > kappa + shift) == live.size
+                if exact:
+                    kappa += shift
+                    break
+            mass, slope = dgf.mass_and_slope(x)
             excess = weight * mass - target
             if hinted:
                 hinted = False

@@ -122,6 +122,38 @@ def test_mass_and_slope_matches_eta_prime_inv_sums(token, x):
     assert slope == pytest.approx(fd, rel=1e-6, abs=2 * n * _TINY / h)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    token=st.sampled_from(["p:2", "p:1.5", "hyp:0.001", "hyp:0.5"]),
+    x=hnp.arrays(float, st.integers(1, 40), elements=st.floats(
+        0.0, 30.0, exclude_min=True, allow_subnormal=True)),
+    target=st.floats(0.1, 50.0),
+    extra=st.integers(0, 2000),
+)
+@example(token="p:1.5", x=np.array([1.0, 30.0]), target=0.1, extra=0)
+def test_live_root_meets_the_level(token, x, target, extra):
+    """The closed-form root of the dual solve's live set, at the level
+    target / w it is called with (w = 1/m, the cell weight of m >= x.size
+    grid points). Where every x_j > delta, sum eta'^{-1}(x_j - delta)
+    meets the level to 1e-12 relative. p:1.5 reports no root only where
+    the sum at delta = min x is still above the level, so none exists."""
+    d = parse_dgf(token)
+    level = target / (1.0 / (x.size + extra))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta = d.live_root(x, level)
+    if delta is None:
+        assert token == "p:1.5"
+        assert np.sum(d.eta_prime_inv(x - x.min())) > level
+    elif delta < x.min():
+        assert abs(np.sum(d.eta_prime_inv(x - delta)) - level) <= 1e-12 * level
+
+
+@pytest.mark.parametrize("p", [1.2, 1.8])
+def test_live_root_is_none_without_a_closed_form(p):
+    assert PowerDgf(p).live_root(np.array([1.0, 2.0]), 3.0) is None
+
+
 def test_bregman_entropy_constant_densities():
     g = torus_grid(1, 300)
     f = np.full(300, 2.0)

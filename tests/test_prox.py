@@ -1,4 +1,6 @@
+import decimal
 import warnings
+from decimal import Decimal
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -368,8 +370,8 @@ def test_solve_kappa_residual(v, dgf, ball, K):
 
 
 def _counting(dgf):
-    """A copy of `dgf` that counts its dual passes (mass_and_slope calls)
-    and mirror maps (eta_prime_inv calls) in `calls`."""
+    """A copy of `dgf` that counts its dual passes (live_root and
+    mass_and_slope calls) and mirror maps (eta_prime_inv calls) in `calls`."""
     base = type(dgf)
 
     class Counting(base):
@@ -381,6 +383,10 @@ def _counting(dgf):
             self.calls += 1
             return base.mass_and_slope(self, x)
 
+        def live_root(self, x, level):
+            self.calls += 1
+            return base.live_root(self, x, level)
+
     copy = Counting.__new__(Counting)
     copy.__dict__.update(dgf.__dict__)
     copy.calls = 0
@@ -389,9 +395,11 @@ def _counting(dgf):
 
 @pytest.mark.parametrize("dgf", _SIGNED_DGFS, ids=lambda d: d.name)
 def test_solve_kappa_step_count(dgf):
-    """Newton from the two lower bounds needs few mirror-map passes on
-    wide and long inputs (at most 16 here); started at min a - eta'(target)
-    alone, the hyperbolic rows would need up to 62 on the same inputs."""
+    """A cold solve from the two lower bounds needs few dual calls on
+    wide and long inputs: at most 17 here, counting the closed-form try
+    and the Newton pass of each pass whose set check fails. Started at
+    min a - eta'(target) alone, Newton on the hyperbolic rows would need
+    up to 62 passes on the same inputs."""
     counted = _counting(dgf)
     rng = np.random.default_rng(41)
     worst = 0
@@ -416,22 +424,45 @@ def test_solve_kappa_step_count(dgf):
     assert worst <= 25
 
 
-def _cold_kappa(dgf, weight, a, target):
-    """The unfiltered, cold-started Newton loop that solve_kappa's
-    filtered and warm-started one must reproduce: each pass sums over
-    every entry above kappa, with the cell weight applied to the sums."""
-    kappa = max(float(np.min(a)) - float(dgf.eta_prime(target)),
-                float(np.max(a) - dgf.eta_prime(target / weight)))
-    while True:
-        mass, slope = dgf.mass_and_slope(a[a > kappa] - kappa)
-        excess = weight * mass - target
-        if excess <= 0.0:
-            break
-        step = excess / (weight * slope)
-        if kappa + step <= kappa:
-            break
-        kappa += step
-    return kappa
+def _exact_kappa(dgf, weight, a, target):
+    """The root of weight * sum_j eta'^{-1}((a_j - kappa)_+) = target in
+    40-digit decimal arithmetic, rounded to a float: monotone Newton from
+    the larger of min a - eta'(target) and max a - eta'(target / weight),
+    both left of the root, until a step moves kappa by less than 1e-30."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        one, w, t = Decimal(1), Decimal(weight), Decimal(target)
+        values = [Decimal(x) for x in a]
+        if dgf.p == 1.0:  # hyp: eta'^{-1}(u) = beta sinh u, eta'(s) = asinh(s / beta)
+            beta = Decimal(dgf.beta)
+
+            def eta_prime(s):
+                return (s / beta + ((s / beta) ** 2 + one).sqrt()).ln()
+
+            def sums(x):
+                up = x.exp()
+                return beta * (up - one / up) / 2, beta * (up + one / up) / 2
+        else:  # eta'^{-1}(u) = (r u)^(1 / r), eta'(s) = s^r / r, r = p - 1
+            r = Decimal(dgf.p) - one
+
+            def eta_prime(s):
+                return s**r / r
+
+            def sums(x):
+                h = (r * x) ** (one / r)
+                return h, h / (r * x)
+
+        kappa = max(min(values) - eta_prime(t), max(values) - eta_prime(t / w))
+        while True:
+            mass = slope = Decimal(0)
+            for x in values:
+                if x > kappa:
+                    h, dh = sums(x - kappa)
+                    mass, slope = mass + h, slope + dh
+            step = (w * mass - t) / (w * slope)
+            kappa += step
+            if step <= Decimal("1e-30") * max(one, abs(kappa)):
+                return float(kappa)
 
 
 @st.composite
@@ -443,7 +474,7 @@ def _hinted_rows(draw):
     ball = draw(st.booleans())
     a, target = (np.abs(v), draw(st.floats(0.1, 50.0))) if ball else (v, 1.0)
     w = 1 / len(v)  # the cell weight; _row_mass applies it term by term
-    root = _cold_kappa(dgf, w, a, target)
+    root = _exact_kappa(dgf, w, a, target)
     where = draw(st.sampled_from(("left", "right", "root", "far_left", "far_right", "odd")))
     offset = draw(st.floats(1e-12, 10.0))
     hint = {
@@ -460,37 +491,56 @@ def _hinted_rows(draw):
 @settings(max_examples=400, deadline=None)
 @given(row=_hinted_rows())
 def test_solve_kappa_any_hint_meets_residual_and_cold_loop(row):
-    """Whatever the start hint, the residual bound holds and kappa
-    matches the cold unfiltered loop to 1e-12; with no hint the filtered
-    loop sums the same entries in the same order, so kappa is identical."""
+    """Whatever the start hint, and with none, the residual bound holds
+    and kappa matches the 40-digit root to 1e-12."""
     dgf, w, a, target, hint, root = row
-    kappa = solve_kappa(dgf, a, target, hint)
-    assert abs(_row_mass(dgf, w, a, kappa) - target) <= 1e-12 * max(1.0, target)
-    assert abs(kappa - root) <= 1e-12 * max(1.0, abs(root))
-    assert solve_kappa(dgf, a, target) == root
+    for kappa in (solve_kappa(dgf, a, target, hint), solve_kappa(dgf, a, target)):
+        assert abs(_row_mass(dgf, w, a, kappa) - target) <= 1e-12 * max(1.0, target)
+        assert abs(kappa - root) <= 1e-12 * max(1.0, abs(root))
 
 
 @settings(max_examples=300, deadline=None)
 @given(row=_hinted_rows())
 def test_solve_kappa_floor_is_max_of_floor_and_root(row):
-    """With floor 0, as for the TV ball, kappa is max(0, root): to 1e-12
-    from any hint, and to the bit with none, where the loop is the cold one."""
+    """With floor 0, as for the TV ball, kappa is max(0, root) to 1e-12,
+    from any hint and with none."""
     dgf, w, a, target, hint, root = row
-    kappa = solve_kappa(dgf, a, target, hint, floor=0.0)
-    assert abs(kappa - max(0.0, root)) <= 1e-12 * max(1.0, abs(root))
-    assert solve_kappa(dgf, a, target, floor=0.0) == max(0.0, root)
+    for kappa in (solve_kappa(dgf, a, target, hint, floor=0.0),
+                  solve_kappa(dgf, a, target, floor=0.0)):
+        assert abs(kappa - max(0.0, root)) <= 1e-12 * max(1.0, abs(root))
 
 
 def test_solve_kappa_floor_ends_an_inactive_solve_in_one_pass():
     # M(0) = 0.5 <= K = 1: the root is negative, so a hint right of it
-    # and at or below the floor ends the solve after its one pass; a hint
-    # above the floor costs a second pass, at the floor.
+    # and at or below the floor ends the solve after its one pass. From a
+    # hint above the floor every entry is live, so that pass's closed-form
+    # root is exact, and it lies below the floor.
     counted = _counting(parse_dgf("hyp"))
     a = np.full(4, float(counted.eta_prime(0.5)))
     for hint in (-0.01, 0.0, 0.3):
         counted.calls = 0
         assert solve_kappa(counted, a, 1.0, hint, floor=0.0) == 0.0
-        assert counted.calls == (1 if hint <= 0.0 else 2)
+        assert counted.calls == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v=hnp.arrays(float, st.integers(1, 40), elements=st.floats(-800.0, 800.0)),
+    dgf=st.sampled_from(_SIGNED_DGFS + [parse_dgf("p:1.2")]),
+    ball=st.booleans(),
+    K=st.floats(0.1, 50.0),
+    hint=st.one_of(st.none(), st.floats(-800.0, 800.0)),
+)
+def test_solve_kappa_takes_wide_rows_without_warning(v, dgf, ball, K, hint):
+    """Mirror points up to |800|, where e^a alone overflows: every live
+    shift is at most eta'(target / w), since kappa never drops below the
+    cold start, so neither a closed form nor a Newton pass overflows."""
+    a, target = (np.abs(v), K) if ball else (v, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa = solve_kappa(dgf, a, target, hint)
+    w = 1 / len(v)
+    assert abs(_row_mass(dgf, w, a, kappa) - target) <= 1e-12 * max(1.0, target)
 
 
 @st.composite
@@ -502,7 +552,7 @@ def _right_hints(draw):
     ball = draw(st.booleans())
     a, target = (np.abs(v), draw(st.floats(0.1, 50.0))) if ball else (v, 1.0)
     w = 1 / len(v)
-    root = _cold_kappa(dgf, w, a, target)
+    root = _exact_kappa(dgf, w, a, target)
     top = float(np.max(a))
     hint = root + draw(st.floats(1e-9, 1.0, exclude_max=True)) * (top - root)
     assume(root < hint < top)
@@ -596,20 +646,23 @@ def test_power_mirror_inverse_matches_the_sign_formula(u, p):
 
 
 # Mirror-map calls per step over 2000 PGM iterations, and their bounds.
-# The counts are deterministic: 2.973, 4.790 and 4.230 on the first three
-# rows, where a start from the support bound of the previous prox point
-# made 3.354, 5.803 and 5.237 and an unfiltered cold-started dual solve
-# 7.53, 10.75 and 8.29. The radius-50 ball is never active: every shift
-# is 0, so the hint lies at the floor and each step is one dual pass and
-# the final mirror map, 2 calls, where a Newton solve to the negative root
-# and a clip made 4.01, 11.53 and 7.18.
+# The counts are deterministic. Each step is one dual pass, whose
+# closed-form root is almost always exact on the live set at the previous
+# shift, and the final mirror map: 2.020, 2.017, 2.013, 2.009, 2.001 and
+# 2.013 calls on the first six rows, where Newton from the previous shift
+# made 2.973, 3.212, 2.909, 3.187, 4.790 and 4.230. The radius-50 ball is
+# never active: every shift is 0, so the hint lies at the floor and each
+# step is one dual pass and the final mirror map, 2 calls.
 @pytest.mark.parametrize("token, grid_size, reg, dgf_token, bound", (
-    ("lb:I", 2000, None, "p:2", 3.2),
-    ("deconv1d", 300, "tv_ball:1", "hyp", 5.3),
-    ("deconv1d", 300, "tv_ball:1", "p:1.5", 4.7),
-    ("deconv1d", 300, "tv_ball:50", "p:2", 2.0),
-    ("deconv1d", 300, "tv_ball:50", "hyp", 2.0),
-    ("deconv1d", 300, "tv_ball:50", "p:1.5", 2.0),
+    pytest.param("lb:I", 2000, None, "p:2", 2.02, id="lb:I-p:2"),
+    pytest.param("lb:I*", 2000, None, "p:2", 2.017, id="lb:I*-p:2"),
+    pytest.param("lb:II", 2000, None, "p:2", 2.013, id="lb:II-p:2"),
+    pytest.param("lb:II*", 2000, None, "p:2", 2.009, id="lb:II*-p:2"),
+    pytest.param("deconv1d", 300, "tv_ball:1", "hyp", 2.001, id="deconv1d-tv_ball:1-hyp"),
+    pytest.param("deconv1d", 300, "tv_ball:1", "p:1.5", 2.013, id="deconv1d-tv_ball:1-p:1.5"),
+    pytest.param("deconv1d", 300, "tv_ball:50", "p:2", 2.0, id="deconv1d-tv_ball:50-p:2"),
+    pytest.param("deconv1d", 300, "tv_ball:50", "hyp", 2.0, id="deconv1d-tv_ball:50-hyp"),
+    pytest.param("deconv1d", 300, "tv_ball:50", "p:1.5", 2.0, id="deconv1d-tv_ball:50-p:1.5"),
 ))
 def test_dual_solve_pass_count(token, grid_size, reg, dgf_token, bound):
     problem = build_problem(
