@@ -39,10 +39,8 @@ class Dgf:
     Subclasses set `name`, `domain` ("signed" or "nonnegative") and the
     relative-strong-convexity parameters `p` (exponent) and `beta`
     (offset), and implement eta, eta_prime, eta_prime_inv as numpy
-    ufunc-style maps. The signed families also implement mass_and_slope,
-    the two sums one Newton pass of prox.solve_kappa needs, and p:2,
-    p:1.5 and hyp give the same pass's live-set root in closed form
-    (live_root).
+    ufunc-style maps. The signed families also implement dual_step, the
+    one step of a pass of prox.solve_kappa.
     """
 
     name = None
@@ -60,19 +58,20 @@ class Dgf:
         """Inverse of eta_prime (the mirror map back to densities)."""
         raise NotImplementedError
 
-    def mass_and_slope(self, x):
-        """(sum eta'^{-1}(x), sum d/dx eta'^{-1}(x)) for shifts x > 0."""
-        raise NotImplementedError
+    def dual_step(self, x, level):
+        """(delta, exact): a step toward the delta with
+        sum_j eta'^{-1}((x_j - delta)_+) = level, never past it.
 
-    def live_root(self, x, level):
-        """The delta with sum_j eta'^{-1}(x_j - delta) = level, taken as if
-        every x_j > delta, in closed form; None where the family has none.
-
-        x is a nonempty array of shifts x > 0 and level > 0 is finite.
-        The caller checks that every x_j > delta holds, which makes delta
-        the exact root of the clamped sum on the support x.
+        x is a nonempty array of shifts x > 0, the live entries a_j - kappa
+        of a dual pass, and level > 0. The closed forms (p:2, hyp, and
+        p:1.5 while its root lies below every shift) solve the sum with
+        eta'^{-1} extended oddly below 0 (exact true): that sum is at most
+        the clamped one, so delta is a lower bound, and the root itself
+        when the entries above delta are the live ones. Other powers give
+        the Newton step, the zero of the clamped sum's tangent, which lies
+        left of the root since the sum is convex (exact false).
         """
-        return None
+        raise NotImplementedError
 
     def divergence_values(self, weights, f, g):
         """Bregman divergence between raw value arrays on shared weights."""
@@ -123,30 +122,29 @@ class PowerDgf(Dgf):
         u = np.asarray(u, dtype=float)
         return np.copysign(((self.p - 1.0) * np.abs(u)) ** (1.0 / (self.p - 1.0)), u)
 
-    def mass_and_slope(self, x):
+    def dual_step(self, x, level):
         if self.p == 2.0:
-            return float(np.add.reduce(x)), float(x.size)
+            # Michelot's step: sum (x_j - delta) = level.
+            return (float(np.add.reduce(x)) - level) / x.size, True
         # Powers of t = (p-1) x, never h / t: a subnormal x rounds t to 0.
         t = (self.p - 1.0) * x
+        if self.p == 1.5:
+            # sum ((x_j - delta) / 2)^2 = level is n e^2 - 2 T e + Q - level = 0
+            # in e = delta / 2, with T and Q the sums of t = x / 2 and of t^2.
+            # The smaller root, in the form without cancellation (T > 0):
+            # e = (Q - level) / (T + sqrt(T^2 - n (Q - level))).
+            total, excess = float(np.add.reduce(t)), float(np.dot(t, t)) - level
+            disc = total * total - x.size * excess
+            if disc >= 0.0:
+                e = excess / (total + math.sqrt(disc))
+                if e < np.minimum.reduce(t):
+                    return 2.0 * e, True
+            # Else the tangent: the sum is Q and its slope T.
+            return excess / total, False
         q = 1.0 / (self.p - 1.0)
-        return float(np.add.reduce(t**q)), float(np.add.reduce(t ** (q - 1.0)))
-
-    def live_root(self, x, level):
-        if self.p == 2.0:
-            # sum (x_j - delta) = level.
-            return (float(np.add.reduce(x)) - level) / x.size
-        if self.p != 1.5:
-            return None
-        # sum ((x_j - delta) / 2)^2 = level is n e^2 - 2 T e + Q - level = 0 in
-        # e = delta / 2, with T and Q the sums of t = x / 2 and of t^2. The
-        # smaller root, the one below every t_j, in the form without
-        # cancellation (T > 0): e = (Q - level) / (T + sqrt(T^2 - n (Q - level))).
-        t = 0.5 * x
-        total, excess = float(np.add.reduce(t)), float(np.dot(t, t)) - level
-        disc = total * total - x.size * excess
-        if not disc >= 0.0:  # the unclamped sum stays above level
-            return None
-        return 2.0 * excess / (total + math.sqrt(disc))
+        mass, slope = float(np.add.reduce(t**q)), float(np.add.reduce(t ** (q - 1.0)))
+        # A zero slope means every term underflowed: the tangent is flat.
+        return ((mass - level) / slope if slope else -math.inf), False
 
 
 class EntropyDgf(Dgf):
@@ -201,9 +199,12 @@ class HyperbolicDgf(Dgf):
     p = 1.0
 
     def __init__(self, beta=DEFAULT_BETA):
-        if not (math.isfinite(beta) and beta > 0):
-            raise ValueError(f"hyperbolic offset beta must be finite and positive, got {beta}")
         self.beta = float(beta)
+        # eta' divides by beta, so 1 / beta must be finite too.
+        if not (0.0 < self.beta < math.inf and 1.0 / self.beta < math.inf):
+            raise ValueError(
+                f"hyperbolic offset beta must be positive with a finite 1/beta, got {beta}"
+            )
         self.name = f"hyp:{number_token(self.beta)}"
 
     def eta(self, s):
@@ -217,23 +218,17 @@ class HyperbolicDgf(Dgf):
     def eta_prime_inv(self, u):
         return self.beta * np.sinh(np.asarray(u, dtype=float))
 
-    def mass_and_slope(self, x):
-        sinh, cosh = np.add.reduce(np.sinh(x)), np.add.reduce(np.cosh(x))
-        return self.beta * float(sinh), self.beta * float(cosh)
-
-    def live_root(self, x, level):
+    def dual_step(self, x, level):
         # sum sinh(x_j - delta) = c with c = level / beta is, in z = e^delta,
         # N z^2 + 2 c z - P = 0 with P = sum e^x and N = sum e^-x: two sums of
         # positive terms (from sinh and cosh sums N would cancel). The
-        # positive root is z = P / (c + sqrt(c^2 + N P)). In prox.solve_kappa
-        # every x is at most eta'(level) = asinh(c), so e^x <= 2 c + 1; the
-        # bound on c keeps P, N P and c^2 finite for any feasible size.
+        # positive root is z = P / (c + sqrt(c^2 + N P)); hypot keeps c^2
+        # from overflowing. In prox.solve_kappa every x is at most
+        # eta'(level) = asinh(c), so e^x <= 2 c + 1.
         c = level / self.beta
-        if not c <= 1e150:
-            return None
         e = np.exp(x)
         pos, neg = float(np.add.reduce(e)), float(np.add.reduce(np.divide(1.0, e, out=e)))
-        return math.log(pos / (c + math.sqrt(c * c + neg * pos)))
+        return math.log(pos / (c + math.hypot(c, math.sqrt(neg * pos)))), True
 
 
 def sc_constant(dgf, k_bound):

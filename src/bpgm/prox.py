@@ -12,13 +12,11 @@ shift clamped at eta'(0) = 0 (sign constraint) or a soft threshold
 (TV). For the TV weight kappa = s * lam; for the mass and norm
 constraints kappa is the dual shift of solve_kappa, closed form for
 entropy; for the signed dgfs it is warm-started from the previous step's
-shift and filtered to the entries still above kappa, then found in
-closed form on that live set (p:2, p:1.5, hyp: Dgf.live_root) when the
-live set is the support of the root, and by monotone Newton otherwise.
-The grid's weights are all one cell weight w = 1/m, so a pass needs only
-a few sums over the live shifts x: a Newton pass the sums of
-eta'^{-1}(x) and of its derivative, which Dgf.mass_and_slope returns in
-one call (at p = 2: sum x and the count).
+shift, and each pass over the entries still above kappa takes one
+Dgf.dual_step: the closed-form root on that live set (p:2, hyp, and p:1.5
+where it exists), which ends the solve when the live set is its support,
+or else a Newton step. The grid's weights are all one cell weight
+w = 1/m, so a step needs only a few sums over the live shifts.
 
 All updates satisfy the first-order optimality condition
 
@@ -70,8 +68,15 @@ class MirrorState:
 def _cold_shifts(dgf, target, size):
     """(eta'(target), eta'(target / w)) with w = 1 / size: the run-invariant
     part of solve_kappa's cold start, computed once per (dgf, target, size).
-    Dgfs are never changed after construction, so identity is a safe key."""
-    return float(dgf.eta_prime(target)), float(dgf.eta_prime(target / (1.0 / size)))
+    Dgfs are never changed after construction, so identity is a safe key.
+    A finite level target / w whose eta' overflows (hyp with a tiny beta)
+    has no dual shift that float sums can reach: ValueError."""
+    level = target / (1.0 / size)
+    with np.errstate(over="ignore"):
+        near, far = float(dgf.eta_prime(target)), float(dgf.eta_prime(level))
+    if far == math.inf and level < math.inf:
+        raise ValueError(f"the dual level {level!r} overflows the mirror map of {dgf.name}")
+    return near, far
 
 
 def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
@@ -86,37 +91,22 @@ def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
     (an inactive ball leaves v unshifted). For entropy the clamp is void and
     kappa = log(w sum_j e^{a_j} / target) in closed form.
 
-    For the signed dgfs each pass first tries a closed form. Its live set
-    is the entries a_j > kappa, with shifts x = a_live - kappa; where every
-    term stays positive, sum_live eta'^{-1}(x_j - delta) = target / w is
-    solved in closed form by dgf.live_root (p:2, p:1.5 and hyp; None for
-    other powers). kappa + delta is the root exactly when the entries of
-    a above it are the live ones: min x > delta when delta >= 0, and no
-    further entry of a above kappa + delta when delta < 0. The pass then
-    ends the solve, whatever the hint; from the previous step's shift the
-    live set is almost always the final support, so a warm-started solve
-    is one pass. A negative delta with kappa at or below the floor ends
-    it too: the root lies left of kappa, so the floor is the answer.
-    Otherwise, and for the powers without a closed form, the pass is a
-    Newton pass as below.
-
     For the signed dgfs M(kappa), the sum above, is decreasing and
     convex, since eta'^{-1} is increasing and convex on [0, inf) with
-    eta'^{-1}(0) = 0. So Newton's method, with slope
-    -w sum_{a > kappa} d/dx eta'^{-1}(a - kappa), climbs to the root
-    monotonically from any point left of it; one dgf.mass_and_slope call
-    per pass gives both sums. The cold start is the larger of two lower
-    bounds: min a - eta'(target), where every term is at least target
-    (m w = 1), and max a - eta'(target / w), where that term alone is
-    target. It stops once an update no longer increases kappa: the
-    iterates are increasing floats bounded by the root, so the loop
-    needs no tolerance and no cap.
-
-    Each pass keeps only the entries with a_j > kappa (the filtering
-    step of Michelot's algorithm, see Condat 2016, "Fast projection onto
-    the simplex and the l1 ball"). kappa only grows, so an entry that
-    drops out contributes 0 to every later sum; the kept entries stay in
-    order, so every sum, and kappa, is the one the unfiltered loop gets.
+    eta'^{-1}(0) = 0. Each pass keeps the live entries a_j > kappa (the
+    filtering step of Michelot's algorithm, see Condat 2016, "Fast
+    projection onto the simplex and the l1 ball") and takes one
+    dgf.dual_step on their shifts a_live - kappa. Its delta has the sign
+    of M(kappa) - target, and kappa + delta never lies right of the root.
+    When the step is an exact closed form and every live entry stays
+    above kappa + delta, that is the root: from the previous step's
+    shift this is almost always the first pass. Otherwise the next pass
+    starts at kappa + delta. The loop also stops once a step no longer
+    increases kappa: the iterates are increasing floats bounded by the
+    root, so it needs no tolerance and no cap. The cold start is the
+    larger of two lower bounds: min a - eta'(target), where every term is
+    at least target (m w = 1), and max a - eta'(target / w), where that
+    term alone is target.
 
     `start` is an optional warm start. bregman_step passes
     max(kappa_prev, floor), with kappa_prev the shift of the previous
@@ -124,17 +114,15 @@ def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
     warm-started filter). The hint is used only when it is finite and
     above the cold start; that guard keeps a far-left hint, which the
     cold start already beats, from costing precision or overflowing
-    eta'^{-1}. A hint whose first pass finds M >= target lies left of
-    the root, and Newton climbs from it as from the cold start. A hint
-    with M < target lies right of the root, where the filter may have
-    dropped live entries: the loop restarts on the full array from one
-    tangent step, kappa = hint + excess / (w slope), raised to the cold
-    start and the floor. M is convex, so its tangent at the hint lies
-    below it and crosses target at or left of the root. With no live
-    entry (slope 0) the restart is from max(cold, floor). A bad hint so
-    costs one pass and never gives a wrong kappa. A hint right of the
-    root and at or below the floor ends the solve at the floor: on an
-    inactive ball, where the previous shift was 0, each solve is one pass.
+    eta'^{-1}. A hint with a negative first step lies right of the root,
+    where the filter may have dropped live entries, so that pass filters
+    the full array at max(kappa + delta, cold, floor) instead, a point
+    left of the root or at the floor (no live entry gives delta = -inf);
+    an exact step that finds no new entry there ends the solve as above.
+    A hint right of the root and at or below the floor ends the solve at
+    the floor: on an inactive ball, where the previous shift was 0, each
+    solve is one pass. A bad hint so costs one pass and never gives a
+    wrong kappa.
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"dual target must be finite and positive, got {target}")
@@ -151,46 +139,29 @@ def solve_kappa(dgf, a, target, start=None, floor=-math.inf):
         near, far = _cold_shifts(dgf, target, a.size)
         cold = max(lo - near, float(np.maximum.reduce(a)) - far)
         hinted = start is not None and cold < start < math.inf
-        kappa, live = (float(start) if hinted else cold), a
-        level = target / weight
+        kappa = float(start) if hinted else cold
+        live, level = a[a > kappa], target / weight
         while True:
-            live = live[live > kappa]
-            x = live - kappa
-            shift = dgf.live_root(x, level) if live.size else None
-            if shift is not None:
-                # kappa + shift is the root when the entries of a above it
-                # are the live ones. A negative shift at or below the floor
-                # puts the root below the floor, whatever the support.
-                if shift >= 0.0:
-                    exact = np.minimum.reduce(x) > shift
-                else:
-                    exact = kappa <= floor or np.count_nonzero(a > kappa + shift) == live.size
-                if exact:
-                    kappa += shift
+            delta, exact = dgf.dual_step(live - kappa, level) if live.size else (-math.inf, False)
+            if delta < 0.0:
+                # kappa lies right of the root: a hint, or the root to rounding.
+                if not hinted or kappa <= floor:
                     break
-            mass, slope = dgf.mass_and_slope(x)
-            excess = weight * mass - target
-            if hinted:
-                hinted = False
-                if excess < 0.0:
-                    if kappa <= floor:  # the root lies below the floor
-                        break
-                    # Right of the root: restart on the full array from the
-                    # tangent's zero, which lies at or left of the root.
-                    tangent = kappa + excess / (weight * slope) if slope else -math.inf
-                    kappa, live = max(tangent, cold, floor), a
-                    continue
-            # At or past the root the update cannot increase kappa.
-            if excess <= 0.0:
+                nxt, kept = max(kappa + delta, cold, floor), a
+            else:  # a nan step falls through to a nan kappa
+                nxt, kept = kappa + delta, live
+                if nxt <= kappa:
+                    break
+            hinted = False
+            kept = kept[kept > nxt]
+            if exact and kept.size == live.size:
+                kappa = nxt
                 break
-            step = excess / (weight * slope)
-            if kappa + step <= kappa:
-                break
-            kappa += step
+            kappa, live = nxt, kept
     else:
         kappa = math.nan
     if not math.isfinite(kappa):
-        raise ValueError("mirror point must be finite for the dual search")
+        raise ValueError("the dual search needs a finite mirror point and finite sums")
     return max(kappa, floor)
 
 

@@ -278,8 +278,8 @@ def run(problem, dgf, config, f0=None):
                     reason = "gradient"
                 elif not np.isfinite(state.u - s_eff * grad).all():
                     reason = "mirror"
-                else:
-                    raise
+                else:  # all that is left to fail is the dual solve
+                    reason = "dual"
                 meta["aborted_at"], meta["abort_reason"] = str(k + 1), reason
                 break
             if accelerated:

@@ -215,6 +215,69 @@ def test_run_rejects_nonfinite_numbers(tmp_path, capsys, option, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ("run", "psi"))
+def test_a_subnormal_hyperbolic_beta_is_a_usage_error_without_warning(tmp_path, capsys, command):
+    out = tmp_path / "t.csv"
+    argv = [command, "--problem", "deconv1d", "--dgf", "hyp:1e-320", "--grid-size", "20",
+            "--out", str(out)]
+    if command == "run":
+        argv += ["--iters", "10"]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = run_cli_code(*argv)
+    assert code == 1 and not seen
+    err = capsys.readouterr().err
+    assert err.startswith("bpgm: bad dgf token 'hyp:1e-320'") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", (
+    ("--problem", "lb:I"), ("--problem", "deconv1d", "--reg", "tv_ball:1"),
+), ids=("simplex", "tv_ball"))
+def test_run_ends_a_dual_solve_that_overflows_as_a_labelled_abort(tmp_path, capsys, problem):
+    """The dual level target m / beta overflows at hyp:1e-307 and m = 50:
+    the mirror point is finite, the dual solve is not."""
+    out = tmp_path / "t.csv"
+    code = run_cli(
+        "run", *problem, "--grid-size", "50", "--dgf", "hyp:1e-307", "--iters", "200",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "aborted at iteration 1 (non-finite dual)" in capsys.readouterr().out
+    meta = Trace.read_csv(out).meta
+    assert meta["abort_reason"] == "dual" and meta["aborted_at"] == "1"
+
+
+# Extreme settings that parse: a one-point grid, steps far past the
+# admissible one or below the smallest normal float, radii and weights at
+# the ends of the float range, p next to 1, and the smallest accepted
+# hyperbolic beta (which overflows the objective or the dual level).
+@pytest.mark.parametrize("argv", (
+    ("--problem", "lb:I", "--grid-size", "1"),
+    ("--problem", "lb:I", "--grid-size", "1", "--method", "apgm"),
+    ("--problem", "lb:I", "--dgf", "hyp", "--step", "1e300"),
+    ("--problem", "lb:I", "--dgf", "p:1.2", "--step", "1e300"),
+    ("--problem", "deconv1d", "--reg", "tv_ball:1", "--dgf", "hyp", "--step", "1e300"),
+    ("--problem", "deconv1d", "--reg", "tv_ball:1", "--dgf", "p:1.2", "--step", "1e300"),
+    ("--problem", "lb:I", "--step", "1e-320"),
+    ("--problem", "deconv1d", "--reg", "tv_ball:1e-320"),
+    ("--problem", "deconv1d", "--reg", "tv:1e308"),
+    ("--problem", "deconv1d", "--reg", "tv_ball:1e308"),
+    ("--problem", "deconv1d", "--dgf", "p:1.0000001"),
+    ("--problem", "deconv1d", "--dgf", "hyp:5.56268464626801e-309"),
+    ("--problem", "lb:I", "--dgf", "hyp:5.56268464626801e-309"),
+), ids=lambda argv: " ".join(argv[1:]))
+def test_run_takes_extreme_valid_settings(tmp_path, capsys, argv):
+    argv = ["run", "--grid-size", "50", "--dgf", "p:2", *argv, "--iters", "200",
+            "--out", str(tmp_path / "t.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_run_checks_trace_directory_before_solving(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr("bpgm.cli.run_solver", lambda *args: calls.append(args))

@@ -22,7 +22,8 @@ def test_power_p2_is_half_square():
     s = np.array([-2.0, 0.0, 3.0])
     assert np.allclose(d.eta(s), s**2 / 2.0)
     assert np.allclose(d.eta_prime(s), s)
-    assert d.mass_and_slope(np.array([1.0, 5.0])) == (6.0, 2.0)
+    # Michelot's step: (1 - delta) + (5 - delta) = 4.
+    assert d.dual_step(np.array([1.0, 5.0]), 4.0) == (1.0, True)
 
 
 def test_power_p15_hand_values():
@@ -69,57 +70,90 @@ def test_hyperbolic_values():
     assert d.eta_prime_inv(np.array([1.0]))[0] == pytest.approx(1.1752011936438014)
 
 
-def test_mass_and_slope_positive():
-    rng = np.random.default_rng(0)
-    x = rng.uniform(1e-6, 3.0, 50)
-    for d in (PowerDgf(2.0), PowerDgf(1.5), HyperbolicDgf()):
-        mass, slope = d.mass_and_slope(x)
-        assert mass > 0 and slope > 0
+def test_hyperbolic_rejects_a_beta_whose_reciprocal_overflows():
+    """eta'(s) = asinh(s / beta) overflows at s = 1 when 1 / beta does, so
+    such a beta is rejected like a non-finite one, without a warning. The
+    next float above 1 / max float is accepted."""
+    tiny = 1.0 / np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (1e-320, 5e-324, tiny):
+            with pytest.raises(ValueError, match="finite 1/beta"):
+                HyperbolicDgf(beta)
+            with pytest.raises(ValueError, match="bad dgf token"):
+                parse_dgf(f"hyp:{beta!r}")
+        smallest = HyperbolicDgf(float(np.nextafter(tiny, 1.0)))
+        assert math.isfinite(smallest.eta_prime(np.array([1.0]))[0])
+
+
+def test_dual_step_sign_is_the_sign_of_the_excess():
+    """solve_kappa reads a negative step as a kappa right of the root:
+    delta > 0 when sum eta'^{-1}(x) is above the level, < 0 below it."""
+    x = np.random.default_rng(0).uniform(1e-6, 3.0, 50)
+    for d in (PowerDgf(2.0), PowerDgf(1.5), PowerDgf(1.2), HyperbolicDgf()):
+        mass = float(np.sum(d.eta_prime_inv(x)))
+        for level, sign in ((0.5 * mass, 1.0), (2.0 * mass, -1.0)):
+            assert np.sign(d.dual_step(x, level)[0]) == sign, d.name
+
+
+def _newton_step(d, x, level):
+    """(sum eta'^{-1}(x) - level) / slope, with the slope of the sum a
+    central difference of eta_prime_inv at each shift, of relative step
+    1e-6 (absolute 1e-306 below 1e-300)."""
+    h = 1e-6 * np.maximum(x, 1e-300)
+    slope = np.sum((d.eta_prime_inv(x + h) - d.eta_prime_inv(x - h)) / (2 * h))
+    return (np.sum(d.eta_prime_inv(x)) - level) / slope
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    token=st.sampled_from(["p:2", "p:1.5", "hyp:0.001", "hyp:0.5"]),
+    p=st.sampled_from([1.2, 1.8]),
     mag=st.floats(1e-2, 30.0),
+    level=st.floats(0.1, 1e3),
 )
-def test_mass_and_slope_matches_central_difference(token, mag):
-    """The slope drives the Newton dual solve; at one shift it is the
-    derivative of eta'^{-1}, checked against a central difference of
-    eta_prime_inv to 1e-6 relative."""
-    d = parse_dgf(token)
-    h = 1e-5 * mag
-    fd = np.diff(d.eta_prime_inv(np.array([mag - h, mag + h])))[0] / (2 * h)
-    assert d.mass_and_slope(np.array([mag]))[1] == pytest.approx(fd, rel=1e-6)
-
-
-_TINY = np.finfo(float).smallest_subnormal
+def test_newton_step_matches_central_difference(p, mag, level):
+    """Powers without a closed form step to the zero of the tangent,
+    checked at one shift against a central difference of eta_prime_inv
+    to 1e-6 relative."""
+    d = PowerDgf(p)
+    delta, exact = d.dual_step(np.array([mag]), level)
+    assert not exact
+    assert delta == pytest.approx(_newton_step(d, np.array([mag]), level), rel=1e-6)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    token=st.sampled_from(["p:2", "p:1.5", "p:1.2", "hyp"]),
-    x=hnp.arrays(float, st.integers(1, 40), elements=st.floats(
-        0.0, 30.0, exclude_min=True, allow_subnormal=True)),
+    p=st.sampled_from([1.2, 1.8]),
+    x=hnp.arrays(float, st.integers(1, 40), elements=st.floats(1e-6, 30.0)),
+    level=st.floats(0.1, 1e3),
 )
-@example(token="p:1.5", x=np.array([5e-324]))
-@example(token="p:1.2", x=np.array([5e-324]))
-@example(token="hyp", x=np.array([5e-324]))
-def test_mass_and_slope_matches_eta_prime_inv_sums(token, x):
-    """Oracle: the mass is sum eta'^{-1}(x) to rounding, and the slope a
-    central difference of that sum, on shifts in (0, 30] down to the
-    smallest subnormal, without a warning. Besides rounding relative to
-    the sums, each term may be off by one subnormal ulp, which the
-    difference divides by 2h."""
-    d = parse_dgf(token)
+@example(p=1.2, x=np.array([1.0, 5e-324]), level=1.0)
+@example(p=1.8, x=np.array([1.0, 5e-324]), level=1.0)
+@example(p=1.2, x=np.array([5e-324]), level=1.0)
+@example(p=1.8, x=np.array([5e-324]), level=1.0)
+def test_newton_step_matches_eta_prime_inv_sums(p, x, level):
+    """Oracle: the Newton step is (sum eta'^{-1}(x) - level) / slope, the
+    slope a central difference of that sum, without a warning, also
+    beside a subnormal shift. On subnormal shifts alone the slope is
+    lost to underflow or nearly so, and the step lies far left (-inf
+    where the tangent is flat), never at nan."""
+    d = PowerDgf(p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mass, slope = d.mass_and_slope(x)
-    assert math.isfinite(mass) and math.isfinite(slope)
-    n = x.size
-    assert mass == pytest.approx(np.sum(d.eta_prime_inv(x)), rel=1e-13, abs=n * _TINY)
-    h = 1e-8 * max(float(x.max()), 1e-300)
-    fd = (np.sum(d.eta_prime_inv(x + h)) - np.sum(d.eta_prime_inv(x - h))) / (2 * h)
-    assert slope == pytest.approx(fd, rel=1e-6, abs=2 * n * _TINY / h)
+        delta, exact = d.dual_step(x, level)
+    assert not exact
+    if x.max() < 1e-300:
+        assert delta < -level
+    else:
+        assert delta == pytest.approx(_newton_step(d, x, level), rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.8])
+def test_dual_step_is_a_newton_step_without_a_closed_form(p):
+    # eta'^{-1}(x) = t^q and its slope t^(q-1), with t = (p-1) x, q = 1/(p-1).
+    t, q = (p - 1.0) * np.array([1.0, 2.0]), 1.0 / (p - 1.0)
+    want = (np.sum(t**q) - 3.0) / np.sum(t ** (q - 1.0))
+    assert PowerDgf(p).dual_step(np.array([1.0, 2.0]), 3.0) == (pytest.approx(want, rel=1e-15), False)
 
 
 @settings(max_examples=400, deadline=None)
@@ -131,27 +165,25 @@ def test_mass_and_slope_matches_eta_prime_inv_sums(token, x):
     extra=st.integers(0, 2000),
 )
 @example(token="p:1.5", x=np.array([1.0, 30.0]), target=0.1, extra=0)
-def test_live_root_meets_the_level(token, x, target, extra):
-    """The closed-form root of the dual solve's live set, at the level
-    target / w it is called with (w = 1/m, the cell weight of m >= x.size
-    grid points). Where every x_j > delta, sum eta'^{-1}(x_j - delta)
-    meets the level to 1e-12 relative. p:1.5 reports no root only where
-    the sum at delta = min x is still above the level, so none exists."""
+@example(token="hyp", x=np.array([5e-324]), target=1.0, extra=0)
+def test_dual_step_closed_forms_meet_the_level(token, x, target, extra):
+    """The closed-form step of a dual pass, at the level target / w it is
+    called with (w = 1/m, the cell weight of m >= x.size grid points).
+    Where every x_j > delta, sum eta'^{-1}(x_j - delta) meets the level
+    to 1e-12 relative. p:1.5 takes the Newton step only where the sum
+    at delta = min x is still at or above the level, so its quadratic
+    has no root below every shift."""
     d = parse_dgf(token)
     level = target / (1.0 / (x.size + extra))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        delta = d.live_root(x, level)
-    if delta is None:
+        delta, exact = d.dual_step(x, level)
+    if not exact:
         assert token == "p:1.5"
-        assert np.sum(d.eta_prime_inv(x - x.min())) > level
+        assert np.sum(d.eta_prime_inv(x - x.min())) >= level * (1.0 - 1e-12)
+        assert delta == pytest.approx(_newton_step(d, x, level), rel=1e-6)
     elif delta < x.min():
         assert abs(np.sum(d.eta_prime_inv(x - delta)) - level) <= 1e-12 * level
-
-
-@pytest.mark.parametrize("p", [1.2, 1.8])
-def test_live_root_is_none_without_a_closed_form(p):
-    assert PowerDgf(p).live_root(np.array([1.0, 2.0]), 3.0) is None
 
 
 def test_bregman_entropy_constant_densities():
