@@ -13,8 +13,10 @@ so both sides see the same host state.
 Per operation it prints the median and minimum microseconds per
 iteration of each side, the rounds the working tree won, and whether
 the two traces agree bit for bit (k, F, gap, l1, linf_mirror, final
-iterate and mirror; zeros compare equal whatever their sign). When
-they do not, it also prints the largest relative |dF| and |dgap| over
+iterate and mirror; zeros compare equal whatever their sign). Metadata
+is not part of that comparison: the keys whose values differ between
+the sides are printed on a line of their own. When the traces do not
+agree, it also prints the largest relative |dF| and |dgap| over
 the recorded points, which tells a change at rounding level (1e-13)
 apart from a wrong one. The last
 line is the ratio rev / work of the summed median op times, which
@@ -98,11 +100,18 @@ class Side:
 
 
 def same_trace(a, b):
-    """Bit-for-bit equal traces, with -0.0 == 0.0 (array_equal) in the
-    final arrays and nan == nan in the columns."""
-    return a.meta == b.meta and all(
+    """Bit-for-bit equal value columns and final arrays, with -0.0 == 0.0
+    (array_equal) in the final arrays and nan == nan in the columns.
+    Metadata is left out; `meta_diff` reports it."""
+    return all(
         np.array_equal(getattr(a, col), getattr(b, col), equal_nan=True) for col in TRACE_COLUMNS
     ) and np.array_equal(a.final_f, b.final_f) and np.array_equal(a.final_mirror, b.final_mirror)
+
+
+def meta_diff(a, b):
+    """The set of metadata keys whose values differ between traces a and
+    b, a key present on one side only included."""
+    return {key for key in a.meta.keys() | b.meta.keys() if a.meta.get(key) != b.meta.get(key)}
 
 
 def max_rel_diff(a, b):
@@ -133,6 +142,7 @@ def main(argv=None):
         work = Side("work", import_package("bpgm_work", ROOT / "src" / "bpgm"), workload)
         times = {(side.name, i): [] for side in (rev, work) for i in range(len(workload.ops))}
         same = [True] * len(workload.ops)
+        meta_keys = set()
         drift = [(0.0, 0.0)] * len(workload.ops)
         for r in range(args.rounds):
             order = (rev, work) if r % 2 == 0 else (work, rev)
@@ -144,6 +154,7 @@ def main(argv=None):
                     times[side.name, i].append(1e6 * seconds / iters)
                 rev_t, work_t = traces["rev"], traces["work"]
                 same[i] = same[i] and same_trace(rev_t, work_t)
+                meta_keys |= meta_diff(rev_t, work_t)
                 drift[i] = tuple(max(d, max_rel_diff(getattr(work_t, col), getattr(rev_t, col)))
                                  for d, col in zip(drift[i], ("F", "gap")))
 
@@ -158,6 +169,7 @@ def main(argv=None):
         print(f"{op.label(iters):<34}{statistics.median(a):9.1f}{min(a):8.1f}"
               f"{statistics.median(b):10.1f}{min(b):8.1f}{won:>4}/{args.rounds:<2}  {same[i]}"
               + ("" if same[i] else "  max rel |dF| {:.1e}, |dgap| {:.1e}".format(*drift[i])))
+    print(f"metadata keys that differ: {', '.join(sorted(meta_keys)) or 'none'}")
     print(f"ratio {args.rev} / work, by iterations: {totals['rev'] / totals['work']:.3f}")
 
 

@@ -1,10 +1,10 @@
 """Bregman proximal gradient methods for sparse measure recovery.
 
 Solves F(f) = R(integral of Phi f) + H(f) over densities on discretized
-periodic domains, in the geometry of a chosen distance-generating
-function (power, entropy or hyperbolic), with plain and accelerated
-proximal gradient methods and a benchmark harness for their
-convergence-rate theory.
+flat tori, in the geometry of a chosen distance-generating function
+(power, entropy or hyperbolic), with plain and accelerated proximal
+gradient methods and a benchmark harness for their convergence-rate
+theory.
 """
 
 from .analysis import RateModel, fit_rate, mollify, psi_envelope, theoretical_exponent
@@ -18,7 +18,6 @@ from .dgf import (
 from .grid import (
     Grid,
     ball_mass,
-    circle_grid,
     dirac_density,
     geodesic_dist,
     torus_grid,
@@ -48,8 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RateModel", "fit_rate", "mollify", "psi_envelope", "theoretical_exponent",
     "EntropyDgf", "HyperbolicDgf", "PowerDgf", "parse_dgf", "sc_constant",
-    "Grid", "ball_mass", "circle_grid", "dirac_density", "geodesic_dist",
-    "torus_grid",
+    "Grid", "ball_mass", "dirac_density", "geodesic_dist", "torus_grid",
     "Problem", "Regularizer", "SmoothObjective", "build_problem",
     "deconv_problem", "eval_F", "eval_G", "grad_potential", "lb_problem",
     "nonneg_tv", "parse_regularizer", "relu_problem", "simplex", "tv", "tv_ball",

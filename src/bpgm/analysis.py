@@ -125,7 +125,10 @@ def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):
     """Envelope of gap + alpha * divergence over the mollified family.
 
     f0 always participates as a candidate with zero divergence, which
-    keeps the envelope bounded by F(f0) - inf F for every alpha.
+    keeps the envelope bounded by F(f0) - inf F for every alpha. A
+    divergence that overflows (a tiny hyperbolic beta) is a RuntimeError
+    naming the dgf and the radius: an infinite candidate would drop out
+    of the envelope unseen.
     """
     if problem.inf_value is None:
         raise ValueError(
@@ -142,7 +145,13 @@ def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):
     for eps in eps_grid:
         f_eps = mollify(problem, eps)
         gaps.append(eval_F(problem, f_eps) - problem.inf_value)
-        divs.append(dgf.divergence_values(w, f_eps, f0))
+        try:
+            with np.errstate(over="raise"):
+                divs.append(dgf.divergence_values(w, f_eps, f0))
+        except FloatingPointError:
+            raise RuntimeError(
+                f"the {dgf.name} divergence of the candidate at radius {eps:.6g} overflows"
+            ) from None
         radii.append(float(eps))
     gaps, divs, radii = np.array(gaps), np.array(divs), np.array(radii)
 

@@ -221,7 +221,8 @@ def cmd_psi(args):
     slope, r2 = fit_loglog(curve.alpha, curve.psi_hat, window=(0.0, math.inf))
     model = theoretical_exponent("pgm", dgf, problem.setting_tag, problem.grid.dim)
     predicted = -model.exponent
-    log_note = " (log-corrected for entropies)" if model.log_factor else ""
+    # Raw fit, as in run and rates: a log factor does not move the slope.
+    log_note = " up to a log factor (raw fit)" if model.log_factor else ""
     interior = np.sum(np.isfinite(curve.eps_star)) / len(curve.eps_star)
     print(
         f"alpha-exponent {slope:+.3f} (r2 {r2:.4f}); predicted {predicted:+.3f}"

@@ -1,11 +1,13 @@
-"""Discretized periodic domains (flat torus, circle) and densities on them.
+"""Discretized flat tori and densities on them.
 
-A Grid carries the sample points of a uniform lattice; the quadrature
-weights w of the normalized reference measure are all 1/m, so that
-sum(w * f) approximates (and for trigonometric polynomials equals)
-the integral of f. A density on a grid is its value array f, one float
-per lattice point: its mass is sum(w * f) and its total variation norm
-sum(w * |f|).
+Every domain is the unit flat torus T^d, side length 1 with opposite
+faces identified; the circle S^1 with arc length is T^1 scaled by
+2*pi. A Grid carries the sample points of a uniform lattice; the
+quadrature weights w of the normalized reference measure are all 1/m,
+so that sum(w * f) approximates (and for trigonometric polynomials
+equals) the integral of f. A density on a grid is its value array f,
+one float per lattice point: its mass is sum(w * f) and its total
+variation norm sum(w * |f|).
 """
 
 from dataclasses import dataclass
@@ -13,35 +15,26 @@ from functools import cached_property
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform lattice on the unit flat torus T^d or the circle S^1.
+    """Uniform lattice on the unit flat torus T^d.
 
     Attributes
     ----------
-    kind : str
-        "torus" (side length 1, opposite faces identified) or "circle"
-        (angles in [0, 2*pi), arc-length metric).
     dim : int
-        Intrinsic dimension. Always 1 for the circle.
+        Dimension d.
     points : ndarray, shape (m, dim)
-        Lattice coordinates. Torus coordinates live in [0, 1); circle
-        points are angles in [0, 2*pi).
+        Lattice coordinates in [0, 1).
     spacing : float
         Lattice spacing along one axis.
     """
 
-    kind: str
     dim: int
     points: np.ndarray
     spacing: float
 
     def __post_init__(self):
-        if self.kind not in ("torus", "circle"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.points.ndim != 2 or self.points.shape[1] != self.dim:
             raise ValueError("points must have shape (m, dim)")
         if self.points.shape[0] == 0:
@@ -62,15 +55,9 @@ class Grid:
         return weights
 
     @property
-    def period(self):
-        return 1.0 if self.kind == "torus" else TWO_PI
-
-    @property
     def diameter(self):
         """Largest geodesic distance between two points of the domain."""
-        if self.kind == "torus":
-            return 0.5 * np.sqrt(self.dim)
-        return np.pi
+        return 0.5 * np.sqrt(self.dim)
 
 
 def torus_grid(dim, n):
@@ -90,38 +77,27 @@ def torus_grid(dim, n):
     axis = np.arange(n) / n
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     points = np.stack([c.ravel() for c in mesh], axis=1)
-    return Grid("torus", dim, points, 1.0 / n)
+    return Grid(dim, points, 1.0 / n)
 
 
-def circle_grid(m):
-    """Uniform m-point lattice on S^1, angles 2*pi*i/m."""
-    if m < 1:
-        raise ValueError(f"need at least one point, got m={m}")
-    points = (TWO_PI * np.arange(m) / m).reshape(-1, 1)
-    return Grid("circle", 1, points, TWO_PI / m)
-
-
-def geodesic_dist(grid, x, y):
-    """Geodesic distance between points of the domain.
+def geodesic_dist(x, y):
+    """Geodesic distance between points of the torus.
 
     x and y are coordinate arrays broadcastable to a common shape
-    (..., dim); returns distances of shape (...,). On the torus each
-    axis wraps with period 1, on the circle the angle wraps with
-    period 2*pi and distance is arc length.
+    (..., dim); returns distances of shape (...,). Each axis wraps with
+    period 1.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    diff = np.abs(x - y) % grid.period
-    diff = np.minimum(diff, grid.period - diff)
-    if grid.kind == "torus":
-        return np.sqrt(np.sum(diff**2, axis=-1))
-    return np.sum(diff, axis=-1)  # dim == 1, arc length
+    diff = np.abs(x - y) % 1.0
+    diff = np.minimum(diff, 1.0 - diff)
+    return np.sqrt(np.sum(diff**2, axis=-1))
 
 
 def dist_to_point(grid, center):
     """Distances from every grid point to `center`, shape (m,)."""
     center = np.asarray(center, dtype=float).reshape(1, grid.dim)
-    return geodesic_dist(grid, grid.points, center)
+    return geodesic_dist(grid.points, center)
 
 
 def nearest_index(grid, point):

@@ -21,7 +21,8 @@ Concrete problems:
     (1, 2, 2, 2, 2) per axis and sup ||Phi|| = 5^(d/2), sqrt(5) per axis;
   * four lower-bound constructions on the simplex (linear or quadratic
     outer, kinked or smoothed distance feature);
-  * one-hidden-layer ReLU regression with neurons on S^1.
+  * one-hidden-layer ReLU regression with neurons on S^1, the torus T^1
+    scaled by 2 pi.
 """
 
 import functools
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dgf import number_token
-from .grid import circle_grid, dirac_density, dist_to_point, torus_grid
+from .grid import dirac_density, dist_to_point, torus_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -405,8 +406,6 @@ def deconv_problem(grid, reg):
     with H = 0: nonneg_tv and tv with lam = 0, simplex, and tv_ball with
     radius >= 1.
     """
-    if grid.kind != "torus":
-        raise ValueError("deconvolution is defined on a torus grid")
     if grid.spacing > 1.0 / 5.0:
         raise ValueError("need at least 5 points per axis to resolve the kernel")
     n = round(1.0 / grid.spacing)
@@ -472,8 +471,6 @@ def lb_problem(grid, setting):
     delta_0 in the starred settings. The optimum is 0, attained at the
     origin (a grid point).
     """
-    if grid.kind != "torus":
-        raise ValueError("lower-bound constructions are defined on a torus grid")
     if setting not in _LB_SETTINGS:
         raise ValueError(f"unknown setting {setting!r}, expected one of {_LB_SETTINGS}")
     origin = np.zeros(grid.dim)
@@ -505,20 +502,23 @@ def lb_problem(grid, setting):
 def relu_problem(grid, n=10, lam=0.05, seed=0):
     """One-hidden-layer ReLU net trained by measure-space TV regression.
 
-    Neurons live on S^1 as directions (cos t, sin t); sample i
-    contributes the feature (x_i cos t + sin t)_+. Targets are
-    y_i = |x_i| - 1/2 plus uniform noise on [-1, 1] drawn from `seed`.
+    Neurons live on S^1 as directions (cos t, sin t): the point j / m of
+    the 1D torus grid is the angle t = 2 pi j / m, and sample i
+    contributes the feature (x_i cos t + sin t)_+. The atoms of an
+    optimum (`exact_optimum`) are torus coordinates t / (2 pi). Targets
+    are y_i = |x_i| - 1/2 plus uniform noise on [-1, 1] drawn from `seed`.
     R is the mean square loss (1/n) sum_i (y_i - z_i)^2 / 2, so
     Lip(grad R) = 1 in the empirical inner product.
     """
-    if grid.kind != "circle":
-        raise ValueError("ReLU neurons live on a circle grid")
+    if grid.dim != 1:
+        raise ValueError(f"ReLU neurons live on a 1D torus grid, got dim={grid.dim}")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got n={n}")
     x = np.linspace(-1.0, 1.0, n)
     noise = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
     y = np.abs(x) - 0.5 + noise
-    angles = grid.points[:, 0]
+    # From the index: 2 pi times the coordinate j / m rounds differently.
+    angles = TWO_PI * np.arange(grid.size) / grid.size
     features = np.maximum(np.outer(x, np.cos(angles)) + np.sin(angles), 0.0)
     smooth = SmoothObjective(
         features,
@@ -657,4 +657,4 @@ def build_problem(token, grid_size=None, reg=None, lam=None, seed=0, n_samples=1
         raise ValueError("relu regression uses a signed TV regularizer")
     if lam is None:
         lam = reg.lam if reg is not None else 0.05
-    return relu_problem(circle_grid(n), n=n_samples, lam=lam, seed=seed)
+    return relu_problem(torus_grid(1, n), n=n_samples, lam=lam, seed=seed)

@@ -236,7 +236,6 @@ def run(problem, dgf, config, f0=None):
         "step": repr(step),
         "iters": str(config.iters),
         "k_bound": repr(k_bound),
-        "grid_kind": grid.kind,
         "grid_m": str(grid.size),
         "inf_value": repr(inf_value) if inf_value is not None else "",
     }

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,25 @@ def test_psi_envelope_requires_inf_value():
             np.ones(problem.grid.size),
             np.array([1e-3, 1e-2]),
         )
+
+
+def test_mollify_needs_a_recorded_minimizer():
+    # An optimal value alone does not say where to mollify.
+    problem = replace(build_problem("deconv1d", grid_size=60), mu_star=None)
+    assert problem.inf_value is not None
+    with pytest.raises(ValueError, match="no recorded minimizer"):
+        mollify(problem, 0.1)
+    with pytest.raises(ValueError, match="no recorded minimizer"):
+        psi_envelope(problem, parse_dgf("p:2"), np.ones(60), np.array([1e-3, 1e-2]))
+
+
+def test_psi_envelope_overflowing_divergence_is_runtime_error():
+    # At a subnormal beta, s / beta overflows for every s above 1. An inf
+    # divergence would drop its candidate unseen, leaving f0 the winner.
+    problem = build_problem("deconv1d", grid_size=20)
+    dgf = parse_dgf("hyp:5.56268464626801e-309")
+    with pytest.raises(RuntimeError, match=r"hyp:5\.56268464626801e-309 .* radius 0\.15 overflows"):
+        psi_envelope(problem, dgf, np.ones(20), np.array([1e-3, 1e-2]))
 
 
 def test_envelope_csv(tmp_path):

@@ -599,7 +599,8 @@ def _envelope_csv(path):
     lambda p: p.write_text("k,F,gap,l1,linf_mirror,time_s\n1,2,x,4,5,6\n"),
     _envelope_csv,
     lambda p: p.write_text("# dim=1\nk,F,gap,l1,linf_mirror,time_s\n"),
-), ids=("short", "ragged", "non-numeric", "envelope", "header-only"))
+    lambda p: p.write_text("k,F,gap,l1,linf_mirror,time_s\n1,2,3,4,5\n2,2,3,4,5\n"),
+), ids=("short", "ragged", "non-numeric", "envelope", "header-only", "narrow"))
 def test_rates_rejects_malformed_trace(tmp_path, capsys, write):
     # Every warning is an error: the reader must fail with a ValueError
     # that names the file, and nothing else.
@@ -620,6 +621,36 @@ def test_psi_subcommand(tmp_path, capsys):
     assert "alpha-exponent" in text and "predicted +0.500" in text
     header = out.read_text().splitlines()
     assert any(line == "alpha,psi_hat,eps_star" for line in header)
+
+
+def test_psi_entropy_fit_is_raw(tmp_path, capsys):
+    # No log correction is applied to the fitted alpha-exponent.
+    code = run_cli(
+        "psi", "--problem", "deconv1d", "--dgf", "ent", "--grid-size", "60",
+        "--out", str(tmp_path / "env.csv"),
+    )
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "predicted +1.000 up to a log factor (raw fit)" in text
+    assert "log-corrected" not in text
+
+
+def test_psi_overflowing_divergence_is_runtime_error(tmp_path, capsys):
+    # A subnormal beta overflows every mollified divergence: a flat
+    # envelope at F(f0) - inf F would describe no candidate.
+    out = tmp_path / "e.csv"
+    code = run_cli(
+        "psi", "--problem", "deconv1d", "--dgf", "hyp:5.56268464626801e-309",
+        "--grid-size", "20", "--out", str(out),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "bpgm: the hyp:5.56268464626801e-309 divergence of the candidate at radius 0.15 "
+        "overflows\n"
+    )
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("lo, hi, option", (

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bpgm import ball_mass, circle_grid, dirac_density, geodesic_dist, torus_grid
+from bpgm import ball_mass, dirac_density, geodesic_dist, torus_grid
 from bpgm.grid import Grid, dist_to_point, nearest_index
 
 
@@ -27,13 +27,6 @@ def test_torus_grid_rejects_bad_dim(dim):
         torus_grid(dim, 10)
 
 
-def test_circle_grid_period():
-    g = circle_grid(100)
-    assert g.kind == "circle"
-    assert g.period == pytest.approx(2.0 * np.pi)
-    assert g.spacing == pytest.approx(2.0 * np.pi / 100)
-
-
 def test_grid_arrays_read_only():
     g = torus_grid(1, 10)
     with pytest.raises(ValueError):
@@ -45,37 +38,29 @@ def test_grid_arrays_read_only():
 def test_grid_weights_are_one_over_the_size():
     # The measure is uniform by construction: the weights derive from the
     # size, once per grid, at sizes whose weights do not sum to 1 exactly.
-    for g in (torus_grid(1, 7), torus_grid(2, 3), torus_grid(3, 11), circle_grid(999)):
+    for g in (torus_grid(1, 7), torus_grid(2, 3), torus_grid(3, 11), torus_grid(1, 999)):
         assert np.all(g.weights == 1.0 / g.size)
         assert g.weights is g.weights
-    assert Grid("torus", 1, np.array([[0.0], [0.5]]), 0.5).weights.tolist() == [0.5, 0.5]
+    assert Grid(1, np.array([[0.0], [0.5]]), 0.5).weights.tolist() == [0.5, 0.5]
 
 
 def test_grid_rejects_empty_point_set():
     with pytest.raises(ValueError, match="at least one point"):
-        Grid("torus", 1, np.empty((0, 1)), 1.0)
+        Grid(1, np.empty((0, 1)), 1.0)
 
 
 def test_geodesic_dist_wraps():
-    g = torus_grid(1, 100)
     # 0.1 and 0.9 are 0.2 apart through the seam, not 0.8
-    assert geodesic_dist(g, np.array([0.1]), np.array([0.9])) == pytest.approx(0.2)
-    assert geodesic_dist(g, np.array([0.3]), np.array([0.3])) == 0.0
-    assert g.diameter == pytest.approx(0.5)
+    assert geodesic_dist(np.array([0.1]), np.array([0.9])) == pytest.approx(0.2)
+    assert geodesic_dist(np.array([0.3]), np.array([0.3])) == 0.0
+    assert torus_grid(1, 100).diameter == pytest.approx(0.5)
 
 
 def test_geodesic_dist_2d_is_euclidean_of_wraps():
-    g = torus_grid(2, 10)
     a = np.array([0.1, 0.9])
     b = np.array([0.9, 0.1])
     # per-axis wrapped distances are both 0.2
-    assert geodesic_dist(g, a, b) == pytest.approx(np.hypot(0.2, 0.2))
-
-
-def test_circle_dist_is_arc_length():
-    g = circle_grid(64)
-    a, b = np.array([0.1]), np.array([2 * np.pi - 0.1])
-    assert geodesic_dist(g, a, b) == pytest.approx(0.2)
+    assert geodesic_dist(a, b) == pytest.approx(np.hypot(0.2, 0.2))
 
 
 def test_dist_to_point_matches_pairwise():
@@ -83,7 +68,7 @@ def test_dist_to_point_matches_pairwise():
     center = np.array([0.37])
     d = dist_to_point(g, center)
     for j in (0, 13, 49):
-        assert d[j] == pytest.approx(geodesic_dist(g, g.points[j], center))
+        assert d[j] == pytest.approx(geodesic_dist(g.points[j], center))
 
 
 def test_nearest_index_wraps_around():

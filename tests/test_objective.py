@@ -11,7 +11,6 @@ from bpgm import (
     Problem,
     SolverConfig,
     build_problem,
-    circle_grid,
     deconv_problem,
     dirac_density,
     eval_F,
@@ -332,7 +331,7 @@ def test_deconv3d_builds_without_the_dense_matrix():
 def test_smoothed_square_dist_blend():
     g = torus_grid(1, 2000)
     phi = smoothed_square_dist(g, np.zeros(1))
-    r = geodesic_dist(g, g.points, np.zeros(1))
+    r = geodesic_dist(g.points, np.zeros(1))
     inner = r <= 0.4 - 1e-9
     assert np.allclose(phi[inner], r[inner] ** 2)
     assert phi[np.argmin(np.abs(r - 0.5))] == pytest.approx(0.26, abs=1e-6)
@@ -370,11 +369,16 @@ def test_relu_problem_seeded():
 
 def test_relu_rejects_negative_tv_weight():
     with pytest.raises(ValueError, match="TV weight must be nonnegative, got -1"):
-        relu_problem(circle_grid(50), lam=-1)
+        relu_problem(torus_grid(1, 50), lam=-1)
+
+
+def test_relu_rejects_a_2d_grid():
+    with pytest.raises(ValueError, match="1D torus grid, got dim=2"):
+        relu_problem(torus_grid(2, 10))
 
 
 def test_relu_norm_bound_hint():
-    problem = relu_problem(circle_grid(100), lam=0.05, seed=0)
+    problem = relu_problem(torus_grid(1, 100), lam=0.05, seed=0)
     f0 = np.ones(100)
     _, k_bound = resolve_step(problem, parse_dgf("hyp"), SolverConfig(iters=1), f0)
     assert k_bound == eval_F(problem, f0) / 0.05
@@ -437,7 +441,7 @@ def test_exact_optimum_rejects_an_end_point_off_the_lasso_bound(monkeypatch):
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_optimum_meets_lasso_kkt(seed, lam, m):
     # G'[f*] = -lam sign(f*) on the support and |G'[f*]| <= lam off it.
-    problem = exact_optimum(relu_problem(circle_grid(m), lam=lam, seed=seed))
+    problem = exact_optimum(relu_problem(torus_grid(1, m), lam=lam, seed=seed))
     f = minimizer_density(problem)
     potential = grad_potential(problem, f)
     support = f != 0.0
@@ -455,14 +459,14 @@ def test_exact_optimum_relu_seed0_value():
 
 
 def test_exact_optimum_is_below_apgm():
-    problem = exact_optimum(relu_problem(circle_grid(200), seed=0))
+    problem = exact_optimum(relu_problem(torus_grid(1, 200), seed=0))
     trace = run(problem, parse_dgf("hyp"), SolverConfig(iters=3000, method="apgm"))
     assert not trace.aborted
     assert np.min(trace.F) >= problem.inf_value - 1e-12
 
 
 @pytest.mark.parametrize("problem", (
-    relu_problem(circle_grid(50), lam=0.0),
+    relu_problem(torus_grid(1, 50), lam=0.0),
     deconv_problem(torus_grid(1, 60), nonneg_tv(0.05)),
     deconv_problem(torus_grid(1, 60), tv_ball(0.5)),
     lb_problem(torus_grid(1, 60), "I*"),
@@ -478,7 +482,7 @@ def test_exact_optimum_singular_gram_is_runtime_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(RuntimeError, match="singular"):
-        exact_optimum(relu_problem(circle_grid(50), seed=0))
+        exact_optimum(relu_problem(torus_grid(1, 50), seed=0))
 
 
 def test_regularizer_violation_and_value():
