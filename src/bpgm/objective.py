@@ -81,9 +81,8 @@ class SmoothObjective:
     A whole matrix costs one matvec each way; a factored one is applied
     one axis at a time, (A_i X).T per axis with X = x.reshape(n_i, -1)
     (X^T A_i for the adjoint, X with M_i rows), and is never formed:
-    `features` materializes it on first read. `weights` may be the
-    grid's weight array or its one cell weight 1/m: the same bits with
-    one input stream fewer.
+    `features` materializes it on first read. `weights` is the grid's
+    cell weight 1/m.
 
     Parameters
     ----------
@@ -333,11 +332,8 @@ def eval_G(problem, f):
 
 
 def eval_F(problem, f):
-    """Full objective F(f) = G(f) + H(f); inf when f is infeasible.
-
-    Every grid weight is 1/m, so that scalar stands in for the array.
-    """
-    values, w = density_values(problem, f), 1.0 / problem.grid.size
+    """Full objective F(f) = G(f) + H(f); inf when f is infeasible."""
+    values, w = density_values(problem, f), problem.grid.weights
     h = problem.reg.value(w, values)
     if math.isinf(h):
         return math.inf
@@ -406,11 +402,9 @@ def deconv_problem(grid, reg):
     with H = 0: nonneg_tv and tv with lam = 0, simplex, and tv_ball with
     radius >= 1.
     """
-    if grid.spacing > 1.0 / 5.0:
+    if grid.n < 5:
         raise ValueError("need at least 5 points per axis to resolve the kernel")
-    n = round(1.0 / grid.spacing)
-    # The last axis runs fastest: the first n points step along it.
-    rows = _fourier_rows(grid.points[:n, -1])
+    rows = _fourier_rows(np.arange(grid.n) / grid.n)
     peak = float(5**grid.dim)
     # Moments of y = phi(. - 0): per axis, cosine rows 1 and sine rows 0.
     target = functools.reduce(np.kron, [_HALF_SPECTRUM_TARGET] * grid.dim)

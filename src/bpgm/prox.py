@@ -15,8 +15,8 @@ entropy; for the signed dgfs it is warm-started from the previous step's
 shift, and each pass over the entries still above kappa takes one
 Dgf.dual_step: the closed-form root on that live set (p:2, hyp, and p:1.5
 where it exists), which ends the solve when the live set is its support,
-or else a Newton step. The grid's weights are all one cell weight
-w = 1/m, so a step needs only a few sums over the live shifts.
+or else a Newton step. The grid has one cell weight w = 1/m, so a
+step needs only a few sums over the live shifts.
 
 All updates satisfy the first-order optimality condition
 

@@ -239,8 +239,7 @@ def run(problem, dgf, config, f0=None):
         "grid_m": str(grid.size),
         "inf_value": repr(inf_value) if inf_value is not None else "",
     }
-    # Every grid weight is 1/m: the scalar gives the array's products.
-    smooth, reg, w = problem.smooth, problem.reg, 1.0 / grid.size
+    smooth, reg, w = problem.smooth, problem.reg, grid.weights
     # A linear smooth part (Lip(grad R) = 0) has the same potential at every f.
     linear = smooth.lip_grad == 0
 

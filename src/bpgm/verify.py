@@ -201,7 +201,7 @@ def check_pinsker(dgfs=None, m=100, n_samples=1000, seed=0):
         for _ in range(n_samples):
             pair = []
             for _ in range(2):
-                raw = rng.standard_normal(w.size)
+                raw = rng.standard_normal(m)
                 if dgf.domain == "nonnegative":
                     raw = np.abs(raw)
                 norm = float(np.sum(w * np.abs(raw)))

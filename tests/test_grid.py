@@ -1,24 +1,26 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from bpgm import ball_mass, dirac_density, geodesic_dist, torus_grid
-from bpgm.grid import Grid, dist_to_point, nearest_index
+from bpgm import dirac_density, geodesic_dist, torus_grid
+from bpgm.grid import dist_to_point, nearest_index
 
 
 def test_torus_grid_basic():
     g = torus_grid(1, 300)
-    assert g.size == 300
+    assert (g.dim, g.n, g.size) == (1, 300, 300)
     assert g.points.shape == (300, 1)
-    assert g.spacing == pytest.approx(1.0 / 300)
-    assert np.sum(g.weights) == pytest.approx(1.0)
-    assert np.all(g.weights == g.weights[0])
+    assert g.spacing == 1.0 / 300
+    assert g.weights == 1.0 / 300
 
 
 def test_torus_grid_2d_size():
     g = torus_grid(2, 20)
     assert g.size == 400
     assert g.points.shape == (400, 2)
-    assert np.sum(g.weights) == pytest.approx(1.0)
+    assert g.weights * g.size == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("dim", [0, 4])
@@ -27,26 +29,35 @@ def test_torus_grid_rejects_bad_dim(dim):
         torus_grid(dim, 10)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 4)])
+def test_points_are_the_index_lattice(dim, n):
+    # Index tuples in lexicographic order (last axis fastest), each
+    # coordinate j / n: the lattice bit for bit, in the order the Kronecker
+    # feature factors assume.
+    expect = np.array(list(itertools.product(range(n), repeat=dim))) / n
+    assert np.array_equal(torus_grid(dim, n).points, expect)
+
+
 def test_grid_arrays_read_only():
     g = torus_grid(1, 10)
     with pytest.raises(ValueError):
         g.points[0] = 0.5
-    with pytest.raises(ValueError):
-        g.weights[0] = 0.0
+    assert g.points is g.points
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.n = 20
 
 
 def test_grid_weights_are_one_over_the_size():
-    # The measure is uniform by construction: the weights derive from the
-    # size, once per grid, at sizes whose weights do not sum to 1 exactly.
+    # The measure is uniform by construction: one cell weight derived
+    # from the size, at sizes where m copies of it do not sum to 1 exactly.
     for g in (torus_grid(1, 7), torus_grid(2, 3), torus_grid(3, 11), torus_grid(1, 999)):
-        assert np.all(g.weights == 1.0 / g.size)
-        assert g.weights is g.weights
-    assert Grid(1, np.array([[0.0], [0.5]]), 0.5).weights.tolist() == [0.5, 0.5]
+        assert isinstance(g.weights, float)
+        assert g.weights == 1.0 / g.size
 
 
 def test_grid_rejects_empty_point_set():
     with pytest.raises(ValueError, match="at least one point"):
-        Grid(1, np.empty((0, 1)), 1.0)
+        torus_grid(1, 0)
 
 
 def test_geodesic_dist_wraps():
@@ -76,18 +87,6 @@ def test_nearest_index_wraps_around():
     assert nearest_index(g, np.array([0.0])) == 0
     assert nearest_index(g, np.array([0.999])) == 0
     assert nearest_index(g, np.array([0.503])) == 50
-
-
-def test_ball_mass_counts_closed_ball():
-    g = torus_grid(1, 300)
-    # radius 0.1 catches indices -30..30: 61 points of weight 1/300
-    assert ball_mass(g, np.zeros(1), 0.1) == pytest.approx(61.0 / 300.0)
-
-
-def test_ball_mass_empty_ball_raises():
-    g = torus_grid(1, 10)
-    with pytest.raises(ValueError):
-        ball_mass(g, np.array([0.05]), 1e-6)
 
 
 def test_dirac_density_quadrature_mass():

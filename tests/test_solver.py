@@ -308,7 +308,7 @@ def _reference_run(problem, dgf, config):
     """PGM or APGM as a plain loop over public pieces: the smooth
     gradient at every step, bregman_step and gamma_next, with the
     objective (smooth.value + reg.value) and the norms of each record
-    point taken on the grid's weight array, by np.sum and np.max. The gap
+    point taken with the grid's cell weight, by np.sum and np.max. The gap
     is compared only when the problem knows its optimal value."""
     grid, w = problem.grid, problem.grid.weights
     f0 = default_start(problem)
