@@ -22,11 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import dist_to_point
-from .objective import density_values, eval_F
+from .objective import SETTING_Q, density_values, eval_F
 from .solver import write_atomic
-
-
-_TAG_TO_Q = {"I": 1, "I*": 2, "II": 2, "II*": 4}
 
 
 @dataclass(frozen=True)
@@ -51,12 +48,12 @@ def theoretical_exponent(method, dgf, setting, d):
     """
     if method not in ("pgm", "apgm"):
         raise ValueError(f"unknown method {method!r}")
-    if setting not in _TAG_TO_Q:
+    if setting not in SETTING_Q:
         raise ValueError(f"unknown setting tag {setting!r}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     a = 2 if method == "apgm" else 1
-    q = _TAG_TO_Q[setting]
+    q = SETTING_Q[setting]
     return RateModel(-a * q / ((dgf.p - 1.0) * d + q), dgf.p == 1.0)
 
 

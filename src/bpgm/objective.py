@@ -276,13 +276,20 @@ def parse_regularizer(token):
 # ---------------------------------------------------------------------------
 # Problems
 
+# Structure exponent q of each setting tag: Lipschitz (I) or
+# gradient-Lipschitz (II) features, starred when the potential vanishes
+# at the minimizer.
+SETTING_Q = {"I": 1, "I*": 2, "II": 2, "II*": 4}
+
+
 @dataclass(frozen=True)
 class Problem:
     """A composite objective F = G + H on a fixed grid.
 
     inf_value, if set, is the optimal value of the discretized problem
     (closed form, or solved by exact_optimum); mu_star describes a known
-    sparse minimizer as (point, weight) atoms.
+    sparse minimizer as (point, weight) atoms. setting_tag, if set, is a
+    key of SETTING_Q.
     k_bound_hint is an a-priori bound on sup_k ||f_k||_L1 along the
     iterations. `solver.resolve_step` reads it for the default step when
     the regularizer bounds neither the norm nor, by a TV weight, the
@@ -453,9 +460,6 @@ def smoothed_square_dist(grid, center):
     return (1.0 - s) * r**2 + s * 0.26
 
 
-_LB_SETTINGS = ("I", "I*", "II", "II*")
-
-
 def lb_problem(grid, setting):
     """Rate lower-bound constructions on the probability simplex.
 
@@ -465,8 +469,8 @@ def lb_problem(grid, setting):
     delta_0 in the starred settings. The optimum is 0, attained at the
     origin (a grid point).
     """
-    if setting not in _LB_SETTINGS:
-        raise ValueError(f"unknown setting {setting!r}, expected one of {_LB_SETTINGS}")
+    if setting not in SETTING_Q:
+        raise ValueError(f"unknown setting {setting!r}, expected one of {tuple(SETTING_Q)}")
     origin = np.zeros(grid.dim)
     if setting in ("I", "I*"):
         phi = dist_to_point(grid, origin)
