@@ -50,6 +50,8 @@ def main():
         rows.append({
             "criterion": rate.criterion,
             "problem": rate.problem,
+            "reg": rate.reg,
+            "seed": rate.seed,
             "method": rate.method,
             "dgf": rate.dgf,
             "iters": iters,
@@ -58,7 +60,7 @@ def main():
         })
         key = str(rate.criterion)
         criteria[key] = criteria.get(key, 0.0) + seconds
-        print(f"criterion {rate.criterion:2d} {rate.method}/{rate.dgf} on {rate.problem}: "
+        print(f"criterion {rate.criterion:2d} {rate.method}/{rate.dgf} on {rate.label}: "
               f"{rows[-1]['us_per_iter']:.1f} us/iteration", flush=True)
     report = {
         "commit": git_describe(),

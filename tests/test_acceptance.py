@@ -24,10 +24,10 @@ from bpgm import (
     eval_F,
     fit_rate,
     parse_dgf,
+    parse_regularizer,
     psi_envelope,
     run,
     torus_grid,
-    tv,
 )
 from bpgm.analysis import fit_loglog
 from bpgm.objective import exact_optimum, lb_problem
@@ -46,7 +46,10 @@ TRACE_BUDGET_S = 300.0
 
 class Rate(NamedTuple):
     """One acceptance trace: the slope of its gap over FIT_WINDOW is
-    target +- tol, unless its final gap reached `floor` early."""
+    target +- tol, unless its final gap reached `floor` early. The
+    problem is named by its build arguments, as `bpgm run` takes them: a
+    problem token, a regularizer token (None for the token's default)
+    and a seed."""
 
     criterion: int
     problem: str
@@ -56,6 +59,15 @@ class Rate(NamedTuple):
     tol: float
     step: float = None
     floor: float = None
+    reg: str = None
+    seed: int = 0
+
+    @property
+    def label(self):
+        """The problem's token, with its regularizer and a nonzero seed."""
+        reg = f"/{self.reg}" if self.reg else ""
+        seed = f" seed {self.seed}" if self.seed else ""
+        return f"{self.problem}{reg}{seed}"
 
 
 RATES = (
@@ -69,8 +81,8 @@ RATES = (
     # identification) before 1e5 iterations; that floor also counts.
     Rate(1, "deconv1d", "apgm", "ent", -2.0, 0.25, step=0.003, floor=1e-9),
     # 2: signed deconv1d under tv(0.05).
-    Rate(2, "deconv1d/tv", "pgm", "p:2", -2.0 / 3.0, 0.10),
-    Rate(2, "deconv1d/tv", "pgm", "hyp", -1.0, 0.15),
+    Rate(2, "deconv1d", "pgm", "p:2", -2.0 / 3.0, 0.10, reg="tv:0.05"),
+    Rate(2, "deconv1d", "pgm", "hyp", -1.0, 0.15, reg="tv:0.05"),
     # 3: the structured lower-bound family on the simplex at m = 2000.
     Rate(3, "lb:I", "pgm", "p:2", -0.5, 0.05),
     Rate(3, "lb:II", "pgm", "p:2", -2.0 / 3.0, 0.05),
@@ -89,12 +101,12 @@ RATES = (
 
 
 @functools.cache
-def _problem(key):
-    """The problem of a RATES key, built once: a `build_problem` token,
-    deconv1d under tv(0.05), or relu at its exact optimum."""
-    if key == "relu":
-        return exact_optimum(build_problem("relu", seed=0))
-    return build_problem("deconv1d", reg=tv(0.05)) if key == "deconv1d/tv" else build_problem(key)
+def _problem(token, reg, seed):
+    """The problem of a RATES row's build arguments, built once as
+    `bpgm run` builds it: at its exact optimum when no closed form
+    records one."""
+    problem = build_problem(token, reg=parse_regularizer(reg) if reg else None, seed=seed)
+    return problem if problem.inf_value is not None else exact_optimum(problem)
 
 
 @functools.cache
@@ -102,7 +114,7 @@ def _trace(rate):
     """The trace of one RATES row, run when a test first asks for it and
     shared by every later reader, so no reader may mutate it."""
     config = SolverConfig(iters=100_000, method=rate.method, step=rate.step)
-    return run(_problem(rate.problem), parse_dgf(rate.dgf), config)
+    return run(_problem(rate.problem, rate.reg, rate.seed), parse_dgf(rate.dgf), config)
 
 
 def _report(number, ok, detail):
@@ -120,7 +132,7 @@ def _check_rates(number, prefix=""):
         in_time = trace.time_s[-1] <= TRACE_BUDGET_S
         ok &= (abs(slope - rate.target) <= rate.tol or early) and in_time
         note = ", reached reference precision early" if early else ""
-        label = f"{rate.method}/{rate.dgf} on {rate.problem}"
+        label = f"{rate.method}/{rate.dgf} on {rate.label}"
         parts.append(f"{label} {slope:+.3f} (want {rate.target:+.3f}+-{rate.tol}{note})")
     _report(number, ok, prefix + "; ".join(parts))
 
@@ -198,7 +210,7 @@ def test_mirror_flow_equivalence():
 
 
 def test_relu_rates():
-    _check_rates(11, f"exact inf {_problem('relu').inf_value:.6f}; ")
+    _check_rates(11, f"exact inf {_problem('relu', None, 0).inf_value:.6f}; ")
 
 
 def test_determinism(tmp_path):
