@@ -83,16 +83,22 @@ def mollify(problem, eps):
 
 
 def default_eps_grid(grid):
-    """30 log-spaced mollification radii from 3 spacings to diameter/4.
+    """30 log-spaced mollification radii from 3.5 h to (floor(D / 4h) + 1/2) h,
+    with spacing h and diameter D: about 3 spacings to a quarter of the
+    diameter.
 
-    On a grid too coarse for that sweep (3 h >= D / 4, with spacing h
-    and diameter D) the ends widen to min(3 h, sqrt(h D)) and D, which
-    keeps every radius above the spacing and at most the diameter.
+    Both ends are half-integer multiples of h. The square of one is
+    (k + 1/2)^2 h^2, never an integer multiple of h^2 as the squared
+    distance between two lattice points is, so no lattice point lies on
+    the boundary of an end ball and rounding never decides its members.
+    On a grid too coarse for that sweep (floor(D / 4h) <= 3) the ends
+    widen to min(3 h, sqrt(h D)) and D, which keeps every radius above
+    the spacing and at most the diameter.
     """
     h, diameter = grid.spacing, grid.diameter
-    if 3.0 * h < diameter / 4.0:
-        lo, hi = 3.0 * h, diameter / 4.0
-    else:
+    # D n / 4 is exact where it is an integer (d = 1); D / 4h may round below.
+    lo, hi = 3.5 * h, (math.floor(diameter * grid.n / 4.0) + 0.5) * h
+    if lo >= hi:
         lo, hi = min(3.0 * h, math.sqrt(h * diameter)), diameter
     if lo >= hi:
         raise ValueError(

@@ -18,6 +18,7 @@ from bpgm import (
     torus_grid,
 )
 from bpgm.analysis import EnvelopeCurve, default_eps_grid, fit_loglog
+from bpgm.grid import dist_to_point
 
 
 # The setting tags of each structure exponent q in the paper's rate table.
@@ -102,14 +103,30 @@ def test_default_eps_grid_range():
     g = torus_grid(1, 300)
     eps = default_eps_grid(g)
     assert len(eps) == 30
-    assert eps[0] == pytest.approx(3.0 * g.spacing)
+    assert eps[0] == pytest.approx(3.5 * g.spacing)
+    # floor(D n / 4) = 37 spacings, plus one half: D / 4 at n = 300.
+    assert eps[-1] == pytest.approx(37.5 * g.spacing)
     assert eps[-1] == pytest.approx(g.diameter / 4.0)
     with pytest.raises(ValueError, match="empty mollification sweep"):
         default_eps_grid(torus_grid(1, 1))
-    # 3 spacings reach diameter/4 on these grids, so the defaults widen.
-    for coarse in (torus_grid(1, 8), torus_grid(1, 24), torus_grid(2, 4), torus_grid(2, 16)):
+    # floor(D n / 4) <= 3 on these grids, so the defaults widen.
+    for coarse in (
+        torus_grid(1, 8), torus_grid(1, 24), torus_grid(1, 31),
+        torus_grid(2, 4), torus_grid(2, 16), torus_grid(2, 22),
+    ):
         eps = default_eps_grid(coarse)
         assert np.all(eps > coarse.spacing) and eps[-1] == pytest.approx(coarse.diameter)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 100), (1, 300), (1, 2000), (2, 30), (2, 60), (3, 20), (3, 24)])
+def test_default_eps_grid_avoids_lattice_distances(dim, n):
+    # A radius equal to the distance between two lattice points puts
+    # points on its ball's boundary, where rounding decides membership.
+    # The measured margins are 2.5e-3 h or more.
+    grid = torus_grid(dim, n)
+    dist = dist_to_point(grid, np.zeros(dim))
+    eps = default_eps_grid(grid)
+    assert np.min(np.abs(dist[:, None] - eps[None, :])) > 1e-6 * grid.spacing
 
 
 def test_psi_envelope_matches_brute_force():

@@ -687,7 +687,7 @@ def test_psi_reads_config(tmp_path):
     assert alphas == pytest.approx(np.geomspace(1e-3, 1e-2, 25))
 
 
-# Grids where 3 spacings reach diameter/4, and every token at its FD size.
+# Grids that take the widened (coarse) sweep, and every token at its FD size.
 @pytest.mark.parametrize("token, n", (
     ("deconv1d", 24), ("lb:I", 20), ("relu", 24), ("deconv2d", 16),
     *((token, FD_GRID_SIZES[token]) for token in PROBLEM_TOKENS),
