@@ -14,6 +14,7 @@ regression the Lasso homotopy of `bpgm.objective.exact_optimum`.
 """
 
 import functools
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -24,13 +25,13 @@ from bpgm import (
     eval_F,
     fit_rate,
     parse_dgf,
-    parse_regularizer,
     psi_envelope,
     run,
     torus_grid,
 )
 from bpgm.analysis import fit_loglog
-from bpgm.objective import exact_optimum, lb_problem
+from bpgm.cli import _build_problem_from_args
+from bpgm.objective import lb_problem
 from bpgm.verify import (
     check_entropy_closed_form,
     check_fd_gradient,
@@ -102,11 +103,11 @@ RATES = (
 
 @functools.cache
 def _problem(token, reg, seed):
-    """The problem of a RATES row's build arguments, built once as
-    `bpgm run` builds it: at its exact optimum when no closed form
+    """The problem of a RATES row's build arguments, built once by
+    `bpgm run`'s own builder: at its exact optimum when no closed form
     records one."""
-    problem = build_problem(token, reg=parse_regularizer(reg) if reg else None, seed=seed)
-    return problem if problem.inf_value is not None else exact_optimum(problem)
+    args = SimpleNamespace(problem=token, grid_size=None, reg=reg, seed=seed)
+    return _build_problem_from_args(args)
 
 
 @functools.cache
