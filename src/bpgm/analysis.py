@@ -83,17 +83,15 @@ def mollify(problem, eps):
 
 
 def default_eps_grid(grid):
-    """30 log-spaced mollification radii from 3.5 h to (floor(D / 4h) + 1/2) h,
-    with spacing h and diameter D: about 3 spacings to a quarter of the
-    diameter.
+    """30 log-spaced mollification radii from 3.5 h to (floor(D n / 4) + 1/2) h,
+    about 3 spacings to a quarter of the diameter (spacing h = 1/n,
+    diameter D).
 
-    Both ends are half-integer multiples of h. The square of one is
-    (k + 1/2)^2 h^2, never an integer multiple of h^2 as the squared
-    distance between two lattice points is, so no lattice point lies on
-    the boundary of an end ball and rounding never decides its members.
-    On a grid too coarse for that sweep (floor(D / 4h) <= 3) the ends
-    widen to min(3 h, sqrt(h D)) and D, which keeps every radius above
-    the spacing and at most the diameter.
+    A squared half-integer multiple of h is never an integer multiple of
+    h^2, as a squared lattice distance is, so no lattice point lies on
+    the boundary of an end ball. On a grid too coarse for that sweep
+    (floor(D n / 4) <= 3) the ends widen to min(3 h, sqrt(h D)) and D,
+    which keeps every radius above the spacing and at most the diameter.
     """
     h, diameter = grid.spacing, grid.diameter
     # D n / 4 is exact where it is an integer (d = 1); D / 4h may round below.
