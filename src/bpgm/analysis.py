@@ -16,7 +16,6 @@ get the dimension-free -a with a log factor.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,22 +86,25 @@ def default_eps_grid(grid):
     about 3 spacings to a quarter of the diameter (spacing h = 1/n,
     diameter D).
 
-    A squared half-integer multiple of h is never an integer multiple of
-    h^2, as a squared lattice distance is, so no lattice point lies on
-    the boundary of an end ball. On a grid too coarse for that sweep
-    (floor(D n / 4) <= 3) the ends widen to min(3 h, sqrt(h D)) and D,
-    which keeps every radius above the spacing and at most the diameter.
+    No lattice point lies on the boundary of an end ball: a squared
+    lattice distance is an integer multiple of h^2, and no squared end
+    radius is. On a grid too coarse for that sweep (floor(D n / 4) <= 3)
+    the top radius squared is the largest half-integer multiple of h^2
+    below D^2 = d n^2 h^2 / 4, and the bottom radius is 3.5 h or, where
+    that is lower, the root mean square of h and the top radius. Every
+    radius lies above h and below D.
     """
     h, diameter = grid.spacing, grid.diameter
     # D n / 4 is exact where it is an integer (d = 1); D / 4h may round below.
     lo, hi = 3.5 * h, (math.floor(diameter * grid.n / 4.0) + 0.5) * h
     if lo >= hi:
-        lo, hi = min(3.0 * h, math.sqrt(h * diameter)), diameter
-    if lo >= hi:
-        raise ValueError(
-            f"empty mollification sweep: radius {lo} >= {hi} "
-            f"(grid spacing {grid.spacing})"
-        )
+        top = (grid.dim * grid.n**2 - 3) // 4 + 0.5
+        if top < 1.5:
+            raise ValueError(
+                f"empty mollification sweep: no radius between the grid spacing "
+                f"{h} and the diameter {diameter}"
+            )
+        lo, hi = min(lo, h * math.sqrt((top + 1.0) / 2.0)), h * math.sqrt(top)
     return np.geomspace(lo, hi, 30)
 
 
@@ -171,11 +173,11 @@ def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):
 
 
 def fit_loglog(k, gap, window=(1e3, None)):
-    """Least-squares slope of log gap vs log k.
+    """Least-squares slope of log gap vs log k, its r^2, and the number
+    of rows in the window dropped for a non-positive or non-finite gap.
 
-    Rows outside the window, with non-positive gap, or non-finite are
-    dropped (with a warning when that truncates the window); at least
-    10 surviving rows are required.
+    Rows outside the window are ignored; at least 10 usable rows are
+    required.
     """
     k = np.asarray(k, dtype=float)
     gap = np.asarray(gap, dtype=float)
@@ -184,12 +186,6 @@ def fit_loglog(k, gap, window=(1e3, None)):
     hi = math.inf if hi is None else hi
     keep = (k > 0.0) & (k >= lo) & (k <= hi)
     usable = keep & (gap > 0) & np.isfinite(gap)
-    if np.any(keep & ~usable):
-        warnings.warn(
-            f"dropping {int(np.sum(keep & ~usable))} rows with non-positive "
-            f"or non-finite gap from the fit window",
-            RuntimeWarning,
-        )
     if np.sum(usable) < 10:
         raise ValueError(
             f"need at least 10 recorded rows with positive gap in the window, "
@@ -201,9 +197,10 @@ def fit_loglog(k, gap, window=(1e3, None)):
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return float(slope), r2
+    return float(slope), r2, int(np.sum(keep & ~usable))
 
 
 def fit_rate(trace, window=(1e3, None)):
-    """Slope and r^2 of a trace's suboptimality gap."""
-    return fit_loglog(trace.k, trace.gap, window=window)
+    """Slope and r^2 of a trace's suboptimality gap, as fit_loglog fits
+    them; the count of dropped rows is left out."""
+    return fit_loglog(trace.k, trace.gap, window=window)[:2]

@@ -20,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -80,15 +79,16 @@ def _predicted_rate(meta):
     return theoretical_exponent(meta["method"], dgf, meta["setting"], int(meta["dim"]))
 
 
-def _noted(notes, label, fn, *args, **kwargs):
-    """fn(*args, **kwargs); the warnings it raises go to `notes` as lines
-    `note: <label><message>` instead of to stderr."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            notes.extend(f"note: {label}{w.message}" for w in caught)
+def _fit(k, gap, window, label, notes):
+    """(slope, r2) of the log-log fit of gap against k over `window`; the
+    rows it dropped go to `notes` as a line `note: <label>dropping ...`."""
+    slope, r2, dropped = fit_loglog(k, gap, window=window)
+    if dropped:
+        notes.append(
+            f"note: {label}dropping {dropped} rows with non-positive or "
+            f"non-finite gap from the fit window"
+        )
+    return slope, r2
 
 
 def _caveats(meta):
@@ -112,7 +112,7 @@ def _report(trace, window, label, notes):
     rows the fit dropped."""
     model = _predicted_rate(trace.meta)
     notes.extend(f"note: {label}{sentence}" for sentence in _caveats(trace.meta))
-    slope, r2 = _noted(notes, label, fit_loglog, trace.k, trace.gap, window=window)
+    slope, r2 = _fit(trace.k, trace.gap, window, label, notes)
     return slope, r2, model
 
 
@@ -218,7 +218,8 @@ def cmd_psi(args):
     curve = psi_envelope(problem, dgf, default_start(problem), alphas)
     curve.write_csv(args.out)
     print(f"wrote {args.out}")
-    slope, r2 = fit_loglog(curve.alpha, curve.psi_hat, window=(0.0, math.inf))
+    notes = []
+    slope, r2 = _fit(curve.alpha, curve.psi_hat, (0.0, math.inf), "", notes)
     model = theoretical_exponent("pgm", dgf, problem.setting_tag, problem.grid.dim)
     predicted = -model.exponent
     # Raw fit, as in run and rates: a log factor does not move the slope.
@@ -228,6 +229,8 @@ def cmd_psi(args):
         f"alpha-exponent {slope:+.3f} (r2 {r2:.4f}); predicted {predicted:+.3f}"
         f"{log_note}; mollified candidates win at {interior:.0%} of alphas"
     )
+    for note in notes:
+        print(note)
     return 0
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dgf import number_token
-from .grid import dirac_density, dist_to_point, torus_grid
+from .grid import dist_to_point, torus_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -202,6 +202,12 @@ class Regularizer:
             raise ValueError(f"TV weight must be nonnegative, got {self.lam}")
         if self.kind == "tv_ball" and self.radius <= 0:
             raise ValueError(f"TV ball radius must be positive, got {self.radius}")
+        # A field the kind never reads keeps its default, so that the
+        # token, the prox step and the closed forms see one regularizer.
+        if self.kind != "tv_ball" and self.radius != 1.0:
+            raise ValueError(f"{self.kind} has no radius, got radius={self.radius}")
+        if self.kind in ("simplex", "tv_ball") and self.lam != 0.0:
+            raise ValueError(f"{self.kind} has no TV weight, got lam={self.lam}")
 
     @property
     def token(self):
@@ -403,11 +409,9 @@ def deconv_problem(grid, reg):
       whole L1 budget sits.
 
     In both cases inf = 5^d (1 - a)^2 + lam * a at a * delta_0, with
-    lam = 0 for the constrained rows.
-
-    The grid Dirac at 0 attains value 0 exactly wherever it is feasible
-    with H = 0: nonneg_tv and tv with lam = 0, simplex, and tv_ball with
-    radius >= 1.
+    lam = 0 for the constrained rows. The potential there vanishes, and
+    the problem is tagged II* rather than II, exactly when lam = 0 and
+    a = 1.
     """
     if grid.n < 5:
         raise ValueError("need at least 5 points per axis to resolve the kernel")
@@ -421,24 +425,18 @@ def deconv_problem(grid, reg):
         feature_weights=(_HALF_SPECTRUM_WEIGHTS,) * grid.dim,
         phi_lip_class="gradient_lipschitz",
     )
-    origin = np.zeros(grid.dim)
-    # The grid Dirac at the origin reproduces y (G = 0), so the potential
-    # vanishes at the minimizer (II*) exactly when that Dirac is
-    # feasible with H = 0.
-    exact = reg.value(grid.weights, dirac_density(grid, origin)) == 0.0
     if reg.kind in ("nonneg_tv", "tv"):
         lam, amplitude = reg.lam, max(0.0, 1.0 - reg.lam / (2.0 * peak))
     else:
         lam, amplitude = 0.0, min(reg.radius, 1.0)
-    name = f"deconv{grid.dim}d"
     return Problem(
-        name=name,
+        name=f"deconv{grid.dim}d",
         grid=grid,
         smooth=smooth,
         reg=reg,
         inf_value=peak * (1.0 - amplitude) ** 2 + lam * amplitude,
-        mu_star=((origin, amplitude),),
-        setting_tag="II*" if exact else "II",
+        mu_star=((np.zeros(grid.dim), amplitude),),
+        setting_tag="II*" if lam == 0.0 and amplitude == 1.0 else "II",
         # Descent from f0 = 1 keeps the L1 norm below 1 + sqrt(F(1)):
         # total Fourier mass of the residual bounds the signal part.
         k_bound_hint=1.0 + math.sqrt(peak - 1.0),
@@ -614,45 +612,48 @@ def exact_optimum(problem):
 
 # -- CLI problem registry ---------------------------------------------------
 
-_DEFAULT_AXIS_POINTS = {
-    "deconv1d": 300, "deconv2d": 60, "deconv3d": 20,
-    "lb:I": 2000, "lb:I*": 2000, "lb:II": 2000, "lb:II*": 2000, "relu": 2000,
+# token: (dimension, default points per axis, points per axis of the
+# finite-difference gradient check).
+PROBLEM_TABLE = {
+    "deconv1d": (1, 300, 50), "deconv2d": (2, 60, 8), "deconv3d": (3, 20, 6),
+    "lb:I": (1, 2000, 100), "lb:I*": (1, 2000, 100), "lb:II": (1, 2000, 100),
+    "lb:II*": (1, 2000, 100), "relu": (1, 2000, 200),
 }
 
-PROBLEM_TOKENS = tuple(_DEFAULT_AXIS_POINTS)
+PROBLEM_TOKENS = tuple(PROBLEM_TABLE)
 
 
 def build_problem(token, grid_size=None, reg=None, lam=None, seed=0, n_samples=10):
     """Build a problem from its CLI token with documented defaults.
 
-    grid_size is the number of points per axis; None selects the token's
-    `_DEFAULT_AXIS_POINTS` entry (300 for deconv1d, 60 for deconv2d, 20
-    for deconv3d, 2000 for relu and the lower-bound settings). `reg`
-    overrides the default regularizer where the problem admits a choice;
-    `lam` sets the weight of the default one instead (nonneg_tv for
-    deconvolution, tv for relu), so it goes with neither `reg` nor a
-    lower-bound token.
+    The problem lives on the torus of the token's `PROBLEM_TABLE`
+    dimension, with grid_size points per axis; None selects the token's
+    default there (300 for deconv1d, 60 for deconv2d, 20 for deconv3d,
+    2000 for relu and the lower-bound settings). `reg` overrides the
+    default regularizer where the problem admits a choice; `lam` sets
+    the weight of the default one instead (nonneg_tv for deconvolution,
+    tv for relu), so it goes with neither `reg` nor a lower-bound token.
     """
-    if token not in PROBLEM_TOKENS:
+    if token not in PROBLEM_TABLE:
         raise ValueError(f"unknown problem token {token!r}, expected one of {PROBLEM_TOKENS}")
     if lam is not None and (reg is not None or token.startswith("lb:")):
         raise ValueError(
             "lam sets the TV weight of the default regularizer only; give the "
             "weight in reg (lower-bound problems have none)"
         )
-    n = _DEFAULT_AXIS_POINTS[token] if grid_size is None else grid_size
+    dim, default_n, _ = PROBLEM_TABLE[token]
+    grid = torus_grid(dim, default_n if grid_size is None else grid_size)
     if token.startswith("deconv"):
-        dim = int(token[len("deconv") : -1])
         if reg is None:
             reg = nonneg_tv(0.0 if lam is None else lam)
-        return deconv_problem(torus_grid(dim, n), reg)
+        return deconv_problem(grid, reg)
     if token.startswith("lb:"):
         if reg is not None and reg.kind != "simplex":
             raise ValueError("lower-bound problems are fixed to the simplex")
-        return lb_problem(torus_grid(1, n), token[3:])
+        return lb_problem(grid, token[3:])
     # relu
     if reg is not None and reg.kind != "tv":
         raise ValueError("relu regression uses a signed TV regularizer")
     if lam is None:
         lam = reg.lam if reg is not None else 0.05
-    return relu_problem(torus_grid(1, n), n=n_samples, lam=lam, seed=seed)
+    return relu_problem(grid, n=n_samples, lam=lam, seed=seed)

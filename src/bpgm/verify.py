@@ -22,6 +22,7 @@ from .analysis import fit_loglog
 from .dgf import EntropyDgf, HyperbolicDgf, PowerDgf, sc_constant
 from .grid import torus_grid
 from .objective import (
+    PROBLEM_TABLE,
     build_problem,
     deconv_problem,
     default_start,
@@ -54,26 +55,19 @@ def _fold(reduce, measured):
     return float(reduce(a)) if np.all(np.isfinite(a)) else math.nan
 
 
-# Grid sizes (points per axis) of the finite-difference gradient check.
-FD_GRID_SIZES = {
-    "deconv1d": 50, "deconv2d": 8, "deconv3d": 6, "relu": 200,
-    "lb:I": 100, "lb:I*": 100, "lb:II": 100, "lb:II*": 100,
-}
-
-
 def check_fd_gradient(problems=None, seed=0):
     """Potential against central differences on every registered problem.
 
     Probes (G(f + t d) - G(f - t d)) / (2 t) versus the pairing
     sum_j w_j d_j G'[f]_j along five random directions d at a random f
     near 1. `problems` maps names to problems (default: every registered
-    token at its FD_GRID_SIZES size); values holds the max relative
-    error of each.
+    token at its `PROBLEM_TABLE` finite-difference size); values holds
+    the max relative error of each.
     """
     bound, t, n_dirs = 1e-5, 1e-5, 5
     if problems is None:
         problems = {
-            token: build_problem(token, grid_size=n) for token, n in FD_GRID_SIZES.items()
+            token: build_problem(token, grid_size=n) for token, (_, _, n) in PROBLEM_TABLE.items()
         }
     errors = {}
     for name, problem in problems.items():
@@ -109,7 +103,8 @@ def check_entropy_closed_form(m=300, k_max=10_000):
     from f0 = 1 the normalized iterate is exactly the Gibbs density of
     k s Phi. Compares in log domain (immune to underflow of tiny
     entries) at geometric checkpoints, and fits the gap slope over
-    [k_max/10, k_max], which the construction pins at -1.
+    [k_max/10, k_max], which the construction pins at -1, with no row
+    of that window dropped for a zero or non-finite gap.
 
     The step s = 100/k_max ends the run at Gibbs width 1/(k_max s) =
     0.01, inside the continuum regime for the grids used here; past
@@ -134,13 +129,15 @@ def check_entropy_closed_form(m=300, k_max=10_000):
         devs.append(float(np.max(np.abs(np.expm1(log_f - log_ref)))))
     dev = _fold(np.max, devs)
     trace = run(problem, dgf, SolverConfig(iters=k_max, step=s))
-    slope, _ = fit_loglog(trace.k, trace.gap, window=(k_max / 10.0, float(k_max)))
+    slope, _, dropped = fit_loglog(trace.k, trace.gap, window=(k_max / 10.0, float(k_max)))
+    dropped_note = f", {dropped} fit rows dropped (want 0)" if dropped else ""
     return CheckResult(
         "entropy_closed_form",
-        dev <= dev_bound and abs(slope + 1.0) <= slope_tol,
+        dev <= dev_bound and abs(slope + 1.0) <= slope_tol and dropped == 0,
         f"max rel dev {dev:.3e} (<= {dev_bound:g}), "
-        f"gap slope {slope:+.3f} (-1 +/- {slope_tol:g})",
-        {"max_rel_dev": dev, "gap_slope": slope, "checkpoints": checkpoints},
+        f"gap slope {slope:+.3f} (-1 +/- {slope_tol:g}){dropped_note}",
+        {"max_rel_dev": dev, "gap_slope": slope, "dropped_rows": dropped,
+         "checkpoints": checkpoints},
     )
 
 

@@ -10,7 +10,9 @@ log k over k in [1e3, 1e5]. For the entropy-family geometries the
 theory carries a log(k) factor, which does not change the asymptotic
 log-log slope, so the quoted targets are the plain exponents. Every gap
 is taken against an exact optimum: a closed form, or for ReLU
-regression the Lasso homotopy of `bpgm.objective.exact_optimum`.
+regression the Lasso homotopy of `bpgm.objective.exact_optimum`. A fit
+that drops a row of its window, for a zero or non-finite gap, fails its
+criterion.
 """
 
 import functools
@@ -23,7 +25,6 @@ from bpgm import (
     SolverConfig,
     build_problem,
     eval_F,
-    fit_rate,
     parse_dgf,
     psi_envelope,
     run,
@@ -128,11 +129,12 @@ def _check_rates(number, prefix=""):
     parts, ok = [], True
     for rate in (r for r in RATES if r.criterion == number):
         trace = _trace(rate)
-        slope, _ = fit_rate(trace, window=FIT_WINDOW)
+        slope, _, dropped = fit_loglog(trace.k, trace.gap, window=FIT_WINDOW)
         early = rate.floor is not None and trace.gap[-1] <= rate.floor
         in_time = trace.time_s[-1] <= TRACE_BUDGET_S
-        ok &= (abs(slope - rate.target) <= rate.tol or early) and in_time
+        ok &= (abs(slope - rate.target) <= rate.tol or early) and in_time and dropped == 0
         note = ", reached reference precision early" if early else ""
+        note += f", {dropped} fit rows dropped" if dropped else ""
         label = f"{rate.method}/{rate.dgf} on {rate.label}"
         parts.append(f"{label} {slope:+.3f} (want {rate.target:+.3f}+-{rate.tol}{note})")
     _report(number, ok, prefix + "; ".join(parts))
@@ -183,9 +185,12 @@ def test_envelope_exponents():
     for tag, lo, hi, target in (("II*", 1e-8, 1e-5, 0.8), ("I", 5e-4, 1e-2, 0.5)):
         problem = lb_problem(grid, tag)
         env = psi_envelope(problem, dgf, f0, np.geomspace(lo, hi, 25))
-        slope, _ = fit_loglog(env.alpha, env.psi_hat, window=(0.0, None))
-        ok &= abs(slope - target) <= 0.1
-        rows.append(f"lb:{tag} alpha-exponent {slope:+.3f} (want {target:+.1f}+-0.1)")
+        slope, _, dropped = fit_loglog(env.alpha, env.psi_hat, window=(0.0, None))
+        ok &= abs(slope - target) <= 0.1 and dropped == 0
+        dropped_note = f", {dropped} fit rows dropped" if dropped else ""
+        rows.append(
+            f"lb:{tag} alpha-exponent {slope:+.3f} (want {target:+.1f}+-0.1{dropped_note})"
+        )
         a, ps = env.alpha, env.psi_hat
         concave = all(
             ps[i] >= (1 - (a[i] - a[i - 1]) / (a[i + 1] - a[i - 1])) * ps[i - 1]

@@ -107,22 +107,32 @@ def test_default_eps_grid_range():
     # floor(D n / 4) = 37 spacings, plus one half: D / 4 at n = 300.
     assert eps[-1] == pytest.approx(37.5 * g.spacing)
     assert eps[-1] == pytest.approx(g.diameter / 4.0)
-    with pytest.raises(ValueError, match="empty mollification sweep"):
-        default_eps_grid(torus_grid(1, 1))
-    # floor(D n / 4) <= 3 on these grids, so the defaults widen.
+    # No radius lies above h and at most D on these grids.
+    for empty in (torus_grid(1, 1), torus_grid(1, 2), torus_grid(2, 1), torus_grid(3, 1)):
+        with pytest.raises(ValueError, match="empty mollification sweep"):
+            default_eps_grid(empty)
+    # floor(D n / 4) <= 3 on these grids, so the defaults widen: the top
+    # radius lies within one spacing below the diameter.
     for coarse in (
+        torus_grid(1, 3), torus_grid(2, 2), torus_grid(3, 2),
         torus_grid(1, 8), torus_grid(1, 24), torus_grid(1, 31),
         torus_grid(2, 4), torus_grid(2, 16), torus_grid(2, 22),
     ):
         eps = default_eps_grid(coarse)
-        assert np.all(eps > coarse.spacing) and eps[-1] == pytest.approx(coarse.diameter)
+        assert np.all(eps > coarse.spacing) and np.all(np.diff(eps) > 0)
+        assert coarse.diameter - coarse.spacing < eps[-1] < coarse.diameter
 
 
-@pytest.mark.parametrize("dim,n", [(1, 100), (1, 300), (1, 2000), (2, 30), (2, 60), (3, 20), (3, 24)])
+_SWEPT_GRIDS = [(1, 100), (1, 300), (1, 2000), (2, 30), (2, 60), (3, 20), (3, 24)]
+_COARSE_GRIDS = [(1, 16), (1, 20), (1, 24), (1, 30), (2, 8), (2, 16), (2, 20), (3, 6), (3, 8)]
+
+
+@pytest.mark.parametrize("dim,n", _SWEPT_GRIDS + _COARSE_GRIDS)
 def test_default_eps_grid_avoids_lattice_distances(dim, n):
     # A radius equal to the distance between two lattice points puts
     # points on its ball's boundary, where rounding decides membership.
-    # The measured margins are 2.5e-3 h or more.
+    # The measured margins are 2.5e-3 h or more on the swept grids; on
+    # the coarse ones 1.6e-2 h or more at the ends and 4.5e-5 h inside.
     grid = torus_grid(dim, n)
     dist = dist_to_point(grid, np.zeros(dim))
     eps = default_eps_grid(grid)
@@ -192,7 +202,7 @@ def test_psi_envelope_overflowing_divergence_is_runtime_error():
     # divergence would drop its candidate unseen, leaving f0 the winner.
     problem = build_problem("deconv1d", grid_size=20)
     dgf = parse_dgf("hyp:5.56268464626801e-309")
-    with pytest.raises(RuntimeError, match=r"hyp:5\.56268464626801e-309 .* radius 0\.15 overflows"):
+    with pytest.raises(RuntimeError, match=r"hyp:5\.56268464626801e-309 .* radius 0\.175 overflows"):
         psi_envelope(problem, dgf, np.ones(20), np.array([1e-3, 1e-2]))
 
 
@@ -213,15 +223,16 @@ def test_envelope_csv(tmp_path):
 
 def test_fit_loglog_exact_power():
     k = np.geomspace(1, 1e5, 400)
-    slope, r2 = fit_loglog(k, 3.0 * k**-0.8, window=(1e2, None))
+    slope, r2, dropped = fit_loglog(k, 3.0 * k**-0.8, window=(1e2, None))
     assert slope == pytest.approx(-0.8, abs=1e-9)
     assert r2 == pytest.approx(1.0)
+    assert dropped == 0
 
 
 def test_fit_loglog_log_factor_both_ways():
     k = np.geomspace(10, 1e5, 500)
     logk_over_k = np.log(k) / k
-    raw, _ = fit_loglog(k, logk_over_k, window=(1e3, None))
+    raw, _, _ = fit_loglog(k, logk_over_k, window=(1e3, None))
     # the log factor flattens the raw slope by about 1/log k
     assert raw == pytest.approx(-0.9, abs=0.02)
 
@@ -230,9 +241,11 @@ def test_fit_loglog_drops_bad_rows():
     k = np.geomspace(1, 1e4, 100)
     gap = 1.0 / k
     gap[-3:] = 0.0
-    with pytest.warns(RuntimeWarning, match="dropping"):
-        slope, _ = fit_loglog(k, gap, window=(10.0, None))
+    gap[-5] = math.nan
+    slope, _, dropped = fit_loglog(k, gap, window=(10.0, None))
     assert slope == pytest.approx(-1.0, abs=1e-6)
+    # Rows left of the window are ignored, not dropped.
+    assert dropped == 4
 
 
 def test_fit_loglog_needs_enough_rows():

@@ -12,10 +12,11 @@ from bpgm import SolverConfig, build_problem, parse_dgf, run, solver
 from bpgm.analysis import EnvelopeCurve
 from bpgm.cli import _build_problem_from_args, build_parser, main
 from bpgm.objective import (
-    PROBLEM_TOKENS, default_start, eval_F, exact_optimum, grad_potential, parse_regularizer,
+    PROBLEM_TABLE, PROBLEM_TOKENS, default_start, eval_F, exact_optimum, grad_potential,
+    parse_regularizer,
 )
 from bpgm.solver import Trace
-from bpgm.verify import FD_GRID_SIZES, CheckResult
+from bpgm.verify import CheckResult
 from test_objective import minimizer_density
 
 
@@ -151,14 +152,23 @@ def test_run_rejects_abbreviated_and_removed_options(tmp_path, capsys, extra):
     assert not (tmp_path / "t.csv").exists()
 
 
-def _options(command):
+def _subparser(command):
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
+    return subparsers.choices[command]
+
+
+def _options(command):
     return {
-        option for action in subparsers.choices[command]._actions
-        for option in action.option_strings
+        option for action in _subparser(command)._actions for option in action.option_strings
     } - {"-h", "--help"}
+
+
+@pytest.mark.parametrize("command", ("run", "psi"))
+def test_problem_choices_are_the_problem_table_tokens(command):
+    (problem,) = (a for a in _subparser(command)._actions if "--problem" in a.option_strings)
+    assert tuple(problem.choices) == tuple(PROBLEM_TABLE)
 
 
 def test_every_subcommand_has_exactly_its_options():
@@ -646,7 +656,7 @@ def test_psi_overflowing_divergence_is_runtime_error(tmp_path, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        "bpgm: the hyp:5.56268464626801e-309 divergence of the candidate at radius 0.15 "
+        "bpgm: the hyp:5.56268464626801e-309 divergence of the candidate at radius 0.175 "
         "overflows\n"
     )
     assert captured.out == ""
@@ -690,7 +700,7 @@ def test_psi_reads_config(tmp_path):
 # Grids that take the widened (coarse) sweep, and every token at its FD size.
 @pytest.mark.parametrize("token, n", (
     ("deconv1d", 24), ("lb:I", 20), ("relu", 24), ("deconv2d", 16),
-    *((token, FD_GRID_SIZES[token]) for token in PROBLEM_TOKENS),
+    *((token, fd_n) for token, (_, _, fd_n) in PROBLEM_TABLE.items()),
 ))
 def test_psi_default_sweep_on_every_grid(tmp_path, token, n):
     out = tmp_path / "e.csv"
@@ -745,7 +755,7 @@ def test_run_relu_without_tv_weight_is_usage_error(tmp_path, capsys):
 def _registered_problem(token):
     """A registered problem built as the CLI builds it, at its FD grid size."""
     args = build_parser().parse_args([
-        "run", "--problem", token, "--grid-size", str(FD_GRID_SIZES[token]),
+        "run", "--problem", token, "--grid-size", str(PROBLEM_TABLE[token][2]),
         "--dgf", "p:2", "--iters", "1", "--out", "unused.csv",
     ])
     return _build_problem_from_args(args)
@@ -817,6 +827,24 @@ def test_rates_prints_notes_instead_of_warnings(tmp_path, capsys):
     assert (
         "note: overrun.csv: APGM prox sequence exceeded the norm bound (8.64 > 3) at "
         "iteration 1; the step-size guarantee is conditional on this bound" in captured.out
+    )
+    assert captured.err == ""
+
+
+def test_psi_prints_dropped_rows_as_a_note(tmp_path, monkeypatch, capsys):
+    def envelope(problem, dgf, f0, alphas):
+        psi_hat = np.sqrt(alphas)
+        psi_hat[:3] = 0.0
+        return EnvelopeCurve(alphas, psi_hat, np.full(alphas.size, 0.1), {"problem": "lb:I"})
+
+    monkeypatch.setattr("bpgm.cli.psi_envelope", envelope)
+    out = tmp_path / "e.csv"
+    assert _run_quietly("psi", "--problem", "lb:I", "--grid-size", "200", "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert "alpha-exponent +0.500" in captured.out
+    assert (
+        "note: dropping 3 rows with non-positive or non-finite gap from the fit window"
+        in captured.out.splitlines()
     )
     assert captured.err == ""
 

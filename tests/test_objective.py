@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from bpgm import (
     Problem,
+    Regularizer,
     SolverConfig,
     build_problem,
     deconv_problem,
@@ -31,6 +32,7 @@ from bpgm.grid import geodesic_dist
 from bpgm.solver import resolve_step
 from bpgm.objective import (
     FEAS_TOL,
+    PROBLEM_TABLE,
     PROBLEM_TOKENS,
     LinearForm,
     SmoothObjective,
@@ -154,7 +156,8 @@ def test_setting_tags_from_regularization():
     assert deconv_problem(g, nonneg_tv(0.2)).setting_tag == "II"
     assert deconv_problem(g, tv(0.05)).setting_tag == "II"
     # (regularizer, weight of the Dirac minimizer at the origin, tag):
-    # II* exactly when the unit Dirac is feasible with value 0.
+    # II* exactly when the unit Dirac is optimal with H = 0. A radius
+    # within FEAS_TOL below 1 still leaves the potential 2 (a - 1) phi.
     cases = (
         (nonneg_tv(0.0), 1.0, "II*"),
         (simplex(), 1.0, "II*"),
@@ -162,6 +165,7 @@ def test_setting_tags_from_regularization():
         (tv_ball(1.0), 1.0, "II*"),
         (tv_ball(2.0), 1.0, "II*"),
         (tv_ball(0.5), 0.5, "II"),
+        (tv_ball(0.9999999999), 0.9999999999, "II"),
         (nonneg_tv(0.2), 1.0 - 0.2 / 10.0, "II"),
         (tv(0.05), 1.0 - 0.05 / 10.0, "II"),
     )
@@ -544,6 +548,34 @@ def test_regularizer_token_round_trips(reg):
     assert parse_regularizer(reg.token) == reg
 
 
+@pytest.mark.parametrize("kind, fields", (
+    ("nonneg_tv", {"radius": 0.5}), ("simplex", {"radius": 0.5}), ("tv", {"radius": 2.0}),
+    ("simplex", {"lam": 0.1}), ("tv_ball", {"lam": 0.1}),
+))
+def test_regularizer_rejects_a_field_its_kind_never_reads(kind, fields):
+    # Regularizer("simplex", radius=0.5) would record an optimum of mass
+    # 0.5 while its prox step and violation enforce mass 1.
+    with pytest.raises(ValueError, match=f"{kind} has no"):
+        Regularizer(kind, **fields)
+
+
+_REG_FIELD = st.one_of(st.just(0.0), st.just(1.0), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(("nonneg_tv", "simplex", "tv", "tv_ball")),
+    lam=_REG_FIELD,
+    radius=_REG_FIELD,
+)
+def test_every_accepted_regularizer_round_trips_through_its_token(kind, lam, radius):
+    try:
+        reg = Regularizer(kind, lam=lam, radius=radius)
+    except ValueError:
+        return
+    assert parse_regularizer(reg.token) == reg
+
+
 def test_regularizer_token_short_form():
     assert nonneg_tv(0.0).token == "nonneg_tv:0"
     assert tv(0.05).token == "tv:0.05"
@@ -562,6 +594,21 @@ def test_build_problem_tokens_and_defaults():
         build_problem("gaussian")
     with pytest.raises(ValueError):
         build_problem("relu", reg=simplex())
+
+
+@pytest.mark.parametrize("token", PROBLEM_TOKENS)
+def test_every_table_row_builds_on_a_grid_of_its_dimension(token):
+    dim, default_n, fd_n = PROBLEM_TABLE[token]
+    for grid_size, n in ((None, default_n), (fd_n, fd_n)):
+        problem = build_problem(token, grid_size=grid_size)
+        # A deconvolution problem names the dimension it was built in.
+        assert problem.name == token
+        assert (problem.grid.dim, problem.grid.n) == (dim, n)
+
+
+def test_building_deconv2d_leaves_the_lattice_points_unbuilt():
+    # Grid.points caches its (m, d) array in the instance dict on first read.
+    assert "points" not in vars(build_problem("deconv2d").grid)
 
 
 @pytest.mark.parametrize("token", PROBLEM_TOKENS)

@@ -68,6 +68,15 @@ def test_entropy_closed_form_check_contract():
     assert result.passed, result.detail
 
 
+def test_entropy_closed_form_fails_on_a_dropped_fit_row(monkeypatch):
+    # A zero or non-finite gap in the window is a failure, whatever the
+    # slope of the rows that remain.
+    monkeypatch.setattr("bpgm.verify.fit_loglog", lambda k, gap, window: (-1.0, 1.0, 2))
+    result = check_entropy_closed_form(m=300, k_max=1000)
+    assert not result.passed
+    assert "2 fit rows dropped" in result.detail and result.values["dropped_rows"] == 2
+
+
 @pytest.mark.parametrize("dgf", [PowerDgf(2.0), PowerDgf(1.5), EntropyDgf(), HyperbolicDgf()])
 def test_pinsker_margins_nonnegative(dgf):
     result = check_pinsker(dgfs=(dgf,), m=80, n_samples=300, seed=1)
