@@ -12,10 +12,11 @@ so both sides see the same host state.
 
 Per operation it prints the median and minimum microseconds per
 iteration of each side, the rounds the working tree won, and whether
-the two traces agree bit for bit (k, F, gap, l1, linf_mirror, final
-iterate and mirror; zeros compare equal whatever their sign). Metadata
-is not part of that comparison: the keys whose values differ between
-the sides are printed on a line of their own. When the traces do not
+the two traces agree bit for bit (every column of `solver.TRACE_COLUMNS`
+that both sides record, except time_s, and the final iterate and
+mirror; zeros compare equal whatever their sign). A column that only
+one side records, and the metadata keys whose values differ between
+the sides, are printed on lines of their own. When the traces do not
 agree, it also prints the largest relative |dF| and |dgap| over
 the recorded points, which tells a change at rounding level (1e-13)
 apart from a wrong one. The last
@@ -51,8 +52,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import bench_workloads as bw
-
-TRACE_COLUMNS = ("k", "F", "gap", "l1", "linf_mirror")
 
 
 def export_tree(rev, dest):
@@ -99,12 +98,12 @@ class Side:
         return seconds, trace
 
 
-def same_trace(a, b):
-    """Bit-for-bit equal value columns and final arrays, with -0.0 == 0.0
+def same_trace(a, b, columns):
+    """Bit-for-bit equal `columns` and final arrays, with -0.0 == 0.0
     (array_equal) in the final arrays and nan == nan in the columns.
     Metadata is left out; `meta_diff` reports it."""
     return all(
-        np.array_equal(getattr(a, col), getattr(b, col), equal_nan=True) for col in TRACE_COLUMNS
+        np.array_equal(getattr(a, col), getattr(b, col), equal_nan=True) for col in columns
     ) and np.array_equal(a.final_f, b.final_f) and np.array_equal(a.final_mirror, b.final_mirror)
 
 
@@ -140,6 +139,9 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         rev = Side("rev", import_package("bpgm_rev", export_tree(args.rev, tmp)), workload)
         work = Side("work", import_package("bpgm_work", ROOT / "src" / "bpgm"), workload)
+        rev_cols, work_cols = rev.bpgm.solver.TRACE_COLUMNS, work.bpgm.solver.TRACE_COLUMNS
+        columns = [col for col in work_cols if col in rev_cols and col != "time_s"]
+        one_side = sorted(set(rev_cols) ^ set(work_cols))
         times = {(side.name, i): [] for side in (rev, work) for i in range(len(workload.ops))}
         same = [True] * len(workload.ops)
         meta_keys = set()
@@ -153,7 +155,7 @@ def main(argv=None):
                     seconds, traces[side.name] = side.solve(op, iters)
                     times[side.name, i].append(1e6 * seconds / iters)
                 rev_t, work_t = traces["rev"], traces["work"]
-                same[i] = same[i] and same_trace(rev_t, work_t)
+                same[i] = same[i] and same_trace(rev_t, work_t, columns)
                 meta_keys |= meta_diff(rev_t, work_t)
                 drift[i] = tuple(max(d, max_rel_diff(getattr(work_t, col), getattr(rev_t, col)))
                                  for d, col in zip(drift[i], ("F", "gap")))
@@ -169,6 +171,7 @@ def main(argv=None):
         print(f"{op.label(iters):<34}{statistics.median(a):9.1f}{min(a):8.1f}"
               f"{statistics.median(b):10.1f}{min(b):8.1f}{won:>4}/{args.rounds:<2}  {same[i]}"
               + ("" if same[i] else "  max rel |dF| {:.1e}, |dgap| {:.1e}".format(*drift[i])))
+    print(f"trace columns on one side only: {', '.join(one_side) or 'none'}")
     print(f"metadata keys that differ: {', '.join(sorted(meta_keys)) or 'none'}")
     print(f"ratio {args.rev} / work, by iterations: {totals['rev'] / totals['work']:.3f}")
 

@@ -17,7 +17,6 @@ from .dgf import (
 )
 from .grid import (
     Grid,
-    dirac_density,
     geodesic_dist,
     torus_grid,
 )
@@ -46,7 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RateModel", "fit_rate", "mollify", "psi_envelope", "theoretical_exponent",
     "EntropyDgf", "HyperbolicDgf", "PowerDgf", "parse_dgf", "sc_constant",
-    "Grid", "dirac_density", "geodesic_dist", "torus_grid",
+    "Grid", "geodesic_dist", "torus_grid",
     "Problem", "Regularizer", "SmoothObjective", "build_problem",
     "deconv_problem", "eval_F", "eval_G", "grad_potential", "lb_problem",
     "nonneg_tv", "parse_regularizer", "relu_problem", "simplex", "tv", "tv_ball",

@@ -126,8 +126,9 @@ class EnvelopeCurve:
         write_atomic(path, zip(*columns), meta=self.meta, header=("alpha", "psi_hat", "eps_star"))
 
 
-def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):
-    """Envelope of gap + alpha * divergence over the mollified family.
+def psi_envelope(problem, dgf, f0, alpha_grid):
+    """Envelope of gap + alpha * divergence over the mollified family,
+    at the radii of `default_eps_grid`.
 
     f0 always participates as a candidate with zero divergence, which
     keeps the envelope bounded by F(f0) - inf F for every alpha. A
@@ -140,14 +141,12 @@ def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):
             f"problem {problem.name} has no optimal value; attach one "
             f"(closed form or exact_optimum) before computing the envelope"
         )
-    if eps_grid is None:
-        eps_grid = default_eps_grid(problem.grid)
     f0 = density_values(problem, f0)
     w = problem.grid.weights
     gaps = [eval_F(problem, f0) - problem.inf_value]
     divs = [0.0]
     radii = [math.inf]
-    for eps in eps_grid:
+    for eps in default_eps_grid(problem.grid):
         f_eps = mollify(problem, eps)
         gaps.append(eval_F(problem, f_eps) - problem.inf_value)
         try:
@@ -172,18 +171,17 @@ def psi_envelope(problem, dgf, f0, alpha_grid, eps_grid=None):
     return curve
 
 
-def fit_loglog(k, gap, window=(1e3, None)):
+def fit_loglog(k, gap, window):
     """Least-squares slope of log gap vs log k, its r^2, and the number
     of rows in the window dropped for a non-positive or non-finite gap.
 
-    Rows outside the window are ignored; at least 10 usable rows are
+    window is the pair (lo, hi) of floats, hi possibly inf; rows with k
+    outside [lo, hi] are ignored, and at least 10 usable rows are
     required.
     """
     k = np.asarray(k, dtype=float)
     gap = np.asarray(gap, dtype=float)
     lo, hi = window
-    lo = 0.0 if lo is None else lo
-    hi = math.inf if hi is None else hi
     keep = (k > 0.0) & (k >= lo) & (k <= hi)
     usable = keep & (gap > 0) & np.isfinite(gap)
     if np.sum(usable) < 10:
@@ -200,7 +198,7 @@ def fit_loglog(k, gap, window=(1e3, None)):
     return float(slope), r2, int(np.sum(keep & ~usable))
 
 
-def fit_rate(trace, window=(1e3, None)):
+def fit_rate(trace, window):
     """Slope and r^2 of a trace's suboptimality gap, as fit_loglog fits
     them; the count of dropped rows is left out."""
     return fit_loglog(trace.k, trace.gap, window=window)[:2]

@@ -93,7 +93,8 @@ def _fit(k, gap, window, label, notes):
 
 def _caveats(meta):
     """What a trace's metadata says went wrong in its run, as sentences:
-    where it aborted, then where its APGM prox sequence left the norm bound."""
+    where it aborted, where its APGM prox sequence left the norm bound,
+    then whether it ran without an optimal value to take gaps against."""
     if "aborted_at" in meta:
         yield f"aborted at iteration {meta['aborted_at']} (non-finite {meta['abort_reason']})"
     if "k_bound_exceeded_at" in meta:
@@ -103,6 +104,8 @@ def _caveats(meta):
             f"{float(meta['k_bound']):.3g}) at iteration {meta['k_bound_exceeded_at']}; "
             f"the step-size guarantee is conditional on this bound"
         )
+    if meta.get("inf_value") == "":
+        yield "the run recorded no optimal value (inf_value is empty), so every gap is nan"
 
 
 def _report(trace, window, label, notes):

@@ -99,16 +99,3 @@ def dist_to_point(grid, center):
     """Distances from every grid point to `center`, shape (m,)."""
     center = np.asarray(center, dtype=float).reshape(1, grid.dim)
     return geodesic_dist(grid.points, center)
-
-
-def nearest_index(grid, point):
-    """Index of the grid point closest to `point`."""
-    return int(np.argmin(dist_to_point(grid, point)))
-
-
-def dirac_density(grid, point, weight=1.0):
-    """Grid Dirac: the value array with all mass `weight` at the lattice
-    point nearest to `point`."""
-    values = np.zeros(grid.size)
-    values[nearest_index(grid, point)] = weight / grid.weights
-    return values

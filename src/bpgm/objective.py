@@ -186,6 +186,10 @@ class Regularizer:
     simplex   : indicator(f >= 0, mass(f) = 1)
     tv        : lam * ||f||_L1 on signed densities
     tv_ball   : indicator(||f||_L1 <= radius)
+
+    A kind keeps the default of every field it never reads, so radius is
+    the L1 level K that a constraint pins (1 on the simplex) and lam the
+    TV weight (0 on the constrained rows) on every row.
     """
 
     kind: str
@@ -238,7 +242,7 @@ class Regularizer:
     def value(self, weights, f):
         if not self.violation(weights, f) <= FEAS_TOL:
             return math.inf
-        if self.kind in ("nonneg_tv", "tv") and self.lam > 0:
+        if self.lam > 0:
             return self.lam * float(np.add.reduce(weights * np.abs(f)))
         return 0.0
 
@@ -321,9 +325,7 @@ def default_start(problem):
     The constant 1, except on a TV ball of radius K < 1, where it is the
     constant K: its L1 norm is then K, so the start is feasible.
     """
-    reg = problem.reg
-    level = reg.radius if reg.kind == "tv_ball" and reg.radius < 1.0 else 1.0
-    return np.full(problem.grid.size, level)
+    return np.full(problem.grid.size, min(problem.reg.radius, 1.0))
 
 
 def density_values(problem, f):
@@ -425,10 +427,10 @@ def deconv_problem(grid, reg):
         feature_weights=(_HALF_SPECTRUM_WEIGHTS,) * grid.dim,
         phi_lip_class="gradient_lipschitz",
     )
-    if reg.kind in ("nonneg_tv", "tv"):
-        lam, amplitude = reg.lam, max(0.0, 1.0 - reg.lam / (2.0 * peak))
-    else:
-        lam, amplitude = 0.0, min(reg.radius, 1.0)
+    # Penalized rows have radius 1 and constrained rows lam = 0, so one
+    # formula gives both amplitudes.
+    lam = reg.lam
+    amplitude = min(reg.radius, max(0.0, 1.0 - lam / (2.0 * peak)))
     return Problem(
         name=f"deconv{grid.dim}d",
         grid=grid,

@@ -187,9 +187,9 @@ def bregman_step(dgf, reg, state, grad, s_eff):
         # On a signed dgf the ball's dual solve reads |v|.
         ball = reg.kind == "tv_ball"
         a = np.abs(v) if ball and signed else v
-        target, floor = (reg.radius, 0.0) if ball else (1.0, -math.inf)
+        floor = 0.0 if ball else -math.inf
         start = max(state.kappa, floor) if signed else None
-        kappa = solve_kappa(dgf, a, target, start, floor=floor)
+        kappa = solve_kappa(dgf, a, reg.radius, start, floor=floor)
 
     if signed and reg.kind in ("tv", "tv_ball"):
         # Soft threshold v - clip(v, -kappa, kappa), kappa >= 0 (s * lam or

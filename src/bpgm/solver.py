@@ -145,7 +145,9 @@ class Trace:
         """A trace from rows of values in TRACE_COLUMNS order, with k as
         int; `final` passes final_f and final_mirror through."""
         cols = np.asarray(rows, dtype=float).reshape(len(rows), len(TRACE_COLUMNS)).T
-        return cls(meta, cols[0].astype(int), *cols[1:], **final)
+        columns = dict(zip(TRACE_COLUMNS, cols))
+        columns["k"] = columns["k"].astype(int)
+        return cls(meta, **columns, **final)
 
 
 def gamma_next(gamma):
@@ -173,8 +175,8 @@ def record_schedule(iters):
 def resolve_step(problem, dgf, config, f0):
     """(step, k_bound) of a run from f0.
 
-    k_bound is the a-priori L1 bound K on the iterates: 1 on the
-    simplex, the radius on a TV ball, F(f0)/lam under a TV weight
+    k_bound is the a-priori L1 bound K on the iterates: the radius on
+    the constrained rows (1 on the simplex), F(f0)/lam under a TV weight
     lam > 0 (descent keeps lam ||f_k|| <= F(f0)), else the problem's
     k_bound_hint. step is config.step or the admissible step
     2 c(K) / (phi_sup^2 Lip(grad R)) = (K + beta)^(p-2) / (phi_sup^2
@@ -182,9 +184,7 @@ def resolve_step(problem, dgf, config, f0):
     feature norm; a linear objective admits any step and gets 1.0.
     """
     reg = problem.reg
-    if reg.kind == "simplex":
-        k_bound = 1.0
-    elif reg.kind == "tv_ball":
+    if reg.kind in ("simplex", "tv_ball"):
         k_bound = reg.radius
     elif reg.lam > 0:
         k_bound = eval_F(problem, f0) / reg.lam

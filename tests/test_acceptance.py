@@ -16,6 +16,7 @@ criterion.
 """
 
 import functools
+import math
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -185,7 +186,7 @@ def test_envelope_exponents():
     for tag, lo, hi, target in (("II*", 1e-8, 1e-5, 0.8), ("I", 5e-4, 1e-2, 0.5)):
         problem = lb_problem(grid, tag)
         env = psi_envelope(problem, dgf, f0, np.geomspace(lo, hi, 25))
-        slope, _, dropped = fit_loglog(env.alpha, env.psi_hat, window=(0.0, None))
+        slope, _, dropped = fit_loglog(env.alpha, env.psi_hat, window=(0.0, math.inf))
         ok &= abs(slope - target) <= 0.1 and dropped == 0
         dropped_note = f", {dropped} fit rows dropped" if dropped else ""
         rows.append(

@@ -144,12 +144,11 @@ def test_psi_envelope_matches_brute_force():
     dgf = parse_dgf("p:2")
     f0 = np.ones(problem.grid.size)
     alphas = np.geomspace(1e-4, 1e-1, 7)
-    eps_grid = np.geomspace(0.02, 0.12, 9)
-    env = psi_envelope(problem, dgf, f0, alphas, eps_grid=eps_grid)
+    env = psi_envelope(problem, dgf, f0, alphas)
 
     w = problem.grid.weights
     cands = [(eval_F(problem, f0) - problem.inf_value, 0.0)]
-    for e in eps_grid:
+    for e in default_eps_grid(problem.grid):
         fe = mollify(problem, e)
         gap = eval_F(problem, fe) - problem.inf_value
         div = dgf.divergence_values(w, fe, f0)
@@ -223,7 +222,7 @@ def test_envelope_csv(tmp_path):
 
 def test_fit_loglog_exact_power():
     k = np.geomspace(1, 1e5, 400)
-    slope, r2, dropped = fit_loglog(k, 3.0 * k**-0.8, window=(1e2, None))
+    slope, r2, dropped = fit_loglog(k, 3.0 * k**-0.8, window=(1e2, math.inf))
     assert slope == pytest.approx(-0.8, abs=1e-9)
     assert r2 == pytest.approx(1.0)
     assert dropped == 0
@@ -232,7 +231,7 @@ def test_fit_loglog_exact_power():
 def test_fit_loglog_log_factor_both_ways():
     k = np.geomspace(10, 1e5, 500)
     logk_over_k = np.log(k) / k
-    raw, _, _ = fit_loglog(k, logk_over_k, window=(1e3, None))
+    raw, _, _ = fit_loglog(k, logk_over_k, window=(1e3, math.inf))
     # the log factor flattens the raw slope by about 1/log k
     assert raw == pytest.approx(-0.9, abs=0.02)
 
@@ -242,7 +241,7 @@ def test_fit_loglog_drops_bad_rows():
     gap = 1.0 / k
     gap[-3:] = 0.0
     gap[-5] = math.nan
-    slope, _, dropped = fit_loglog(k, gap, window=(10.0, None))
+    slope, _, dropped = fit_loglog(k, gap, window=(10.0, math.inf))
     assert slope == pytest.approx(-1.0, abs=1e-6)
     # Rows left of the window are ignored, not dropped.
     assert dropped == 4
@@ -251,12 +250,12 @@ def test_fit_loglog_drops_bad_rows():
 def test_fit_loglog_needs_enough_rows():
     k = np.array([1.0, 10.0, 100.0])
     with pytest.raises(ValueError):
-        fit_loglog(k, 1.0 / k)
+        fit_loglog(k, 1.0 / k, window=(0.0, math.inf))
 
 
 def test_fit_rate_on_synthetic_trace():
     problem = build_problem("deconv1d", grid_size=60)
     trace = run(problem, parse_dgf("p:2"), SolverConfig(iters=3000))
-    slope, r2 = fit_rate(trace, window=(100.0, None))
+    slope, r2 = fit_rate(trace, window=(100.0, math.inf))
     assert -1.2 < slope < -0.4
     assert r2 > 0.9

@@ -10,7 +10,7 @@ import pytest
 
 from bpgm import SolverConfig, build_problem, parse_dgf, run, solver
 from bpgm.analysis import EnvelopeCurve
-from bpgm.cli import _build_problem_from_args, build_parser, main
+from bpgm.cli import _build_problem_from_args, _run_one, build_parser, main
 from bpgm.objective import (
     PROBLEM_TABLE, PROBLEM_TOKENS, default_start, eval_F, exact_optimum, grad_potential,
     parse_regularizer,
@@ -508,6 +508,21 @@ def test_rates_states_why_a_trace_cannot_be_fitted(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"bpgm: {out}: aborted at iteration 514 (non-finite objective); need at least 10 "
     )
+
+
+def test_a_trace_without_an_optimum_says_every_gap_is_nan(tmp_path, capsys):
+    # relu has no closed form, and a library run does not call exact_optimum.
+    problem = build_problem("relu", grid_size=200)
+    out = tmp_path / "relu.csv"
+    run(problem, parse_dgf("p:2"), SolverConfig(iters=2000)).write_csv(out)
+    assert run_cli("rates", str(out)) == 1
+    assert capsys.readouterr().err.startswith(
+        f"bpgm: {out}: the run recorded no optimal value (inf_value is empty), so every gap "
+        f"is nan; need at least 10 "
+    )
+    code, text = _run_one(problem, parse_dgf("p:2"), SolverConfig(iters=2000), out, 0)
+    assert code == 0
+    assert "note: the run recorded no optimal value (inf_value is empty)" in text
 
 
 def _theory_column(report):

@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from bpgm import dirac_density, geodesic_dist, torus_grid
-from bpgm.grid import dist_to_point, nearest_index
+from bpgm import geodesic_dist, torus_grid
+from bpgm.grid import dist_to_point
 
 
 def test_torus_grid_basic():
@@ -80,19 +80,3 @@ def test_dist_to_point_matches_pairwise():
     d = dist_to_point(g, center)
     for j in (0, 13, 49):
         assert d[j] == pytest.approx(geodesic_dist(g.points[j], center))
-
-
-def test_nearest_index_wraps_around():
-    g = torus_grid(1, 100)
-    assert nearest_index(g, np.array([0.0])) == 0
-    assert nearest_index(g, np.array([0.999])) == 0
-    assert nearest_index(g, np.array([0.503])) == 50
-
-
-def test_dirac_density_quadrature_mass():
-    g = torus_grid(1, 300)
-    f = dirac_density(g, np.zeros(1), weight=0.7)
-    assert np.sum(g.weights * f) == pytest.approx(0.7)
-    assert np.count_nonzero(f) == 1
-    # the single cell carries weight / cell volume
-    assert np.max(np.abs(f)) == pytest.approx(0.7 * 300)

@@ -13,7 +13,6 @@ from bpgm import (
     SolverConfig,
     build_problem,
     deconv_problem,
-    dirac_density,
     eval_F,
     eval_G,
     grad_potential,
@@ -46,14 +45,18 @@ from bpgm.objective import (
 def minimizer_density(problem):
     """Value array of the known sparse minimizer mu_star on the grid, if any.
 
-    An empty mu_star records the zero density.
+    Every atom sits on a lattice point (the origin, or a point of
+    exact_optimum), which carries weight / w; an empty mu_star records
+    the zero density.
     """
     if problem.mu_star is None:
         raise ValueError(f"problem {problem.name} has no recorded minimizer")
-    return sum(
-        (dirac_density(problem.grid, point, weight) for point, weight in problem.mu_star),
-        np.zeros(problem.grid.size),
-    )
+    grid = problem.grid
+    values = np.zeros(grid.size)
+    for point, weight in problem.mu_star:
+        (j,) = np.flatnonzero(np.all(grid.points == point, axis=1))
+        values[j] += weight / grid.weights
+    return values
 
 
 def _dirichlet_kernel(theta):
@@ -79,7 +82,8 @@ def test_deconv_objective_equals_direct_convolution():
     problem = deconv_problem(g, nonneg_tv(0.0))
     rng = np.random.default_rng(5)
     f = np.abs(rng.standard_normal(8))
-    delta = dirac_density(g, np.zeros(1))
+    delta = np.zeros(8)
+    delta[0] = 1.0 / g.weights
     offsets = g.points[:, None, :] - g.points[None, :, :]
     kernel = _dirichlet_kernel(offsets)  # kernel[i, j] = phi(x_i - x_j)
     conv = kernel @ (g.weights * (f - delta))
@@ -574,6 +578,42 @@ def test_every_accepted_regularizer_round_trips_through_its_token(kind, lam, rad
     except ValueError:
         return
     assert parse_regularizer(reg.token) == reg
+
+
+@st.composite
+def _fd_problem_and_regularizer(draw):
+    """A PROBLEM_TABLE token and a regularizer it accepts: any row on
+    deconvolution (radii on both sides of 1, TV weights from 0 to above
+    2 * 5^d, where the optimum is the zero density), the simplex on lb:*
+    and a positive TV weight on relu."""
+    token = draw(st.sampled_from(PROBLEM_TOKENS))
+    if token.startswith("lb:"):
+        return token, simplex()
+    if token == "relu":
+        return token, tv(draw(st.floats(0.0, 10.0, exclude_min=True)))
+    peak = 5.0 ** PROBLEM_TABLE[token][0]
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0 * peak)))
+    radius = draw(st.one_of(st.sampled_from((1.0, 0.9999999999)), st.floats(1e-3, 4.0)))
+    return token, draw(st.sampled_from((nonneg_tv(lam), simplex(), tv(lam), tv_ball(radius))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_fd_problem_and_regularizer())
+def test_every_row_starts_feasible_inside_its_norm_bound(case):
+    # default_start, resolve_step and deconv_problem read the L1 level
+    # from `radius` and the TV weight from `lam`, whatever the kind.
+    token, reg = case
+    problem = build_problem(token, grid_size=PROBLEM_TABLE[token][2], reg=reg)
+    f0, w = default_start(problem), problem.grid.weights
+    assert problem.reg.violation(w, f0) <= FEAS_TOL
+    _, k_bound = resolve_step(problem, parse_dgf("p:2"), SolverConfig(iters=1), f0)
+    assert np.sum(w * np.abs(f0)) <= k_bound * (1.0 + 1e-12)
+    if token.startswith("deconv"):
+        ((_, amplitude),) = problem.mu_star
+        assert eval_F(problem, minimizer_density(problem)) == pytest.approx(
+            problem.inf_value, rel=1e-12, abs=1e-12
+        )
+        assert (problem.setting_tag == "II*") == (reg.lam == 0.0 and amplitude == 1.0)
 
 
 def test_regularizer_token_short_form():
