@@ -7,7 +7,7 @@ gradient methods and a benchmark harness for their convergence-rate
 theory.
 """
 
-from .analysis import RateModel, fit_rate, mollify, psi_envelope, theoretical_exponent
+from .analysis import fit_rate, mollify, psi_envelope, theoretical_exponent
 from .dgf import (
     EntropyDgf,
     HyperbolicDgf,
@@ -43,7 +43,7 @@ from .solver import SolverConfig, Trace, gamma_next, run, run_apgm, run_pgm
 __version__ = "0.1.0"
 
 __all__ = [
-    "RateModel", "fit_rate", "mollify", "psi_envelope", "theoretical_exponent",
+    "fit_rate", "mollify", "psi_envelope", "theoretical_exponent",
     "EntropyDgf", "HyperbolicDgf", "PowerDgf", "parse_dgf", "sc_constant",
     "Grid", "geodesic_dist", "torus_grid",
     "Problem", "Regularizer", "SmoothObjective", "build_problem",

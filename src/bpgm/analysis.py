@@ -16,34 +16,22 @@ get the dimension-free -a with a log factor.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import dist_to_point
 from .objective import SETTING_Q, density_values, eval_F
-from .solver import write_atomic
-
-
-@dataclass(frozen=True)
-class RateModel:
-    """Predicted asymptotic log-log slope of a trace's gap."""
-
-    exponent: float
-    log_factor: bool
-
-    def describe(self):
-        log = "log(k) * " if self.log_factor else ""
-        return f"{log}k^({self.exponent:+.4g})"
 
 
 def theoretical_exponent(method, dgf, setting, d):
-    """Rate model of `method` in the geometry of `dgf` on a problem with
-    setting tag `setting` (I, I*, II or II*) in dimension d.
+    """Predicted asymptotic log-log slope of the gap of `method` in the
+    geometry of `dgf` on a problem with setting tag `setting` (I, I*, II
+    or II*) in dimension d.
 
-    exponent = -a q / ((p-1) d + q) with a = 1 (PGM) or 2 (APGM), q the
-    structure exponent of the tag and p the dgf's exponent; at p = 1
-    (entropies) it is the dimension-free -a, with a log(k) factor.
+    The exponent is -a q / ((p-1) d + q) with a = 1 (PGM) or 2 (APGM), q
+    the structure exponent of the tag and p the dgf's exponent; at p = 1
+    (entropies) it is the dimension-free -a, and the rate carries a
+    log(k) factor.
     """
     if method not in ("pgm", "apgm"):
         raise ValueError(f"unknown method {method!r}")
@@ -53,7 +41,7 @@ def theoretical_exponent(method, dgf, setting, d):
         raise ValueError(f"dimension must be >= 1, got {d}")
     a = 2 if method == "apgm" else 1
     q = SETTING_Q[setting]
-    return RateModel(-a * q / ((dgf.p - 1.0) * d + q), dgf.p == 1.0)
+    return -a * q / ((dgf.p - 1.0) * d + q)
 
 
 def mollify(problem, eps):
@@ -108,33 +96,17 @@ def default_eps_grid(grid):
     return np.geomspace(lo, hi, 30)
 
 
-@dataclass
-class EnvelopeCurve:
-    """The computed envelope: psi_hat and the minimizing radius per alpha.
-
-    eps_star is inf for the alpha values where the starting density f0
-    itself beats every mollified candidate.
-    """
-
-    alpha: np.ndarray
-    psi_hat: np.ndarray
-    eps_star: np.ndarray
-    meta: dict
-
-    def write_csv(self, path):
-        columns = (self.alpha.tolist(), self.psi_hat.tolist(), self.eps_star.tolist())
-        write_atomic(path, zip(*columns), meta=self.meta, header=("alpha", "psi_hat", "eps_star"))
-
-
 def psi_envelope(problem, dgf, f0, alpha_grid):
-    """Envelope of gap + alpha * divergence over the mollified family,
-    at the radii of `default_eps_grid`.
+    """(psi_hat, eps_star): the envelope of gap + alpha * divergence
+    over the mollified family, at the radii of `default_eps_grid`, and
+    its minimizing radius, one of each per alpha of `alpha_grid`.
 
     f0 always participates as a candidate with zero divergence, which
-    keeps the envelope bounded by F(f0) - inf F for every alpha. A
-    divergence that overflows (a tiny hyperbolic beta) is a RuntimeError
-    naming the dgf and the radius: an infinite candidate would drop out
-    of the envelope unseen.
+    keeps the envelope bounded by F(f0) - inf F for every alpha; eps_star
+    is inf where f0 beats every mollified candidate. A divergence that
+    overflows (a tiny hyperbolic beta) is a RuntimeError naming the dgf
+    and the radius: an infinite candidate would drop out of the envelope
+    unseen.
     """
     if problem.inf_value is None:
         raise ValueError(
@@ -162,13 +134,7 @@ def psi_envelope(problem, dgf, f0, alpha_grid):
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     objective = gaps[None, :] + alpha_grid[:, None] * divs[None, :]
     best = np.argmin(objective, axis=1)
-    curve = EnvelopeCurve(
-        alpha=alpha_grid,
-        psi_hat=objective[np.arange(len(alpha_grid)), best],
-        eps_star=radii[best],
-        meta={"problem": problem.name, "dgf": dgf.name},
-    )
-    return curve
+    return objective[np.arange(len(alpha_grid)), best], radii[best]
 
 
 def fit_loglog(k, gap, window):

@@ -68,7 +68,7 @@ def _build_problem_from_args(args):
 
 
 def _predicted_rate(meta):
-    """Rate model of a trace from its `method`, `dgf`, `setting` and `dim` metadata."""
+    """Predicted exponent of a trace from its `method`, `dgf`, `setting` and `dim` metadata."""
     missing = [key for key in ("setting", "dim") if not meta.get(key)]
     if missing:
         raise ValueError(
@@ -109,14 +109,14 @@ def _caveats(meta):
 
 
 def _report(trace, window, label, notes):
-    """(slope, r2, model) of a trace: its gap fitted over `window` and
-    the rate its metadata predicts. Every note of the trace goes to
+    """(slope, r2, theory) of a trace: its gap fitted over `window` and
+    the exponent its metadata predicts. Every note of the trace goes to
     `notes` as a line `note: <label><sentence>`: its caveats, then the
     rows the fit dropped."""
-    model = _predicted_rate(trace.meta)
+    theory = _predicted_rate(trace.meta)
     notes.extend(f"note: {label}{sentence}" for sentence in _caveats(trace.meta))
     slope, r2 = _fit(trace.k, trace.gap, window, label, notes)
-    return slope, r2, model
+    return slope, r2, theory
 
 
 def _run_one(problem, dgf, config, out, seed):
@@ -137,10 +137,11 @@ def _run_one(problem, dgf, config, out, seed):
     try:
         # Raw fit: a log(k) factor in the theory does not move the
         # asymptotic log-log slope, so the comparison stays direct.
-        slope, r2, model = _report(trace, window, "", notes)
+        slope, r2, theory = _report(trace, window, "", notes)
+        log = "log(k) * " if dgf.p == 1.0 else ""
         lines.append(
             f"fitted slope {slope:+.3f} (r2 {r2:.4f}) over "
-            f"k in [{window[0]:g}, {window[1]:g}]; theory {model.describe()}"
+            f"k in [{window[0]:g}, {window[1]:g}]; theory {log}k^({theory:+.4g})"
         )
     except ValueError as exc:
         lines.append(f"no slope fit: {exc}")
@@ -184,11 +185,11 @@ def cmd_rates(args):
     for path in args.traces:
         trace = Trace.read_csv(path)
         try:
-            slope, r2, model = _report(trace, window, f"{os.path.basename(path)}: ", notes)
+            slope, r2, theory = _report(trace, window, f"{os.path.basename(path)}: ", notes)
         except ValueError as exc:
             # The caveats say why: an aborted run may leave no rows to fit.
             raise ValueError(f"{path}: " + "; ".join([*_caveats(trace.meta), str(exc)])) from None
-        meta, theory = trace.meta, model.exponent
+        meta = trace.meta
         rows.append((path, meta.get("problem", ""), meta.get("dgf", ""), meta.get("method", ""),
                      slope, theory, slope - theory, r2, meta.get("aborted_at", "")))
     header = f"{'trace':<40} {'fitted':>8} {'theory':>8} {'diff':>7} {'r2':>7}"
@@ -218,16 +219,17 @@ def cmd_psi(args):
     problem = _build_problem_from_args(args)
     dgf = parse_dgf(args.dgf)
     alphas = np.geomspace(args.alpha_lo, args.alpha_hi, 25)
-    curve = psi_envelope(problem, dgf, default_start(problem), alphas)
-    curve.write_csv(args.out)
+    psi_hat, eps_star = psi_envelope(problem, dgf, default_start(problem), alphas)
+    write_atomic(args.out, zip(alphas, psi_hat, eps_star),
+                 meta={"problem": problem.name, "dgf": dgf.name},
+                 header=("alpha", "psi_hat", "eps_star"))
     print(f"wrote {args.out}")
     notes = []
-    slope, r2 = _fit(curve.alpha, curve.psi_hat, (0.0, math.inf), "", notes)
-    model = theoretical_exponent("pgm", dgf, problem.setting_tag, problem.grid.dim)
-    predicted = -model.exponent
+    slope, r2 = _fit(alphas, psi_hat, (0.0, math.inf), "", notes)
+    predicted = -theoretical_exponent("pgm", dgf, problem.setting_tag, problem.grid.dim)
     # Raw fit, as in run and rates: a log factor does not move the slope.
-    log_note = " up to a log factor (raw fit)" if model.log_factor else ""
-    interior = np.sum(np.isfinite(curve.eps_star)) / len(curve.eps_star)
+    log_note = " up to a log factor (raw fit)" if dgf.p == 1.0 else ""
+    interior = np.sum(np.isfinite(eps_star)) / len(eps_star)
     print(
         f"alpha-exponent {slope:+.3f} (r2 {r2:.4f}); predicted {predicted:+.3f}"
         f"{log_note}; mollified candidates win at {interior:.0%} of alphas"

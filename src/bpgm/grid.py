@@ -44,8 +44,8 @@ class Grid:
 
     @property
     def weights(self):
-        """The cell weight 1/m of the normalized uniform measure, one float
-        for every point."""
+        """The cell weight 1/m of the normalized uniform measure: one
+        scalar, the same at every point."""
         return 1.0 / self.size
 
     @property
@@ -74,6 +74,9 @@ def torus_grid(dim, n):
     n : int
         Points per axis; the grid has m = n**dim points of weight 1/m.
     """
+    for name, value in (("dimension", dim), ("points per axis", n)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"torus {name} must be an integer, got {value!r}")
     if dim not in (1, 2, 3):
         raise ValueError(f"torus dimension must be 1, 2 or 3, got {dim}")
     if n < 1:

@@ -79,8 +79,9 @@ class SolverConfig:
             raise ValueError(f"iters must be an integer, got {self.iters!r}")
         if self.iters < 1:
             raise ValueError(f"need at least one iteration, got {self.iters}")
-        if self.record is not None and not all(0 <= k <= self.iters and k == int(k)
-                                               for k in self.record):
+        # An empty record would write a trace that read_csv rejects.
+        if self.record is not None and not (len(self.record) and all(
+                0 <= k <= self.iters and k == int(k) for k in self.record)):
             raise ValueError(f"record must hold integers in [0, {self.iters}], got {self.record}")
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step}")
@@ -181,13 +182,15 @@ def resolve_step(problem, dgf, config, f0):
     k_bound_hint. step is config.step or the admissible step
     2 c(K) / (phi_sup^2 Lip(grad R)) = (K + beta)^(p-2) / (phi_sup^2
     Lip(grad R)), with c(K) from `sc_constant` and phi_sup bounding the
-    feature norm; a linear objective admits any step and gets 1.0.
+    feature norm; a linear objective admits any step and gets 1.0. A
+    step or K that is not finite and positive is a ValueError.
     """
     reg = problem.reg
     if reg.kind in ("simplex", "tv_ball"):
         k_bound = reg.radius
     elif reg.lam > 0:
-        k_bound = eval_F(problem, f0) / reg.lam
+        with np.errstate(all="ignore"):
+            k_bound = eval_F(problem, f0) / reg.lam
     elif problem.k_bound_hint is not None:
         k_bound = problem.k_bound_hint
     else:
@@ -201,6 +204,11 @@ def resolve_step(problem, dgf, config, f0):
         c, phi_sup, lip = sc_constant(dgf, k_bound), smooth.phi_sup, smooth.lip_grad
         # A linear (or constant) smooth part admits every step.
         step = 2.0 * c / (phi_sup**2 * lip) if phi_sup * lip > 0 else 1.0
+    for name, value in (("norm bound K", k_bound), ("step", step)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(
+                f"the {name} of {problem.name} from f0 is {value:g}, not finite and positive"
+            )
     return float(step), float(k_bound)
 
 
@@ -220,6 +228,9 @@ def run(problem, dgf, config, f0=None):
         raise ValueError("initial density must be finite")
     if not problem.reg.violation(grid.weights, f0) <= FEAS_TOL:
         raise ValueError("initial density is infeasible for the regularizer")
+    with np.errstate(all="ignore"):
+        if not math.isfinite(eval_F(problem, f0)):
+            raise ValueError("initial density has a non-finite objective value")
     step, k_bound = resolve_step(problem, dgf, config, f0)
     schedule = config.record if config.record is not None else record_schedule(config.iters)
     record_set = {int(k) for k in schedule}

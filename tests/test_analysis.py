@@ -17,7 +17,7 @@ from bpgm import (
     theoretical_exponent,
     torus_grid,
 )
-from bpgm.analysis import EnvelopeCurve, default_eps_grid, fit_loglog
+from bpgm.analysis import default_eps_grid, fit_loglog
 from bpgm.grid import dist_to_point
 
 
@@ -39,20 +39,19 @@ TAGS_OF_Q = {1: ("I",), 2: ("I*", "II"), 4: ("II*",)}
 )
 def test_power_exponent_table(method, token, q, d, expect):
     for tag in TAGS_OF_Q[q]:
-        model = theoretical_exponent(method, parse_dgf(token), tag, d)
-        assert model.exponent == pytest.approx(expect)
-        assert not model.log_factor
+        exponent = theoretical_exponent(method, parse_dgf(token), tag, d)
+        assert type(exponent) is float
+        assert exponent == pytest.approx(expect)
 
 
 def test_entropy_exponents_dimension_free():
     for d in (1, 2, 3):
         for tag in ("I", "I*", "II", "II*"):
             for token in ("ent", "hyp", "hyp:0.5"):
-                m = theoretical_exponent("pgm", parse_dgf(token), tag, d)
-                assert (m.exponent, m.log_factor) == (-1.0, True)
-                m = theoretical_exponent("apgm", parse_dgf(token), tag, d)
-                assert (m.exponent, m.log_factor) == (-2.0, True)
-                assert "log" in m.describe()
+                dgf = parse_dgf(token)
+                assert dgf.p == 1.0  # the log(k) factor of the rate
+                assert theoretical_exponent("pgm", dgf, tag, d) == -1.0
+                assert theoretical_exponent("apgm", dgf, tag, d) == -2.0
 
 
 def test_theoretical_exponent_validation():
@@ -144,7 +143,7 @@ def test_psi_envelope_matches_brute_force():
     dgf = parse_dgf("p:2")
     f0 = np.ones(problem.grid.size)
     alphas = np.geomspace(1e-4, 1e-1, 7)
-    env = psi_envelope(problem, dgf, f0, alphas)
+    psi_hat, _ = psi_envelope(problem, dgf, f0, alphas)
 
     w = problem.grid.weights
     cands = [(eval_F(problem, f0) - problem.inf_value, 0.0)]
@@ -155,24 +154,24 @@ def test_psi_envelope_matches_brute_force():
         cands.append((gap, div))
     for i, a in enumerate(alphas):
         brute = min(gap + a * div for gap, div in cands)
-        assert env.psi_hat[i] == pytest.approx(brute, rel=1e-12)
+        assert psi_hat[i] == pytest.approx(brute, rel=1e-12)
 
 
 def test_psi_envelope_concave_and_bounded():
     problem = lb_problem(torus_grid(1, 300), "II*")
     dgf = parse_dgf("p:2")
     f0 = np.ones(problem.grid.size)
-    alphas = np.geomspace(1e-8, 1e-2, 40)
-    env = psi_envelope(problem, dgf, f0, alphas)
-    a, ps = env.alpha, env.psi_hat
+    a = np.geomspace(1e-8, 1e-2, 40)
+    ps, eps_star = psi_envelope(problem, dgf, f0, a)
+    assert ps.shape == eps_star.shape == a.shape
     assert np.all(np.diff(ps) >= -1e-15)  # nondecreasing in alpha
     for i in range(1, len(a) - 1):
         t = (a[i] - a[i - 1]) / (a[i + 1] - a[i - 1])
         assert ps[i] >= (1 - t) * ps[i - 1] + t * ps[i + 1] - 1e-12
     cap = eval_F(problem, f0) - problem.inf_value
     assert np.all(ps <= cap + 1e-15)
-    finite = np.isfinite(env.eps_star)
-    assert np.all(np.diff(env.eps_star[finite]) >= -1e-12)
+    finite = np.isfinite(eps_star)
+    assert np.all(np.diff(eps_star[finite]) >= -1e-12)
 
 
 def test_psi_envelope_requires_inf_value():
@@ -203,21 +202,6 @@ def test_psi_envelope_overflowing_divergence_is_runtime_error():
     dgf = parse_dgf("hyp:5.56268464626801e-309")
     with pytest.raises(RuntimeError, match=r"hyp:5\.56268464626801e-309 .* radius 0\.175 overflows"):
         psi_envelope(problem, dgf, np.ones(20), np.array([1e-3, 1e-2]))
-
-
-def test_envelope_csv(tmp_path):
-    curve = EnvelopeCurve(
-        alpha=np.array([1e-3, 1e-2]),
-        psi_hat=np.array([0.1, 0.2]),
-        eps_star=np.array([0.05, math.inf]),
-        meta={"problem": "lb:I"},
-    )
-    path = tmp_path / "env.csv"
-    curve.write_csv(path)
-    text = path.read_text()
-    assert text.startswith("# problem=lb:I\n")
-    assert "alpha,psi_hat,eps_star" in text
-    assert "inf" in text.splitlines()[-1]
 
 
 def test_fit_loglog_exact_power():

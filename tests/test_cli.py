@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpgm import SolverConfig, build_problem, parse_dgf, run, solver
-from bpgm.analysis import EnvelopeCurve
+from bpgm import SolverConfig, build_problem, parse_dgf, psi_envelope, run, solver
 from bpgm.cli import _build_problem_from_args, _run_one, build_parser, main
 from bpgm.objective import (
     PROBLEM_TABLE, PROBLEM_TOKENS, default_start, eval_F, exact_optimum, grad_potential,
@@ -615,7 +614,7 @@ def test_rates_rejects_an_empty_fit_window(tmp_path, capsys, lo, hi):
 
 
 def _envelope_csv(path):
-    EnvelopeCurve(np.array([1e-3]), np.array([0.1]), np.array([np.inf]), {"dgf": "p:2"}).write_csv(path)
+    assert run_cli("psi", "--problem", "lb:I", "--grid-size", "50", "--out", str(path)) == 0
 
 
 @pytest.mark.parametrize("write", (
@@ -646,6 +645,38 @@ def test_psi_subcommand(tmp_path, capsys):
     assert "alpha-exponent" in text and "predicted +0.500" in text
     header = out.read_text().splitlines()
     assert any(line == "alpha,psi_hat,eps_star" for line in header)
+
+
+def test_psi_csv_layout_and_inf_radii(tmp_path):
+    # The # metadata lines, the header, then one row per alpha of the
+    # envelope as psi_envelope returns it; f0 wins at the 12 largest
+    # alphas, whose radius is written as inf.
+    out = tmp_path / "env.csv"
+    code = run_cli(
+        "psi", "--problem", "lb:I", "--grid-size", "50", "--alpha-lo", "1e-3",
+        "--alpha-hi", "10", "--out", str(out),
+    )
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[:3] == ["# dgf=p:2", "# problem=lb:I", "alpha,psi_hat,eps_star"]
+    rows = [line.split(",") for line in lines[3:]]
+    alphas = np.geomspace(1e-3, 10, 25)
+    problem = build_problem("lb:I", grid_size=50)
+    psi_hat, eps_star = psi_envelope(problem, parse_dgf("p:2"), default_start(problem), alphas)
+    assert rows == [[repr(float(v)) for v in row] for row in zip(alphas, psi_hat, eps_star)]
+    assert [row[2] for row in rows[-12:]] == ["inf"] * 12
+    assert "inf" not in {row[2] for row in rows[:-12]}
+
+
+def test_run_prints_the_log_factor_of_an_entropy_rate(tmp_path, capsys):
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--dgf", "ent,p:2", "--grid-size", "60",
+        "--iters", "3000", "--out", str(tmp_path / "t-{dgf}.csv"),
+    )
+    assert code == 0
+    theories = [line.split("; ")[-1] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("fitted slope")]
+    assert theories == ["theory log(k) * k^(-1)", "theory k^(-0.8)"]
 
 
 def test_psi_entropy_fit_is_raw(tmp_path, capsys):
@@ -850,7 +881,7 @@ def test_psi_prints_dropped_rows_as_a_note(tmp_path, monkeypatch, capsys):
     def envelope(problem, dgf, f0, alphas):
         psi_hat = np.sqrt(alphas)
         psi_hat[:3] = 0.0
-        return EnvelopeCurve(alphas, psi_hat, np.full(alphas.size, 0.1), {"problem": "lb:I"})
+        return psi_hat, np.full(alphas.size, 0.1)
 
     monkeypatch.setattr("bpgm.cli.psi_envelope", envelope)
     out = tmp_path / "e.csv"

@@ -29,6 +29,19 @@ def test_torus_grid_rejects_bad_dim(dim):
         torus_grid(dim, 10)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 300.5), (1.0, 50), (True, 50), (1, True), (1, "50")],
+                         ids=("float-n", "float-dim", "bool-dim", "bool-n", "str-n"))
+def test_torus_grid_rejects_sizes_that_are_not_integers(dim, n):
+    # 300.5 used to give a grid of size 300.5 with 301 points, and True
+    # passed as d = 1.
+    with pytest.raises(ValueError, match="must be an integer"):
+        torus_grid(dim, n)
+
+
+def test_torus_grid_takes_numpy_integers():
+    assert torus_grid(np.int64(2), np.int32(5)).size == 25
+
+
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 4)])
 def test_points_are_the_index_lattice(dim, n):
     # Index tuples in lexicographic order (last axis fastest), each

@@ -606,7 +606,13 @@ def test_every_row_starts_feasible_inside_its_norm_bound(case):
     problem = build_problem(token, grid_size=PROBLEM_TABLE[token][2], reg=reg)
     f0, w = default_start(problem), problem.grid.weights
     assert problem.reg.violation(w, f0) <= FEAS_TOL
-    _, k_bound = resolve_step(problem, parse_dgf("p:2"), SolverConfig(iters=1), f0)
+    args = (problem, parse_dgf("p:2"), SolverConfig(iters=1), f0)
+    if reg.lam > 0 and math.isinf(float(eval_F(problem, f0)) / reg.lam):
+        # A subnormal TV weight overflows K = F(f0)/lam: no bound to start inside.
+        with pytest.raises(ValueError, match="norm bound K .* is inf"):
+            resolve_step(*args)
+        return
+    _, k_bound = resolve_step(*args)
     assert np.sum(w * np.abs(f0)) <= k_bound * (1.0 + 1e-12)
     if token.startswith("deconv"):
         ((_, amplitude),) = problem.mu_star

@@ -170,7 +170,8 @@ def test_solver_config_validation():
     for bad in (100.0, np.float64(100), "100", True):
         with pytest.raises(ValueError, match="iters must be an integer"):
             SolverConfig(iters=bad)
-    for bad in ((0, 10, 1000), (-1, 5), (51,), (0, math.nan), (0, 2.5)):
+    # An empty record would give a run whose trace read_csv rejects.
+    for bad in ((0, 10, 1000), (-1, 5), (51,), (0, math.nan), (0, 2.5), ()):
         with pytest.raises(ValueError, match=r"record must hold integers in \[0, 50\]"):
             SolverConfig(iters=50, record=bad)
     for iters in (50, np.int64(50), np.int32(50)):
@@ -380,6 +381,38 @@ def test_nonfinite_start_density_is_rejected(reg):
         f0[7] = bad
         with pytest.raises(ValueError, match="initial density must be finite"):
             run(problem, parse_dgf("p:2"), SolverConfig(iters=5), f0=f0)
+
+
+@pytest.mark.parametrize("token, dgf_token, step", (
+    ("relu", "p:1.5", None),  # was step 0.0, k_bound inf and an abort labelled dual
+    ("relu", "hyp", None),  # the same
+    ("relu", "p:2", None),  # was an overflow warning from resolve_step
+    ("deconv1d", "p:2", 1e-3),  # was F = inf at k = 0 and an objective abort
+))
+def test_start_with_an_overflowing_objective_is_rejected(token, dgf_token, step):
+    problem = build_problem(token, grid_size=50)
+    config = SolverConfig(iters=20, step=step)
+    with pytest.raises(ValueError, match="initial density has a non-finite objective value"):
+        run(problem, parse_dgf(dgf_token), config, f0=np.full(50, 1e160))
+
+
+@pytest.mark.parametrize("dgf_token", ("p:1.5", "hyp", "p:2"))
+def test_resolve_step_rejects_an_infinite_norm_bound(dgf_token):
+    problem = build_problem("relu", grid_size=50)
+    config = SolverConfig(iters=20)
+    with pytest.raises(ValueError, match="norm bound K of relu from f0 is inf"):
+        resolve_step(problem, parse_dgf(dgf_token), config, np.full(50, 1e160))
+    # A finite F(f0) over a subnormal TV weight overflows K as well.
+    tiny = build_problem("relu", grid_size=50, reg=tv(1e-320))
+    with pytest.raises(ValueError, match="norm bound K of relu from f0 is inf"):
+        run(tiny, parse_dgf(dgf_token), config)
+
+
+def test_resolve_step_rejects_a_zero_step(monkeypatch):
+    monkeypatch.setattr("bpgm.solver.sc_constant", lambda dgf, k_bound: 0.0)
+    problem = build_problem("deconv1d", grid_size=50)
+    with pytest.raises(ValueError, match="step of deconv1d from f0 is 0, not finite and positive"):
+        resolve_step(problem, parse_dgf("p:2"), SolverConfig(iters=5), np.ones(50))
 
 
 def test_entropy_is_rejected_on_a_signed_optimum():
