@@ -143,11 +143,13 @@ def fit_loglog(k, gap, window):
 
     window is the pair (lo, hi) of floats, hi possibly inf; rows with k
     outside [lo, hi] are ignored, and at least 10 usable rows are
-    required.
+    required. A series whose fitted logs are all equal has r^2 = 1.
     """
     k = np.asarray(k, dtype=float)
     gap = np.asarray(gap, dtype=float)
     lo, hi = window
+    if not lo <= hi:
+        raise ValueError(f"the fit window [{lo:g}, {hi:g}] is empty")
     keep = (k > 0.0) & (k >= lo) & (k <= hi)
     usable = keep & (gap > 0) & np.isfinite(gap)
     if np.sum(usable) < 10:
@@ -160,7 +162,9 @@ def fit_loglog(k, gap, window):
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    # Equal logs are tested as such: their mean can round an ulp away
+    # from them, which leaves ss_tot tiny but not zero.
+    r2 = 1.0 if np.all(y == y[0]) else 1.0 - float(np.sum(resid**2)) / ss_tot
     return float(slope), r2, int(np.sum(keep & ~usable))
 
 

@@ -55,11 +55,8 @@ class MirrorState:
         f = np.asarray(f, dtype=float)
         return cls(grid, np.asarray(dgf.eta_prime(f)), f)
 
-    # Direct ufunc reductions: the same reduce as np.sum / np.max, without
-    # the Python dispatch wrappers, on every record.
-    def l1(self):
-        return float(np.add.reduce(self.grid.weights * np.abs(self.primal)))
-
+    # A direct ufunc reduction: the same reduce as np.max, without the
+    # Python dispatch wrapper, on every record.
     def linf_mirror(self):
         return float(np.maximum.reduce(np.abs(self.u)))
 

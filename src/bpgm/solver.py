@@ -166,8 +166,6 @@ def gamma_next(gamma):
 def record_schedule(iters):
     """Geometric iteration checkpoints: about 100 points per decade,
     computed once per iters (the tuple is immutable)."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
     count = max(2, int(100 * math.log10(iters)) + 1)
     ks = np.unique(np.rint(np.geomspace(1.0, float(iters), count)).astype(int))
     return tuple(np.concatenate([[0], ks]))
@@ -300,7 +298,7 @@ def run(problem, dgf, config, f0=None):
                 ok = record(k + 1)
                 # The step-size guarantee of APGM assumes ||h_k||_L1 <= K.
                 if accelerated and "k_bound_exceeded_at" not in meta:
-                    h_l1 = state.l1()
+                    h_l1 = float(np.add.reduce(w * np.abs(state.primal)))
                     if h_l1 > k_bound * (1.0 + 1e-9):
                         meta["k_bound_exceeded_at"] = str(k + 1)
                         meta["k_bound_exceeded_l1"] = repr(h_l1)

@@ -1,6 +1,7 @@
 """Independent oracles for the solver stack.
 
-Each check_* function runs one oracle at the sizes it is given, holds
+Each check_* function runs one oracle at fixed sizes, apart from the
+run lengths and sample counts that `bpgm verify --fast` shrinks, holds
 the measurement to its bound (written once, inside it) and returns a
 CheckResult: `detail` states the measured value next to the bound and
 `values` holds the measured numbers. A non-finite measurement fails
@@ -96,7 +97,7 @@ def _log_normalized(weights, logs):
     return logs - (c + np.log(float(np.sum(weights * np.exp(logs - c)))))
 
 
-def check_entropy_closed_form(m=300, k_max=10_000):
+def check_entropy_closed_form(k_max=10_000):
     """Entropy PGM on the linear simplex problem vs f_k = exp(-k s Phi)/Z.
 
     The mirror update is additive, u_{k+1} = u_k - s Phi + const, so
@@ -107,12 +108,12 @@ def check_entropy_closed_form(m=300, k_max=10_000):
     of that window dropped for a zero or non-finite gap.
 
     The step s = 100/k_max ends the run at Gibbs width 1/(k_max s) =
-    0.01, inside the continuum regime for the grids used here; past
+    0.01, inside the continuum regime at m = 300 points; past
     that width the mass sits on a few cells and the gap decays
     exponentially instead. It also starts the fit window at k s = 10,
     where the width is already well below the domain size.
     """
-    dev_bound, slope_tol = 1e-10, 0.05
+    dev_bound, slope_tol, m = 1e-10, 0.05, 300
     grid = torus_grid(1, m)
     s = 100.0 / k_max
     problem = lb_problem(grid, "I")
@@ -141,18 +142,19 @@ def check_entropy_closed_form(m=300, k_max=10_000):
     )
 
 
-def check_kkt_sweep(steps=1000, m=50, dgfs=None):
+def check_kkt_sweep(steps=1000, dgfs=None):
     """Max prox optimality residual over (dgf x regularizer) PGM runs.
 
     Twelve combinations by default: {p=2, entropy, hyperbolic} against
     the four regularizer rows, each stepped `steps` times on a small 1D
-    deconvolution problem with the default admissible step. values maps
-    (dgf name, regularizer kind) to the worst residual of that run.
+    deconvolution problem (m = 50) with the default admissible step.
+    values maps (dgf name, regularizer kind) to the worst residual of
+    that run.
     """
     bound = 1e-8
     if dgfs is None:
         dgfs = (PowerDgf(2.0), EntropyDgf(), HyperbolicDgf())
-    grid = torus_grid(1, m)
+    grid = torus_grid(1, 50)
     residuals = {}
     for dgf in dgfs:
         for reg in (nonneg_tv(0.05), simplex(), tv(0.05), tv_ball(1.0)):
@@ -178,15 +180,15 @@ def check_kkt_sweep(steps=1000, m=50, dgfs=None):
     )
 
 
-def check_pinsker(dgfs=None, m=100, n_samples=1000, seed=0):
+def check_pinsker(dgfs=None, n_samples=1000, seed=0):
     """Worst margin D(f, g) - c(K) ||f - g||_L1^2 over random pairs.
 
-    Pairs are drawn with L1 norms spread over (0, K], K = 1; entropy
-    gets nonnegative samples. A correct strong-convexity constant keeps
-    every margin above -1e-12. Default: four dgfs; values maps each
-    dgf name to its worst margin.
+    Pairs of densities on m = 100 points are drawn with L1 norms spread
+    over (0, K], K = 1; entropy gets nonnegative samples. A correct
+    strong-convexity constant keeps every margin above -1e-12. Default:
+    four dgfs; values maps each dgf name to its worst margin.
     """
-    bound, K = -1e-12, 1.0
+    bound, K, m = -1e-12, 1.0, 100
     if dgfs is None:
         dgfs = (PowerDgf(2.0), PowerDgf(1.5), EntropyDgf(), HyperbolicDgf())
     w = torus_grid(1, m).weights
@@ -248,19 +250,19 @@ def _euler_gap(problem, step, horizon, variant):
     return float(np.max(np.abs(h_gd - h_mf)))
 
 
-def check_mirror_flow(variant, horizon=1.0):
+def check_mirror_flow(variant):
     """First-order agreement of reparameterized gradient flow and mirror flow.
 
     In continuous time the squared parameterization follows the entropy
     mirror flow of 4F exactly (and the difference-of-squares one the
     hyperbolic flow with beta = 2 f0 g0); with explicit Euler the
-    trajectory gap is O(step), so halving the step should roughly halve
-    the gap: their ratio should be near 2. A trajectory that blows up
-    fails the check.
+    trajectory gap at horizon 1 is O(step), so halving the step should
+    roughly halve the gap: their ratio should be near 2. A trajectory
+    that blows up fails the check.
     """
     if variant not in ("square", "diff"):
         raise ValueError(f"unknown variant {variant!r}")
-    lo, hi, step = 1.5, 2.5, 1e-3
+    lo, hi, step, horizon = 1.5, 2.5, 1e-3, 1.0
     name = f"mirror_flow_{variant}"
     # The flows follow the smooth part of lb:II*, G(f) = (1/2) (integral
     # of Phi~ f)^2 with the C^2 blended feature; _euler_gap never reads

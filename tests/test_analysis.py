@@ -19,10 +19,11 @@ from bpgm import (
 )
 from bpgm.analysis import default_eps_grid, fit_loglog
 from bpgm.grid import dist_to_point
+from bpgm.objective import SETTING_Q
 
 
-# The setting tags of each structure exponent q in the paper's rate table.
-TAGS_OF_Q = {1: ("I",), 2: ("I*", "II"), 4: ("II*",)}
+# The setting tags of each structure exponent q.
+TAGS_OF_Q = {q: tuple(tag for tag in SETTING_Q if SETTING_Q[tag] == q) for q in SETTING_Q.values()}
 
 
 @pytest.mark.parametrize(
@@ -235,6 +236,23 @@ def test_fit_loglog_needs_enough_rows():
     k = np.array([1.0, 10.0, 100.0])
     with pytest.raises(ValueError):
         fit_loglog(k, 1.0 / k, window=(0.0, math.inf))
+
+
+def test_fit_loglog_flat_series_has_r2_one():
+    # The mean of these 25 equal logs rounds an ulp away from them.
+    y = np.log(np.full(25, 2.0 / 9.0))
+    assert y.mean() != y[0]
+    slope, r2, dropped = fit_loglog(
+        np.geomspace(1e-3, 1.0, 25), np.full(25, 2.0 / 9.0), window=(0.0, math.inf)
+    )
+    assert r2 == 1.0 and dropped == 0
+    assert slope == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_loglog_names_an_empty_window():
+    k = np.geomspace(1, 1e4, 100)
+    with pytest.raises(ValueError, match=r"the fit window \[1000, 500\] is empty"):
+        fit_loglog(k, 1.0 / k, window=(1e3, 500.0))
 
 
 def test_fit_rate_on_synthetic_trace():

@@ -16,6 +16,7 @@ from bpgm.objective import (
 )
 from bpgm.solver import Trace
 from bpgm.verify import CheckResult
+from test_acceptance import strip_time
 from test_objective import minimizer_density
 
 
@@ -647,6 +648,15 @@ def test_psi_subcommand(tmp_path, capsys):
     assert any(line == "alpha,psi_hat,eps_star" for line in header)
 
 
+def test_psi_flat_envelope_fits_with_r2_one(tmp_path, capsys):
+    # On three points f0 wins at every alpha, so psi_hat is 2/9 throughout.
+    out = tmp_path / "env.csv"
+    assert run_cli("psi", "--problem", "lb:I", "--grid-size", "3", "--out", str(out)) == 0
+    psi_hat = np.loadtxt(out, delimiter=",", comments="#", skiprows=3, usecols=1)
+    assert np.all(psi_hat == 2.0 / 9.0)
+    assert re.search(r"alpha-exponent [+-]0\.000 \(r2 1\.0000\)", capsys.readouterr().out)
+
+
 def test_psi_csv_layout_and_inf_radii(tmp_path):
     # The # metadata lines, the header, then one row per alpha of the
     # envelope as psi_envelope returns it; f0 wins at the 12 largest
@@ -943,6 +953,17 @@ def test_psi_requires_out():
     assert run_cli_code("psi", "--problem", "lb:I", "--grid-size", "200") == 1
 
 
+def test_run_names_an_empty_fit_window(tmp_path, capsys):
+    # The window [1e3, iters] holds no k when iters < 1000.
+    code = run_cli(
+        "run", "--problem", "deconv1d", "--grid-size", "30", "--dgf", "p:2",
+        "--iters", "500", "--out", str(tmp_path / "t.csv"),
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "no slope fit: the fit window [1000, 500] is empty"
+
+
 def test_run_nonfinite_gradient_exits_2(tmp_path, monkeypatch, capsys):
     # Record only the start and the end, so the divergence reaches the
     # prox step before any objective check.
@@ -979,35 +1000,13 @@ def test_verify_failure_exits_3(monkeypatch, capsys):
     assert lines == ["good  PASS  fine", "bad   FAIL  measured 2 (<= 1)", "1/2 checks passed"]
 
 
-def _strip_time(text):
-    """A trace file without its last (time_s) column."""
-    kept = []
-    for line in text.splitlines():
-        if line.startswith("#") or line.startswith("k,"):
-            kept.append(line)
-        else:
-            kept.append(line.rsplit(",", 1)[0])
-    return "\n".join(kept)
-
-
-def test_repeat_runs_byte_identical_modulo_time(tmp_path):
-    files = []
-    for name in ("r1.csv", "r2.csv"):
-        out = tmp_path / name
-        run_cli(
-            "run", "--problem", "deconv1d", "--dgf", "ent", "--grid-size", "60",
-            "--iters", "500", "--out", str(out),
-        )
-        files.append(out)
-    a, b = (f.read_text() for f in files)
-    assert _strip_time(a) == _strip_time(b)
-
-
 def test_multi_dgf_traces_match_single_token_runs(tmp_path):
+    # Also the CLI's determinism check: separate `bpgm run` calls write
+    # the same trace up to the time_s column.
     common = ("run", "--problem", "deconv1d", "--grid-size", "50", "--iters", "300")
     assert run_cli(*common, "--dgf", "p:2,ent", "--out", str(tmp_path / "multi_{dgf}.csv")) == 0
     for token, name in (("p:2", "p-2"), ("ent", "ent")):
         single = tmp_path / f"single_{name}.csv"
         assert run_cli(*common, "--dgf", token, "--out", str(single)) == 0
         multi = tmp_path / f"multi_{name}.csv"
-        assert _strip_time(multi.read_text()) == _strip_time(single.read_text())
+        assert strip_time(multi.read_text()) == strip_time(single.read_text())

@@ -62,7 +62,7 @@ def test_fd_gradient_check_fails_on_nan_gradient():
 
 
 def test_entropy_closed_form_check_contract():
-    result = check_entropy_closed_form(m=300, k_max=1000)
+    result = check_entropy_closed_form(k_max=1000)
     assert result.values["checkpoints"][0] == 1
     assert result.values["checkpoints"][-1] == 1000
     assert result.passed, result.detail
@@ -72,14 +72,14 @@ def test_entropy_closed_form_fails_on_a_dropped_fit_row(monkeypatch):
     # A zero or non-finite gap in the window is a failure, whatever the
     # slope of the rows that remain.
     monkeypatch.setattr("bpgm.verify.fit_loglog", lambda k, gap, window: (-1.0, 1.0, 2))
-    result = check_entropy_closed_form(m=300, k_max=1000)
+    result = check_entropy_closed_form(k_max=1000)
     assert not result.passed
     assert "2 fit rows dropped" in result.detail and result.values["dropped_rows"] == 2
 
 
 @pytest.mark.parametrize("dgf", [PowerDgf(2.0), PowerDgf(1.5), EntropyDgf(), HyperbolicDgf()])
 def test_pinsker_margins_nonnegative(dgf):
-    result = check_pinsker(dgfs=(dgf,), m=80, n_samples=300, seed=1)
+    result = check_pinsker(dgfs=(dgf,), n_samples=300, seed=1)
     assert result.passed, result.detail
 
 
@@ -88,7 +88,7 @@ def test_pinsker_catches_deflated_divergence():
         def divergence_values(self, weights, f, g):
             return 0.5 * super().divergence_values(weights, f, g)
 
-    result = check_pinsker(dgfs=(Deflated(2.0),), m=80, n_samples=300, seed=1)
+    result = check_pinsker(dgfs=(Deflated(2.0),), n_samples=300, seed=1)
     assert result.values["p:2"] < -1e-6
     assert not result.passed
 
@@ -98,13 +98,13 @@ def test_pinsker_fails_on_nan_divergence():
         def divergence_values(self, weights, f, g):
             return np.nan
 
-    result = check_pinsker(dgfs=(NanDivergence(2.0),), m=80, n_samples=300, seed=1)
+    result = check_pinsker(dgfs=(NanDivergence(2.0),), n_samples=300, seed=1)
     assert not result.passed, result.detail
     assert "worst margin nan" in result.detail
 
 
 def test_kkt_sweep_all_combinations():
-    result = check_kkt_sweep(steps=50, m=30)
+    result = check_kkt_sweep(steps=50)
     assert {name for name, _ in result.values} == {"p:2", "ent", "hyp:0.001"}
     assert {kind for _, kind in result.values} == {"nonneg_tv", "simplex", "tv", "tv_ball"}
     assert result.passed, result.detail
@@ -112,7 +112,7 @@ def test_kkt_sweep_all_combinations():
 
 @pytest.mark.parametrize("variant", ["square", "diff"])
 def test_mirror_flow_halving(variant):
-    result = check_mirror_flow(variant, horizon=0.5)
+    result = check_mirror_flow(variant)
     gap_step, gap_half = result.values["gap_step"], result.values["gap_half"]
     assert gap_half < gap_step
     assert gap_step / gap_half == pytest.approx(2.0, abs=0.2)
@@ -160,14 +160,14 @@ def test_run_all_checks_fast():
 
 
 def test_pinsker_check_covers_four_dgfs():
-    result = check_pinsker(m=50, n_samples=20)
+    result = check_pinsker(n_samples=20)
     assert result.passed, result.detail
     assert result.detail.startswith("4 dgfs")
     assert set(result.values) == {"p:2", "p:1.5", "ent", "hyp:0.001"}
 
 
 def test_kkt_check_requires_twelve_combinations():
-    result = check_kkt_sweep(steps=5, m=30, dgfs=(PowerDgf(2.0), EntropyDgf()))
+    result = check_kkt_sweep(steps=5, dgfs=(PowerDgf(2.0), EntropyDgf()))
     assert len(result.values) == 8
     assert not result.passed
     assert "8 dgf x regularizer combinations" in result.detail
